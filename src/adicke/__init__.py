@@ -1,19 +1,15 @@
 """Quantum geometry and Fisher information of the anisotropic Dicke model."""
 
 from .effective import (DisplacementSolution, FockCutoff, QuadraticBosonForm,
-                        RescaledParams, co_normal_hamiltonian,
-                        co_superradiant_hamiltonian, cs_normal_hamiltonian,
-                        cs_superradiant_hamiltonian, displacement_solution,
-                        effective_form, form_matrix, quadratic_form,
-                        rescaled_params)
+                        RescaledParams, displacement_solution, effective_form,
+                        form_matrix, quadratic_form, rescaled_params)
 from .errors import ConvergenceError, DegeneracyError, StencilError, TruncationError
 from .families import MODEL_CHOICES, qfi_omega, qgt_components, resolve_branch
 from .geometry import (QFIValue, QGTComponents, berry, metric, qfi,
-                       qgt_finite_difference, qgt_linear_solve, qgt_overlap_fd,
-                       qgt_sum_over_states)
+                       qgt_finite_difference)
 from .model import (ModelParams, OperatorMatrix, Truncation, boson_operators,
-                    derived_couplings, full_hamiltonian, param_derivative,
-                    parity_operator, project_parity, spin_operators)
+                    full_hamiltonian, param_derivative, parity_operator,
+                    project_parity, spin_operators)
 from .spectra import (Eigensystem, NormalModes, bogoliubov_modes,
                       dense_eigensystem, gauge_fix, lowest_k)
 from .squeezed import (SqueezeParams, berry_curvature_np, berry_curvature_sp,
@@ -24,17 +20,15 @@ from .sweep import (SweepRow, SweepSpec, convergence_scan, gamma_comparison,
 
 __all__ = [
     "ConvergenceError", "DegeneracyError", "StencilError", "TruncationError",
-    "ModelParams", "Truncation", "OperatorMatrix", "derived_couplings",
+    "ModelParams", "Truncation", "OperatorMatrix",
     "boson_operators", "spin_operators", "full_hamiltonian", "parity_operator",
     "project_parity", "param_derivative",
     "FockCutoff", "QuadraticBosonForm", "DisplacementSolution", "RescaledParams",
     "displacement_solution", "rescaled_params", "effective_form", "form_matrix",
-    "quadratic_form", "cs_normal_hamiltonian", "cs_superradiant_hamiltonian",
-    "co_normal_hamiltonian", "co_superradiant_hamiltonian",
+    "quadratic_form",
     "Eigensystem", "NormalModes", "dense_eigensystem", "lowest_k", "gauge_fix",
     "bogoliubov_modes",
-    "QGTComponents", "QFIValue", "qgt_sum_over_states", "qgt_linear_solve",
-    "qgt_overlap_fd", "qgt_finite_difference", "metric", "berry", "qfi",
+    "QGTComponents", "QFIValue", "qgt_finite_difference", "metric", "berry", "qfi",
     "SqueezeParams", "squeeze_params", "squeezed_state_vector",
     "berry_curvature_np", "berry_curvature_sp",
     "MODEL_CHOICES", "resolve_branch", "qgt_components", "qfi_omega",

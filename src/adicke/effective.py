@@ -237,12 +237,13 @@ def form_matrix(form: QuadraticBosonForm, cut: FockCutoff,
         raise ValueError(f"cutoff has {cut.modes} mode(s) but the form has {form.modes}")
     if cut.dim > max_dim:
         raise TruncationError(f"basis dimension {cut.dim} exceeds the guard {max_dim}")
-    a, adag, n_op = (op.mat for op in boson_operators(cut.n_a))
+    _, adag, n_op = (sp.csr_array(op.mat) for op in boson_operators(cut.n_a))
     if form.modes == 1:
+        asq = adag @ adag
         ham = form.n_a * n_op.astype(complex)
-        ham += form.squeeze * (adag @ adag) + np.conj(form.squeeze) * (a @ a)
-        ham += form.const * np.eye(cut.n_a + 1)
-        return OperatorMatrix.wrap(ham, basis=cut.tag)
+        ham += form.squeeze * asq + np.conj(form.squeeze) * asq.conj().T
+        ham += form.const * sp.identity(cut.dim, format="csr")
+        return OperatorMatrix(ham.tocsr(), basis=cut.tag)
 
     b, bdag, nb_op = (op.mat for op in boson_operators(cut.n_b))
     eye_a = sp.identity(cut.n_a + 1, format="csr")
@@ -257,23 +258,7 @@ def form_matrix(form: QuadraticBosonForm, cut: FockCutoff,
     ham += form.pair * up_up + np.conj(form.pair) * up_up.conj().T
     ham += form.squeeze * asq + np.conj(form.squeeze) * asq.conj().T
     ham += form.const * sp.identity(cut.dim, format="csr")
-    return OperatorMatrix.wrap(ham, basis=cut.tag)
-
-
-def cs_normal_hamiltonian(p: ModelParams, cut: FockCutoff) -> OperatorMatrix:
-    return form_matrix(cs_normal_form(p), cut)
-
-
-def cs_superradiant_hamiltonian(p: ModelParams, cut: FockCutoff) -> OperatorMatrix:
-    return form_matrix(cs_superradiant_form(p), cut)
-
-
-def co_normal_hamiltonian(p: ModelParams, cut: FockCutoff) -> OperatorMatrix:
-    return form_matrix(co_normal_form(p), cut)
-
-
-def co_superradiant_hamiltonian(p: ModelParams, cut: FockCutoff) -> OperatorMatrix:
-    return form_matrix(co_superradiant_form(p), cut)
+    return OperatorMatrix(ham.tocsr(), basis=cut.tag)
 
 
 def boson_parity_labels(cut: FockCutoff) -> np.ndarray:
@@ -349,14 +334,9 @@ def theta_derivative_matrix(ham: OperatorMatrix, cut: FockCutoff) -> OperatorMat
     All theta dependence enters through phases of mode-a raising operators,
     so the commutator with the mode-a number operator generates it.
     """
-    n_diag = mode_a_number_diagonal(cut)
-    mat = ham.mat
-    if sp.issparse(mat):
-        n_op = sp.diags_array(n_diag, format="csr")
-        deriv = 1j * (n_op @ mat - mat @ n_op)
-    else:
-        deriv = 1j * (n_diag[:, None] * mat - mat * n_diag[None, :])
-    return OperatorMatrix.wrap(deriv, basis=ham.basis)
+    n_op = sp.diags_array(mode_a_number_diagonal(cut), format="csr")
+    mat = sp.csr_array(ham.mat)
+    return OperatorMatrix((1j * (n_op @ mat - mat @ n_op)).tocsr(), basis=ham.basis)
 
 
 def _form_vector(form: QuadraticBosonForm) -> np.ndarray:

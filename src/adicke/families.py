@@ -8,6 +8,8 @@ is built.
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 
 from . import effective, model, spectra
@@ -20,13 +22,6 @@ from .effective import FockCutoff
 CONCRETE_MODELS = ("full", "cs_np", "cs_sp", "co_np", "co_sp")
 AUTO_MODELS = ("auto_cs", "auto_co")
 MODEL_CHOICES = CONCRETE_MODELS + AUTO_MODELS
-
-#: Above this dimension the default tensor method switches from the
-#: full-spectrum sum to the resolvent linear solve.
-SUM_METHOD_DIM_LIMIT = 1500
-
-#: Ground states come from the dense solver at or below this dimension.
-DENSE_GROUND_LIMIT = 1200
 
 
 def resolve_branch(name: str, g: float) -> str:
@@ -66,17 +61,10 @@ def derivative_matrix(name: str, p: ModelParams, trunc, which: str) -> OperatorM
     return effective.effective_param_derivative(name, p, trunc, which)
 
 
-def ground_pair(name: str, p: ModelParams, trunc,
-                prefer_dense: bool | None = None) -> tuple[float, np.ndarray, float]:
+def ground_pair(name: str, p: ModelParams, trunc) -> tuple[float, np.ndarray, float]:
     """Ground energy, gauge-fixed ground state, and the matrix gap above it."""
-    ham = hamiltonian_matrix(name, p, trunc)
-    dense = prefer_dense if prefer_dense is not None else ham.dim <= DENSE_GROUND_LIMIT
-    if dense and ham.dim <= spectra.DENSE_EIG_LIMIT:
-        es = spectra.dense_eigensystem(ham)
-    else:
-        es = spectra.lowest_k(ham, 2)
-    gap = float(es.energies[1] - es.energies[0]) if es.count > 1 else float("nan")
-    return float(es.energies[0]), es.states[:, 0], gap
+    es = spectra.ground_eigensystem(hamiltonian_matrix(name, p, trunc))
+    return float(es.energies[0]), es.states[:, 0], es.gap
 
 
 def ground_state(name: str, p: ModelParams, trunc) -> np.ndarray:
@@ -91,42 +79,41 @@ def photon_number_diagonal(name: str, trunc) -> np.ndarray:
     return effective.mode_a_number_diagonal(trunc)
 
 
-def model_gap(name: str, p: ModelParams, trunc) -> float:
-    """Lowest excitation energy: symplectic for quadratic models, spectral else."""
-    if name == "full":
-        return ground_pair(name, p, trunc)[2]
-    modes = spectra.bogoliubov_modes(effective.effective_form(name, p))
-    return modes.gap if modes.stable else float("nan")
-
-
 def qgt_components(name: str, p: ModelParams, trunc,
                    labels=("theta", "omega"), method: str | None = None,
                    richardson: bool | None = None) -> QGTComponents:
     """Ground-state tensor over a label subset, by any of the three methods.
 
     ``method`` is one of "sum", "solve", "fd"; by default the full-spectrum
-    sum is used up to SUM_METHOD_DIM_LIMIT and the linear solve above it.
+    sum is used when the solved matrix has at most spectra.DENSE_SOLVE_LIMIT
+    rows and the linear solve above it.  The Hamiltonian is built and
+    diagonalized once; the result carries its ground energy and gap.
     """
-    _check_trunc(name, trunc)
     labels = tuple(labels)
-    dim = trunc.dim
+    ham = hamiltonian_matrix(name, p, trunc)
     if method is None:
-        method = "sum" if dim <= SUM_METHOD_DIM_LIMIT else "solve"
+        method = "sum" if ham.dim <= spectra.DENSE_SOLVE_LIMIT else "solve"
+    if method not in ("sum", "solve", "fd"):
+        raise ValueError(f"unknown method {method!r}; expected 'sum', 'solve' or 'fd'")
+    es = spectra.dense_eigensystem(ham) if method == "sum" else spectra.ground_eigensystem(ham)
+    energy, psi = float(es.energies[0]), es.states[:, 0]
     if method == "fd":
-        builder = lambda q: ground_state(name, q, trunc)
-        return qgt_finite_difference(builder, p, labels, richardson=richardson)
-    derivs = [derivative_matrix(name, p, trunc, label) for label in labels]
-    if method == "sum":
-        es = spectra.dense_eigensystem(hamiltonian_matrix(name, p, trunc))
-        return qgt_matrix_sum(es, derivs, labels)
-    if method == "solve":
-        ham = hamiltonian_matrix(name, p, trunc)
-        energy, psi, gap = ground_pair(name, p, trunc)
-        scale = max(1.0, abs(energy))
-        if gap < spectra.DEGENERACY_RTOL * scale:
-            raise DegeneracyError(f"ground gap {gap:.2e} is below the degeneracy tolerance")
-        return qgt_matrix_solve(ham, energy, psi, derivs, labels)
-    raise ValueError(f"unknown method {method!r}; expected 'sum', 'solve' or 'fd'")
+        # the centre of the stencil is the state solved above
+        builder = lambda q: psi if q == p else ground_state(name, q, trunc)
+        comp = qgt_finite_difference(builder, p, labels, richardson=richardson)
+    else:
+        # the effective theta derivative i[n_a, H] reuses the H built above
+        derivs = [effective.theta_derivative_matrix(ham, trunc)
+                  if name != "full" and label == "theta"
+                  else derivative_matrix(name, p, trunc, label) for label in labels]
+        if method == "sum":
+            comp = qgt_matrix_sum(es, derivs, labels)
+        else:
+            if es.gap < spectra.DEGENERACY_RTOL * max(1.0, abs(energy)):
+                raise DegeneracyError(
+                    f"ground gap {es.gap:.2e} is below the degeneracy tolerance")
+            comp = qgt_matrix_solve(ham, energy, psi, derivs, labels)
+    return dataclasses.replace(comp, energy=energy, gap=es.gap)
 
 
 def qfi_omega(name: str, p: ModelParams, trunc, method: str | None = None) -> float:

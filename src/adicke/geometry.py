@@ -13,6 +13,7 @@ diagonal entry is 4 G_{mu mu}.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -33,11 +34,17 @@ MIN_STENCIL_OVERLAP = 0.5
 
 @dataclass(frozen=True)
 class QGTComponents:
-    """The tensor over an ordered subset of parameter labels."""
+    """The tensor over an ordered subset of parameter labels.
+
+    ``energy`` and ``gap`` are the ground energy and the level spacing above
+    it of the matrix the tensor came from, when the caller supplies them.
+    """
 
     labels: tuple[str, ...]
     q: np.ndarray
     method: str
+    energy: float = math.nan
+    gap: float = math.nan
 
     def __post_init__(self):
         qm = np.asarray(self.q)
@@ -105,25 +112,6 @@ def qfi(components: QGTComponents, label: str) -> QFIValue:
 # method 1: sum over states
 
 
-def qgt_sum_over_states(es: Eigensystem, d_mu: OperatorMatrix, d_nu: OperatorMatrix,
-                        n: int = 0) -> complex:
-    """Perturbative sum over the full spectrum for one tensor entry.
-
-    Independent of every eigenvector's phase: each excited state enters
-    together with its conjugate.
-    """
-    if es.degenerate(n):
-        raise DegeneracyError(f"state {n} is (near-)degenerate; the sum is ill-defined")
-    psi = es.states[:, n]
-    c_mu = es.states.conj().T @ (d_mu.mat @ psi)
-    c_nu = c_mu if d_nu is d_mu else es.states.conj().T @ (d_nu.mat @ psi)
-    denom = es.energies - es.energies[n]
-    keep = np.arange(es.count) != n
-    weights = np.zeros_like(denom)
-    weights[keep] = 1.0 / denom[keep] ** 2
-    return complex(np.sum(np.conj(c_mu) * c_nu * weights))
-
-
 def qgt_matrix_sum(es: Eigensystem, derivs: Sequence[OperatorMatrix],
                    labels: Sequence[str], n: int = 0) -> QGTComponents:
     """Assemble the full tensor over a label subset from one spectrum."""
@@ -159,38 +147,19 @@ def resolvent_tangent(ham: OperatorMatrix, energy: float, psi: np.ndarray,
     dim = ham.dim
     rhs_full = d_op.mat @ psi
     rhs = rhs_full - psi * np.vdot(psi, rhs_full)
-    try:
-        if ham.is_sparse:
-            shifted = (ham.mat - energy * sp.identity(dim, format="csr")).tocsr()
-            bordered = sp.bmat(
-                [[shifted, psi.reshape(-1, 1)], [psi.conj().reshape(1, -1), None]],
-                format="csc", dtype=complex)
-            sol = spla.spsolve(bordered, np.concatenate([rhs, [0.0]]))
-        else:
-            shifted = np.asarray(ham.mat, dtype=complex) - energy * np.eye(dim)
-            bordered = np.zeros((dim + 1, dim + 1), dtype=complex)
-            bordered[:dim, :dim] = shifted
-            bordered[:dim, dim] = psi
-            bordered[dim, :dim] = psi.conj()
-            sol = np.linalg.solve(bordered, np.concatenate([rhs, [0.0]]))
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceError(f"projected linear solve broke down: {exc}") from exc
+    shifted = (sp.csr_array(ham.mat) - energy * sp.identity(dim, format="csr")).tocsr()
+    bordered = sp.bmat(
+        [[shifted, psi.reshape(-1, 1)], [psi.conj().reshape(1, -1), None]],
+        format="csc", dtype=complex)
+    sol = spla.spsolve(bordered, np.concatenate([rhs, [0.0]]))
     x = sol[:dim]
     x = x - psi * np.vdot(psi, x)
     residual = float(np.linalg.norm(shifted @ x - rhs))
-    if residual > tol * max(1.0, float(np.linalg.norm(rhs))):
+    # written so that a NaN residual (an exactly singular factorization) fails too
+    if not residual <= tol * max(1.0, float(np.linalg.norm(rhs))):
         raise ConvergenceError(f"projected linear solve residual {residual:.2e}",
                                residual=residual)
     return x
-
-
-def qgt_linear_solve(ham: OperatorMatrix, energy: float, psi: np.ndarray,
-                     d_mu: OperatorMatrix, d_nu: OperatorMatrix,
-                     tol: float = 1e-10) -> complex:
-    """One tensor entry from two resolvent tangents; no excited states needed."""
-    x_mu = resolvent_tangent(ham, energy, psi, d_mu, tol=tol)
-    x_nu = x_mu if d_nu is d_mu else resolvent_tangent(ham, energy, psi, d_nu, tol=tol)
-    return complex(np.vdot(x_mu, x_nu))
 
 
 def qgt_matrix_solve(ham: OperatorMatrix, energy: float, psi: np.ndarray,
@@ -272,17 +241,3 @@ def qgt_finite_difference(builder: GroundStateBuilder, p: ModelParams,
         q_h = _q_from_tangents(center, tangents_h)
         q = (4.0 * q_h - q) / 3.0
     return QGTComponents(labels=tuple(labels), q=q, method="finite_difference")
-
-
-def qgt_overlap_fd(builder: GroundStateBuilder, p: ModelParams, mu: str, nu: str,
-                   h_mu: float | None = None, h_nu: float | None = None,
-                   richardson: bool | None = None) -> complex:
-    """One tensor entry by finite differences (see qgt_finite_difference)."""
-    labels = (mu,) if mu == nu else (mu, nu)
-    steps = default_steps(p, labels)
-    if h_mu is not None:
-        steps[mu] = h_mu
-    if h_nu is not None and nu in steps:
-        steps[nu] = h_nu
-    comp = qgt_finite_difference(builder, p, labels, steps=steps, richardson=richardson)
-    return comp.entry(mu, nu)

@@ -28,9 +28,6 @@ from .errors import TruncationError
 #: Parameters with respect to which the Hamiltonian can be differentiated.
 PARAMETER_LABELS = ("omega", "Omega", "lambda1", "lambda2", "theta")
 
-#: Matrices at or below this dimension are stored dense.
-DENSE_STORAGE_LIMIT = 2000
-
 #: Hard guard against runaway basis sizes.
 DEFAULT_MAX_DIM = 250_000
 
@@ -102,11 +99,6 @@ class ModelParams:
         return replace(self, **{which: getattr(self, which) + delta})
 
 
-def derived_couplings(p: ModelParams) -> tuple[float, float, float]:
-    """Return the dimensionless ratios (g, gamma, eta) of a parameter point."""
-    return p.g, p.gamma, p.eta
-
-
 @dataclass(frozen=True)
 class Truncation:
     """Basis bookkeeping: Fock cutoff, spin dimension and parity sector."""
@@ -137,19 +129,15 @@ class Truncation:
 class OperatorMatrix:
     """A complex matrix together with a tag naming the basis it lives on."""
 
-    mat: object  # numpy.ndarray or scipy.sparse array
+    mat: object  # scipy.sparse CSR from every builder; numpy.ndarray for small ladders
     basis: str = ""
 
     @property
     def dim(self) -> int:
         return self.mat.shape[0]
 
-    @property
-    def is_sparse(self) -> bool:
-        return sp.issparse(self.mat)
-
     def toarray(self) -> np.ndarray:
-        if self.is_sparse:
+        if sp.issparse(self.mat):
             return self.mat.toarray()
         return np.asarray(self.mat)
 
@@ -159,17 +147,6 @@ class OperatorMatrix:
         if sp.issparse(diff):
             return float(np.max(np.abs(diff.data))) if diff.nnz else 0.0
         return float(np.max(np.abs(diff))) if diff.size else 0.0
-
-    @staticmethod
-    def wrap(mat, basis: str = "") -> "OperatorMatrix":
-        """Wrap a matrix, densifying it below the sparse-storage threshold."""
-        if sp.issparse(mat) and mat.shape[0] <= DENSE_STORAGE_LIMIT:
-            mat = mat.toarray()
-        elif not sp.issparse(mat):
-            mat = np.asarray(mat)
-            if mat.shape[0] > DENSE_STORAGE_LIMIT:
-                mat = sp.csr_array(mat)
-        return OperatorMatrix(mat=mat, basis=basis)
 
 
 def _adjoint(mat):
@@ -256,8 +233,8 @@ def parity_labels(t: Truncation) -> np.ndarray:
 
 def parity_operator(t: Truncation) -> OperatorMatrix:
     """The Z2 parity, diagonal with entries +-1; squares to the identity."""
-    return OperatorMatrix.wrap(sp.diags_array(parity_labels(t), format="csr"),
-                               basis=_basis_tag(t, "full"))
+    return OperatorMatrix(sp.diags_array(parity_labels(t), format="csr"),
+                          basis=_basis_tag(t, "full"))
 
 
 def parity_indices(t: Truncation, sector: str) -> np.ndarray:
@@ -280,17 +257,12 @@ def project_parity(m: OperatorMatrix, t: Truncation,
     """
     idx = parity_indices(t, sector)
     comp = np.setdiff1d(np.arange(t.dim), idx, assume_unique=True)
-    mat = m.mat.tocsr() if m.is_sparse else np.asarray(m.mat)
-    off = mat[np.ix_(idx, comp)] if not sp.issparse(mat) else mat[idx][:, comp]
-    off_max = 0.0
-    if sp.issparse(off):
-        off_max = float(np.max(np.abs(off.data))) if off.nnz else 0.0
-    elif off.size:
-        off_max = float(np.max(np.abs(off)))
+    rows = sp.csr_array(m.mat)[idx]
+    off = rows[:, comp]
+    off_max = float(np.max(np.abs(off.data))) if off.nnz else 0.0
     if off_max > 1e-12:
         raise ValueError(f"operator does not commute with parity (off-block max {off_max:.2e})")
-    block = mat[np.ix_(idx, idx)] if not sp.issparse(mat) else mat[idx][:, idx]
-    return OperatorMatrix.wrap(block, basis=m.basis + f"|{sector}"), idx
+    return OperatorMatrix(rows[:, idx].tocsr(), basis=m.basis + f"|{sector}"), idx
 
 
 def _basis_tag(t: Truncation, sector: str) -> str:
@@ -309,7 +281,7 @@ def full_hamiltonian(p: ModelParams, t: Truncation,
         raise TruncationError(f"basis dimension {t.dim} exceeds the guard {max_dim}")
     number, jz_full, rw, cr = _product_pieces(p, t)
     ham = p.omega * number + p.Omega * jz_full + p.lambda1 * rw + p.lambda2 * cr
-    full = OperatorMatrix.wrap(ham, basis=_basis_tag(t, "full"))
+    full = OperatorMatrix(ham.tocsr(), basis=_basis_tag(t, "full"))
     if t.parity_sector == "full":
         return full
     block, _ = project_parity(full, t, t.parity_sector)
@@ -344,7 +316,7 @@ def param_derivative(p: ModelParams, t: Truncation, which: str) -> OperatorMatri
         anti_rw = phase * up_minus - np.conj(phase) * up_minus.conj().T
         anti_cr = phase * up_plus - np.conj(phase) * up_plus.conj().T
         deriv = 1j * norm * (p.lambda1 * anti_rw + p.lambda2 * anti_cr)
-    full = OperatorMatrix.wrap(deriv, basis=_basis_tag(t, "full"))
+    full = OperatorMatrix(deriv.tocsr(), basis=_basis_tag(t, "full"))
     if t.parity_sector == "full":
         return full
     block, _ = project_parity(full, t, t.parity_sector)

@@ -30,6 +30,13 @@ _SPACINGS = ("linear", "log")
 #: Grid points this close to g = 1 are skipped (flagged) by the fd method.
 FD_EXCLUSION = 5e-3
 
+#: Fisher informations below this are round-off of an exact zero; the
+#: convergence scan compares changes against it instead of against zero.
+QFI_ZERO_FLOOR = 1e-20
+
+#: Row label of each tensor method.
+_ROW_METHOD = {"sum_over_states": "sum", "linear_solve": "solve", "finite_difference": "fd"}
+
 CSV_COLUMNS = (
     "g", "gamma", "eta", "j", "n_max", "model", "method",
     "G_omega_omega", "G_theta_theta", "ReQ_theta_omega", "F_theta_omega",
@@ -130,12 +137,6 @@ def _branch_label(concrete: str) -> str:
     return concrete.split("_")[1] if "_" in concrete else ""
 
 
-def _effective_method(spec: SweepSpec, dim: int) -> str:
-    if spec.method is not None:
-        return spec.method
-    return "sum" if dim <= families.SUM_METHOD_DIM_LIMIT else "solve"
-
-
 def _analytic_row(spec: SweepSpec, concrete: str, p: ModelParams) -> SweepRow:
     from .squeezed import berry_curvature_np, berry_curvature_sp
 
@@ -157,33 +158,31 @@ def evaluate_point(spec: SweepSpec, value: float) -> SweepRow:
             return _analytic_row(spec, concrete, p)
         trunc = families.default_truncation(concrete, p, spec.n_max, spec.n_max_b,
                                             sector=spec.sector)
-        method = _effective_method(spec, trunc.dim)
-        if method == "fd" and abs(p.g - 1.0) < spec.fd_exclusion:
+        if spec.method == "fd" and abs(p.g - 1.0) < spec.fd_exclusion:
             return SweepRow(g=p.g, gamma=p.gamma, eta=p.eta, j=p.j, n_max=spec.n_max,
                             model=spec.model, method="fd", converged=False,
                             branch=_branch_label(concrete))
         comp = families.qgt_components(concrete, p, trunc, labels=spec.labels,
-                                       method=method)
+                                       method=spec.method)
         gmat = comp.metric()
         fmat = comp.berry()
         i_t = comp.index("theta")
         i_w = comp.index("omega")
-        energy, _, spectral_gap = families.ground_pair(concrete, p, trunc)
         if concrete == "full":
-            gap = spectral_gap
+            gap = comp.gap
         else:
             modes = bogoliubov_modes(effective_form(concrete, p))
             gap = modes.gap if modes.stable else math.nan
         g_ww = float(gmat[i_w, i_w])
         return SweepRow(
             g=p.g, gamma=p.gamma, eta=p.eta, j=p.j, n_max=spec.n_max,
-            model=spec.model, method=method,
+            model=spec.model, method=_ROW_METHOD[comp.method],
             G_omega_omega=g_ww,
             G_theta_theta=float(gmat[i_t, i_t]),
             ReQ_theta_omega=float(comp.q[i_t, i_w].real),
             F_theta_omega=float(fmat[i_t, i_w]),
             I_omega_omega=4.0 * g_ww,
-            energy=energy, gap=gap, branch=_branch_label(concrete))
+            energy=comp.energy, gap=gap, branch=_branch_label(concrete))
     except Exception:
         try:
             p = spec.point_params(value)
@@ -324,7 +323,6 @@ def ratio_scan(j_list, gamma_list, eta_list, g: float, *, omega: float = 1.0,
     rows = []
     for j in j_list:
         for gamma in gamma_list:
-            eff_cache: dict[float, float] = {}
             for eta in eta_list:
                 p = ModelParams.from_ratios(g, gamma=gamma, eta=eta, omega=omega,
                                             theta=theta, j=j)
@@ -334,11 +332,8 @@ def ratio_scan(j_list, gamma_list, eta_list, g: float, *, omega: float = 1.0,
                                                      sector=sector)
                 lab_check = families.qfi_omega("full", p, bigger, method=method)
                 converged = abs(lab_check - lab) <= convergence_rtol * max(abs(lab), 1e-300)
-                key = float(gamma)
-                if key not in eff_cache:
-                    eff_trunc = families.default_truncation(eff_model, p, eff_n_max)
-                    eff_cache[key] = families.qfi_omega(eff_model, p, eff_trunc)
-                eff = eff_cache[key]
+                eff_trunc = families.default_truncation(eff_model, p, eff_n_max)
+                eff = families.qfi_omega(eff_model, p, eff_trunc)
                 rows.append(RatioRow(j=float(j), gamma=float(gamma), eta=float(eta),
                                      qfi_lab=lab_check, qfi_eff=eff,
                                      ratio=lab_check / eff, converged=converged))
@@ -397,7 +392,7 @@ def convergence_scan(spec: SweepSpec, n_max_list, rtol: float = 1e-4) -> list[Co
         converged_at = None
         for prev, curr, cutoff in zip(series, series[1:], cutoffs[1:]):
             if math.isfinite(prev) and math.isfinite(curr):
-                change = abs(curr - prev) / max(abs(curr), 1e-300)
+                change = abs(curr - prev) / max(abs(curr), QFI_ZERO_FLOOR)
             else:
                 change = math.inf
             changes.append(change)

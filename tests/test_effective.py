@@ -7,8 +7,6 @@ import numpy as np
 import pytest
 
 from adicke import (FockCutoff, ModelParams, bogoliubov_modes,
-                    co_normal_hamiltonian, co_superradiant_hamiltonian,
-                    cs_normal_hamiltonian, cs_superradiant_hamiltonian,
                     dense_eigensystem, displacement_solution, form_matrix,
                     quadratic_form, rescaled_params)
 from adicke.effective import (QuadraticBosonForm, boson_parity_labels,
@@ -89,7 +87,7 @@ def test_rescaled_params_rejects_normal_phase():
 
 def test_cs_normal_decoupled_ground():
     p = ModelParams(omega=1.0, Omega=1.0, j=4.0)
-    es = dense_eigensystem(cs_normal_hamiltonian(p, FockCutoff(8, 8)))
+    es = dense_eigensystem(form_matrix(effective_form("cs_np", p), FockCutoff(8, 8)))
     assert es.energies[0] == pytest.approx(-4.0, abs=1e-13)
 
 
@@ -97,7 +95,7 @@ def test_cs_normal_excitations_at_half_critical():
     # resonant symmetric point at g = 0.5 (lambda1 = lambda2 = 0.25)
     p = from_g(0.5)
     assert p.lambda1 == pytest.approx(0.25)
-    es = dense_eigensystem(cs_normal_hamiltonian(p, FockCutoff(26, 26)))
+    es = dense_eigensystem(form_matrix(effective_form("cs_np", p), FockCutoff(26, 26)))
     assert es.energies[1] - es.energies[0] == pytest.approx(math.sqrt(0.5), abs=1e-10)
     # the stiff-mode quantum lies between the first and second soft quanta
     assert es.energies[2] - es.energies[0] == pytest.approx(math.sqrt(1.5), abs=1e-9)
@@ -267,7 +265,8 @@ def test_quadratic_form_reads_hop_coefficient():
 
 def test_quadratic_form_decoupled_keeps_only_numbers():
     p = ModelParams(omega=1.1, Omega=0.9, j=2.0)
-    form = quadratic_form(cs_normal_hamiltonian(p, FockCutoff(6, 6)), FockCutoff(6, 6))
+    form = quadratic_form(form_matrix(effective_form("cs_np", p), FockCutoff(6, 6)),
+                          FockCutoff(6, 6))
     assert form.hop == 0j and form.pair == 0j and form.squeeze == 0j
     assert form.n_a == pytest.approx(1.1) and form.n_b == pytest.approx(0.9)
 
@@ -275,7 +274,7 @@ def test_quadratic_form_decoupled_keeps_only_numbers():
 def test_quadratic_form_rejects_cubic_perturbation():
     p = from_g(0.5, j=1.0)
     cut = FockCutoff(8)
-    mat = co_normal_hamiltonian(p, cut).toarray().copy()
+    mat = form_matrix(effective_form("co_np", p), cut).toarray()
     a = np.zeros((9, 9))
     a[np.arange(8), np.arange(1, 9)] = np.sqrt(np.arange(1, 9))
     cubic = a.T @ a.T @ a.T

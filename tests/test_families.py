@@ -5,9 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from adicke import FockCutoff, ModelParams, Truncation
-from adicke.families import (default_truncation, hamiltonian_matrix, model_gap,
+from adicke import FockCutoff, ModelParams, Truncation, bogoliubov_modes, effective_form
+from adicke.families import (default_truncation, ground_pair, hamiltonian_matrix,
                              qgt_components, resolve_branch)
+from adicke.spectra import DENSE_SOLVE_LIMIT
 
 
 def test_resolve_branch():
@@ -43,17 +44,27 @@ def test_default_method_switches_with_dimension():
     assert small.method == "sum_over_states"
     big = qgt_components("cs_np", p, FockCutoff(45, 45), labels=("omega",))
     assert big.method == "linear_solve"
+    # the policy boundary: a one-mode matrix has n_max + 1 rows
+    at_limit = qgt_components("co_np", p, FockCutoff(DENSE_SOLVE_LIMIT - 1), labels=("omega",))
+    assert at_limit.method == "sum_over_states"
+    above = qgt_components("co_np", p, FockCutoff(DENSE_SOLVE_LIMIT), labels=("omega",))
+    assert above.method == "linear_solve"
+    # the full model is solved in one parity sector, about half the product basis
+    trunc = Truncation.for_spin(DENSE_SOLVE_LIMIT // 5, 2.0, "positive")
+    assert trunc.dim > DENSE_SOLVE_LIMIT >= hamiltonian_matrix("full", p, trunc).dim
+    sector = qgt_components("full", p, trunc, labels=("omega",))
+    assert sector.method == "sum_over_states"
 
 
 def test_model_gap_sources():
     p = ModelParams.from_ratios(0.5, gamma=1.0, eta=1.0, j=4.0)
-    eff = model_gap("cs_np", p, FockCutoff(20, 20))
+    eff = bogoliubov_modes(effective_form("cs_np", p)).gap
     assert eff == pytest.approx(math.sqrt(0.5), rel=1e-12)
     # the physical gap needs both sectors; within one sector the next level
     # sits two quanta up
-    full = model_gap("full", p, Truncation.for_spin(24, 4.0, "full"))
+    full = ground_pair("full", p, Truncation.for_spin(24, 4.0, "full"))[2]
     assert 0 < full < 1.0
-    sector = model_gap("full", p, Truncation.for_spin(24, 4.0, "positive"))
+    sector = ground_pair("full", p, Truncation.for_spin(24, 4.0, "positive"))[2]
     assert sector > full
 
 

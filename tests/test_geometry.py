@@ -8,11 +8,11 @@ import pytest
 from adicke import (DegeneracyError, FockCutoff, ModelParams, StencilError,
                     Truncation, berry, dense_eigensystem, full_hamiltonian,
                     metric, param_derivative, qfi, qgt_components,
-                    qgt_finite_difference, qgt_linear_solve, qgt_overlap_fd,
-                    qgt_sum_over_states)
+                    qgt_finite_difference)
 from adicke.families import (derivative_matrix, ground_pair, ground_state,
                              hamiltonian_matrix, photon_number_diagonal)
-from adicke.geometry import QFIValue, QGTComponents
+from adicke.geometry import (QFIValue, QGTComponents, qgt_matrix_solve,
+                             qgt_matrix_sum)
 from adicke.spectra import Eigensystem, gauge_fix
 
 
@@ -35,7 +35,7 @@ def test_sum_vanishes_when_decoupled():
     t = Truncation.for_spin(10, p.j, "positive")
     es = dense_eigensystem(full_hamiltonian(p, t))
     d_omega = param_derivative(p, t, "omega")
-    assert qgt_sum_over_states(es, d_omega, d_omega) == pytest.approx(0.0, abs=1e-14)
+    assert qgt_matrix_sum(es, [d_omega], ("omega",)).q[0, 0] == pytest.approx(0.0, abs=1e-14)
 
 
 def test_sum_refuses_degenerate_state():
@@ -44,7 +44,7 @@ def test_sum_refuses_degenerate_state():
     from adicke.model import OperatorMatrix
     d = OperatorMatrix(np.eye(3, dtype=complex))
     with pytest.raises(DegeneracyError):
-        qgt_sum_over_states(es, d, d)
+        qgt_matrix_sum(es, [d], ("omega",))
 
 
 @pytest.mark.parametrize("model,g,trunc", [
@@ -73,8 +73,10 @@ def test_linear_solve_agrees_with_sum():
     es = dense_eigensystem(ham)
     d_t = derivative_matrix("full", p, t, "theta")
     d_w = derivative_matrix("full", p, t, "omega")
-    reference = qgt_sum_over_states(es, d_t, d_w)
-    solved = qgt_linear_solve(ham, float(es.energies[0]), es.states[:, 0], d_t, d_w)
+    labels = ("theta", "omega")
+    reference = qgt_matrix_sum(es, [d_t, d_w], labels).entry("theta", "omega")
+    solved = qgt_matrix_solve(ham, float(es.energies[0]), es.states[:, 0], [d_t, d_w],
+                              labels).entry("theta", "omega")
     assert abs(solved - reference) < 1e-10 * max(1.0, abs(reference))
 
 
@@ -87,7 +89,7 @@ def test_linear_solve_reports_residual_on_singular_shift():
     es = dense_eigensystem(ham)
     d_w = derivative_matrix("full", p, t, "omega")
     with pytest.raises(ConvergenceError) as info:
-        qgt_linear_solve(ham, float(es.energies[1]), es.states[:, 0], d_w, d_w)
+        qgt_matrix_solve(ham, float(es.energies[1]), es.states[:, 0], [d_w], ("omega",))
     assert info.value.residual is not None and info.value.residual > 1e-10
 
 
@@ -97,7 +99,7 @@ def test_linear_solve_decoupled_zero():
     ham = hamiltonian_matrix("full", p, t)
     e0, psi, _ = ground_pair("full", p, t)
     d_w = derivative_matrix("full", p, t, "omega")
-    assert abs(qgt_linear_solve(ham, e0, psi, d_w, d_w)) < 1e-14
+    assert abs(qgt_matrix_solve(ham, e0, psi, [d_w], ("omega",)).q[0, 0]) < 1e-14
 
 
 def test_linear_solve_at_reference_cutoff_scale():
@@ -172,11 +174,11 @@ def test_fd_detects_crossing():
         qgt_finite_difference(pathological, from_g(0.5), ("omega",), richardson=False)
 
 
-def test_fd_single_entry_wrapper():
+def test_fd_single_label_matches_sum():
     p = from_g(0.5, gamma=2.0, theta=0.3, j=2.0)
     t = Truncation.for_spin(16, p.j, "positive")
     builder = lambda q: ground_state("full", q, t)
-    val = qgt_overlap_fd(builder, p, "theta", "theta")
+    val = qgt_finite_difference(builder, p, ("theta",)).entry("theta", "theta")
     ref = qgt_components("full", p, t, labels=("theta",), method="sum").q[0, 0]
     assert val.real == pytest.approx(ref.real, rel=1e-6)
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from adicke import (ModelParams, OperatorMatrix, Truncation, TruncationError,
-                    boson_operators, derived_couplings, full_hamiltonian,
+                    boson_operators, full_hamiltonian,
                     param_derivative, parity_operator, project_parity,
                     spin_operators)
 from adicke.model import parity_indices, photon_number_diagonal
@@ -22,12 +22,12 @@ def dense(op):
 
 def test_derived_couplings_critical_symmetric_point():
     p = ModelParams(omega=1, Omega=1, lambda1=0.5, lambda2=0.5)
-    assert derived_couplings(p) == (1.0, 1.0, 1.0)
+    assert (p.g, p.gamma, p.eta) == (1.0, 1.0, 1.0)
 
 
 def test_derived_couplings_asymmetric():
     p = ModelParams(omega=1, Omega=1, lambda1=0.5, lambda2=0.25)
-    g, gamma, eta = derived_couplings(p)
+    g, gamma, eta = p.g, p.gamma, p.eta
     assert g == pytest.approx(0.75, abs=1e-15)
     assert gamma == pytest.approx(2.0, abs=1e-15)
     assert eta == 1.0
@@ -35,7 +35,7 @@ def test_derived_couplings_asymmetric():
 
 def test_derived_couplings_decoupled():
     p = ModelParams(omega=0.1, Omega=1, lambda1=0.0, lambda2=0.0)
-    g, gamma, eta = derived_couplings(p)
+    g, gamma, eta = p.g, p.gamma, p.eta
     assert g == 0.0
     assert gamma == 1.0  # symmetric decoupled point, not an error
     assert eta == pytest.approx(10.0)

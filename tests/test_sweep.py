@@ -7,9 +7,9 @@ import math
 import numpy as np
 import pytest
 
-from adicke import (ModelParams, SweepSpec, convergence_scan, gamma_comparison,
-                    peak_locate, ratio_scan, rows_to_csv, run_sweep, write_csv,
-                    write_json)
+from adicke import (FockCutoff, ModelParams, SweepSpec, convergence_scan,
+                    families, gamma_comparison, peak_locate, qfi_omega, ratio_scan,
+                    rows_to_csv, run_sweep, spectra, write_csv, write_json)
 from adicke.sweep import CSV_COLUMNS, SweepRow, continuity_report, evaluate_point
 
 
@@ -103,6 +103,28 @@ def test_failed_points_become_flagged_rows():
     assert len(rows) == 3
     assert not rows[0].converged and math.isnan(rows[0].I_omega_omega)
     assert rows[2].converged and math.isfinite(rows[2].I_omega_omega)
+
+
+@pytest.mark.parametrize("spec,method", [
+    (SweepSpec(model="full", gamma=2.0, j=2.0, n_max=20), "sum"),
+    (SweepSpec(model="cs_np", gamma=2.0, j=2.0, n_max=20, n_max_b=20), "solve"),
+])
+def test_evaluate_point_builds_and_solves_once(spec, method, monkeypatch):
+    counts = {"build": 0, "solve": 0}
+
+    def counted(key, func):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return func(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(families, "hamiltonian_matrix",
+                        counted("build", families.hamiltonian_matrix))
+    for name in ("dense_eigensystem", "lowest_k"):
+        monkeypatch.setattr(spectra, name, counted("solve", getattr(spectra, name)))
+    row = evaluate_point(spec, 0.7)
+    assert row.converged and row.method == method
+    assert counts == {"build": 1, "solve": 1}
 
 
 def test_fd_exclusion_zone_flags_rows():
@@ -218,6 +240,16 @@ def test_ratio_scan_trends_small():
     assert 0 < rows[0].ratio < rows[1].ratio < 1
 
 
+def test_ratio_scan_effective_value_follows_eta():
+    # the classical-spin limit depends on eta, so every row needs its own value
+    rows = ratio_scan([10.0], [2.0], [2.0, 5.0], 0.9, n_max=20, eff_model="cs_np",
+                      eff_n_max=30)
+    for row in rows:
+        p = ModelParams.from_ratios(0.9, gamma=2.0, eta=row.eta, j=10.0)
+        assert row.qfi_eff == pytest.approx(qfi_omega("cs_np", p, FockCutoff(30, 30)),
+                                            rel=1e-12)
+
+
 def test_ratio_of_identical_quantities_is_one():
     rows = ratio_scan([2.0], [1.0], [3.0], 0.9, n_max=40, eff_n_max=40)
     row = rows[0]
@@ -249,11 +281,12 @@ def test_peak_localizes_critical_coupling_within_grid_resolution():
 
 
 def test_convergence_scan_decoupled_and_moderate():
-    spec = SweepSpec(model="full", param="g", start=0.0, stop=0.5, points=2,
-                     gamma=1.0, eta=1.0, j=10.0, n_max=30)
-    points = convergence_scan(spec, [20, 30])
-    assert points[0].converged and points[0].converged_at == 30  # decoupled line
-    assert points[1].converged  # g = 0.5 settles by n_max = 30
+    for model in ("full", "cs_np"):
+        spec = SweepSpec(model=model, param="g", start=0.0, stop=0.5, points=2,
+                         gamma=1.0, eta=1.0, j=10.0, n_max=30)
+        points = convergence_scan(spec, [20, 30])
+        assert points[0].converged and points[0].converged_at == 30  # decoupled line
+        assert points[1].converged  # g = 0.5 settles by n_max = 30
 
 
 def test_convergence_scan_near_critical_needs_more():
