@@ -23,7 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .model import DEFAULT_MAX_DIM, ModelParams, OperatorMatrix, boson_operators
+from .model import (DEFAULT_MAX_DIM, ModelParams, OperatorMatrix, boson_operators,
+                    real_if_exact)
 from .errors import TruncationError
 
 
@@ -231,33 +232,33 @@ def form_matrix(form: QuadraticBosonForm, cut: FockCutoff,
                 max_dim: int = DEFAULT_MAX_DIM) -> OperatorMatrix:
     """Matrix of a quadratic form on the truncated Fock basis.
 
-    Two-mode basis ordering is |n_a> x |n_b> with n_a outer.
+    Two-mode basis ordering is |n_a> x |n_b> with n_a outer.  The matrix is
+    float64 when every coefficient is real and complex otherwise.
     """
     if cut.modes != form.modes:
         raise ValueError(f"cutoff has {cut.modes} mode(s) but the form has {form.modes}")
     if cut.dim > max_dim:
         raise TruncationError(f"basis dimension {cut.dim} exceeds the guard {max_dim}")
     _, adag, n_op = (sp.csr_array(op.mat) for op in boson_operators(cut.n_a))
-    if form.modes == 1:
-        asq = adag @ adag
-        ham = form.n_a * n_op.astype(complex)
-        ham += form.squeeze * asq + np.conj(form.squeeze) * asq.conj().T
-        ham += form.const * sp.identity(cut.dim, format="csr")
-        return OperatorMatrix(ham.tocsr(), basis=cut.tag)
-
-    b, bdag, nb_op = (op.mat for op in boson_operators(cut.n_b))
-    eye_a = sp.identity(cut.n_a + 1, format="csr")
-    eye_b = sp.identity(cut.n_b + 1, format="csr")
     kron = lambda x, y: sp.kron(sp.csr_array(x), sp.csr_array(y), format="csr")
-    up_down = kron(adag, b)      # a'b
-    up_up = kron(adag, bdag)     # a'b'
-    asq = kron(adag @ adag, np.eye(cut.n_b + 1))
-    ham = form.n_a * sp.kron(sp.csr_array(n_op), eye_b, format="csr").astype(complex)
-    ham += form.n_b * sp.kron(eye_a, sp.csr_array(nb_op), format="csr")
-    ham += form.hop * up_down + np.conj(form.hop) * up_down.conj().T
-    ham += form.pair * up_up + np.conj(form.pair) * up_up.conj().T
-    ham += form.squeeze * asq + np.conj(form.squeeze) * asq.conj().T
-    ham += form.const * sp.identity(cut.dim, format="csr")
+    if form.modes == 1:
+        terms = [(form.n_a, n_op, False), (form.squeeze, adag @ adag, True)]
+    else:
+        b, bdag, nb_op = (op.mat for op in boson_operators(cut.n_b))
+        eye_a = sp.identity(cut.n_a + 1, format="csr")
+        eye_b = sp.identity(cut.n_b + 1, format="csr")
+        terms = [(form.n_a, kron(n_op, eye_b), False),
+                 (form.n_b, kron(eye_a, nb_op), False),
+                 (form.hop, kron(adag, b), True),       # a'b
+                 (form.pair, kron(adag, bdag), True),   # a'b'
+                 (form.squeeze, kron(adag @ adag, eye_b), True)]
+    ham = sp.csr_array((cut.dim, cut.dim))
+    for coeff, piece, with_adjoint in terms:
+        coeff = real_if_exact(coeff)
+        ham = ham + coeff * piece
+        if with_adjoint:
+            ham = ham + np.conj(coeff) * piece.T
+    ham = ham + form.const * sp.identity(cut.dim, format="csr")
     return OperatorMatrix(ham.tocsr(), basis=cut.tag)
 
 

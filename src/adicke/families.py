@@ -14,8 +14,8 @@ import numpy as np
 
 from . import effective, model, spectra
 from .errors import DegeneracyError
-from .geometry import (QGTComponents, qgt_finite_difference, qgt_matrix_solve,
-                       qgt_matrix_sum)
+from .geometry import (GaugeGenerator, QGTComponents, qgt_finite_difference,
+                       qgt_matrix_solve, qgt_matrix_sum)
 from .model import ModelParams, OperatorMatrix, Truncation
 from .effective import FockCutoff
 
@@ -87,25 +87,36 @@ def qgt_components(name: str, p: ModelParams, trunc,
     ``method`` is one of "sum", "solve", "fd"; by default the full-spectrum
     sum is used when the solved matrix has at most spectra.DENSE_SOLVE_LIMIT
     rows and the linear solve above it.  The Hamiltonian is built and
-    diagonalized once; the result carries its ground energy and gap.
+    diagonalized once, and the solved pairs are checked against it; the
+    result carries its ground energy and gap.
+
+    The phase theta is a gauge: H(theta) = U H(0) U^dagger with
+    U = exp(i theta n_a), exactly on the truncated basis.  U does not depend
+    on the other parameters and commutes with n_a, so the energy, the gap and
+    the whole tensor are those of theta = 0.  "sum" and "solve" therefore
+    work on the real theta = 0 problem and take the theta column from the
+    generator instead of a derivative matrix.  "fd" differentiates the
+    complex ground states at the requested theta and stays an independent
+    check of that column.
     """
     labels = tuple(labels)
-    ham = hamiltonian_matrix(name, p, trunc)
+    if method not in (None, "sum", "solve", "fd"):
+        raise ValueError(f"unknown method {method!r}; expected 'sum', 'solve' or 'fd'")
+    at = p if method == "fd" else dataclasses.replace(p, theta=0.0)
+    ham = hamiltonian_matrix(name, at, trunc)
     if method is None:
         method = "sum" if ham.dim <= spectra.DENSE_SOLVE_LIMIT else "solve"
-    if method not in ("sum", "solve", "fd"):
-        raise ValueError(f"unknown method {method!r}; expected 'sum', 'solve' or 'fd'")
     es = spectra.dense_eigensystem(ham) if method == "sum" else spectra.ground_eigensystem(ham)
+    es.check(ham)
     energy, psi = float(es.energies[0]), es.states[:, 0]
     if method == "fd":
         # the centre of the stencil is the state solved above
         builder = lambda q: psi if q == p else ground_state(name, q, trunc)
         comp = qgt_finite_difference(builder, p, labels, richardson=richardson)
     else:
-        # the effective theta derivative i[n_a, H] reuses the H built above
-        derivs = [effective.theta_derivative_matrix(ham, trunc)
-                  if name != "full" and label == "theta"
-                  else derivative_matrix(name, p, trunc, label) for label in labels]
+        # dH/dtheta = i[n_a, H]: the theta tangent needs no matrix and no solve
+        derivs = [GaugeGenerator(photon_number_diagonal(name, trunc)) if label == "theta"
+                  else derivative_matrix(name, at, trunc, label) for label in labels]
         if method == "sum":
             comp = qgt_matrix_sum(es, derivs, labels)
         else:

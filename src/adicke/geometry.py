@@ -5,6 +5,13 @@
   so no excited states are needed,
 * finite difference -- central differences of gauge-fixed ground states.
 
+Each method produces a matrix T of projected tangents, one column per label,
+and the tensor is Q = T^dagger T (``qgt_from_tangents``).  The functions take
+real or complex inputs and keep their dtype.  A derivative given as a
+``GaugeGenerator`` (dH = i[G, H], G diagonal) gets its tangent in closed
+form; ``families.qgt_components`` feeds the sum and the solve the real
+theta = 0 problem with the theta derivative in that form.
+
 All three agree on tractable problems; they validate each other in the test
 suite.  The real part of the tensor is the metric, the imaginary part gives
 the curvature F_{mu nu} = 2 Im Q_{mu nu}, and the Fisher information of a
@@ -109,28 +116,82 @@ def qfi(components: QGTComponents, label: str) -> QFIValue:
 
 
 # ---------------------------------------------------------------------------
+# one assembly for every method
+
+
+@dataclass(frozen=True)
+class GaugeGenerator:
+    """A derivative of the form dH = i [G, H] with G diagonal on the basis.
+
+    Its tangent (H - E0)^+ P dH |psi> is -i (G - <G>) |psi>, exactly on a
+    truncated basis and for any H, so it needs neither a derivative matrix
+    nor a solve.  The theta derivative of every model variant is of this form
+    with G = n_a.
+    """
+
+    diag: np.ndarray
+
+    def tangent(self, psi: np.ndarray) -> np.ndarray:
+        return -1j * (self.diag - np.vdot(psi, self.diag * psi).real) * psi
+
+
+Derivative = OperatorMatrix | GaugeGenerator
+
+
+def qgt_from_tangents(tangents: np.ndarray, labels: Sequence[str],
+                      method: str) -> QGTComponents:
+    """Q = T^dagger T for a matrix T holding one projected tangent per column.
+
+    Every method reduces to this: the columns are orthogonal to the state, so
+    the Gram matrix is the tensor.  It is Hermitized exactly.
+    """
+    q = tangents.conj().T @ tangents
+    q = 0.5 * (q + q.conj().T)
+    return QGTComponents(labels=tuple(labels), q=q.astype(complex), method=method)
+
+
+def _tangents(derivs: Sequence[Derivative], psi: np.ndarray,
+              solve: Callable[[list[OperatorMatrix]], np.ndarray]) -> np.ndarray:
+    """One tangent column per derivative, in order.
+
+    Generators give theirs directly; every derivative matrix goes through one
+    call of ``solve``, which returns their tangents as columns.
+    """
+    matrices = [d for d in derivs if isinstance(d, OperatorMatrix)]
+    solved = iter(solve(matrices).T if matrices else ())
+    return np.stack([d.tangent(psi) if isinstance(d, GaugeGenerator) else next(solved)
+                     for d in derivs], axis=1)
+
+
+def _derivative_columns(derivs: Sequence[OperatorMatrix], psi: np.ndarray) -> np.ndarray:
+    """dH_mu |psi>, one column per derivative."""
+    return np.stack([d.mat @ psi for d in derivs], axis=1)
+
+
+# ---------------------------------------------------------------------------
 # method 1: sum over states
 
 
-def qgt_matrix_sum(es: Eigensystem, derivs: Sequence[OperatorMatrix],
+def qgt_matrix_sum(es: Eigensystem, derivs: Sequence[Derivative],
                    labels: Sequence[str], n: int = 0) -> QGTComponents:
-    """Assemble the full tensor over a label subset from one spectrum."""
+    """Assemble the full tensor over a label subset from one spectrum.
+
+    A derivative matrix has the tangent sum_k |k><k|dH_mu|n>/(E_k - E_n)
+    over k != n.
+    """
     if es.degenerate(n):
         raise DegeneracyError(f"state {n} is (near-)degenerate; the sum is ill-defined")
     psi = es.states[:, n]
     denom = es.energies - es.energies[n]
     keep = np.arange(es.count) != n
     weights = np.zeros_like(denom)
-    weights[keep] = 1.0 / denom[keep] ** 2
-    coeffs = [es.states.conj().T @ (d.mat @ psi) for d in derivs]
-    m = len(derivs)
-    q = np.empty((m, m), dtype=complex)
-    for i in range(m):
-        for k in range(i, m):
-            val = complex(np.sum(np.conj(coeffs[i]) * coeffs[k] * weights))
-            q[i, k] = val
-            q[k, i] = np.conj(val)
-    return QGTComponents(labels=tuple(labels), q=q, method="sum_over_states")
+    weights[keep] = 1.0 / denom[keep]
+
+    def over_states(matrices):
+        coeffs = es.states.conj().T @ _derivative_columns(matrices, psi)
+        return es.states @ (weights[:, None] * coeffs)
+
+    return qgt_from_tangents(_tangents(derivs, psi, over_states), labels, "sum_over_states")
 
 
 # ---------------------------------------------------------------------------
@@ -138,42 +199,50 @@ def qgt_matrix_sum(es: Eigensystem, derivs: Sequence[OperatorMatrix],
 
 
 def resolvent_tangent(ham: OperatorMatrix, energy: float, psi: np.ndarray,
-                      d_op: OperatorMatrix, tol: float = 1e-10) -> np.ndarray:
-    """Solve (H - E0) |x> = P_perp dH |psi0> inside the orthogonal complement.
+                      derivs: Sequence[OperatorMatrix], tol: float = 1e-10) -> np.ndarray:
+    """Solve (H - E0) |x_mu> = P_perp dH_mu |psi0> inside the orthogonal complement.
 
-    A bordered system pins <psi0|x> = 0, which keeps the otherwise singular
-    shifted matrix invertible without densifying it.
+    A bordered system pins <psi0|x_mu> = 0, which keeps the otherwise singular
+    shifted matrix invertible without densifying it.  It is factored once and
+    every derivative is one column of the right-hand side; the result holds
+    one tangent per column, in the dtype the inputs need.
     """
     dim = ham.dim
-    rhs_full = d_op.mat @ psi
-    rhs = rhs_full - psi * np.vdot(psi, rhs_full)
+    rhs = _derivative_columns(derivs, psi)
+    rhs = rhs - np.outer(psi, psi.conj() @ rhs)
     shifted = (sp.csr_array(ham.mat) - energy * sp.identity(dim, format="csr")).tocsr()
+    dtype = np.result_type(shifted.dtype, psi.dtype, rhs.dtype)
     bordered = sp.bmat(
         [[shifted, psi.reshape(-1, 1)], [psi.conj().reshape(1, -1), None]],
-        format="csc", dtype=complex)
-    sol = spla.spsolve(bordered, np.concatenate([rhs, [0.0]]))
+        format="csc", dtype=dtype)
+    try:
+        # the bordered matrix is structurally symmetric, so an A'+A ordering
+        # fits it: half the fill of the default COLAMD ordering (0.39M against
+        # 0.81M factor entries for cs_np at 6561 rows)
+        factor = spla.splu(bordered, permc_spec="MMD_AT_PLUS_A")
+    except RuntimeError as exc:  # an exactly singular factorization
+        raise ConvergenceError(f"bordered resolvent matrix is singular: {exc}",
+                               residual=math.nan) from exc
+    sol = factor.solve(np.vstack([rhs, np.zeros((1, rhs.shape[1]))]).astype(dtype))
     x = sol[:dim]
-    x = x - psi * np.vdot(psi, x)
-    residual = float(np.linalg.norm(shifted @ x - rhs))
-    # written so that a NaN residual (an exactly singular factorization) fails too
-    if not residual <= tol * max(1.0, float(np.linalg.norm(rhs))):
-        raise ConvergenceError(f"projected linear solve residual {residual:.2e}",
-                               residual=residual)
+    x = x - np.outer(psi, psi.conj() @ x)
+    residuals = np.linalg.norm(shifted @ x - rhs, axis=0)
+    bounds = tol * np.maximum(1.0, np.linalg.norm(rhs, axis=0))
+    for residual, bound in zip(residuals, bounds):
+        # written so that a NaN residual (an exactly singular factorization) fails too
+        if not residual <= bound:
+            raise ConvergenceError(f"projected linear solve residual {residual:.2e}",
+                                   residual=float(residual))
     return x
 
 
 def qgt_matrix_solve(ham: OperatorMatrix, energy: float, psi: np.ndarray,
-                     derivs: Sequence[OperatorMatrix], labels: Sequence[str],
+                     derivs: Sequence[Derivative], labels: Sequence[str],
                      tol: float = 1e-10) -> QGTComponents:
-    tangents = [resolvent_tangent(ham, energy, psi, d, tol=tol) for d in derivs]
-    m = len(derivs)
-    q = np.empty((m, m), dtype=complex)
-    for i in range(m):
-        for k in range(i, m):
-            val = complex(np.vdot(tangents[i], tangents[k]))
-            q[i, k] = val
-            q[k, i] = np.conj(val)
-    return QGTComponents(labels=tuple(labels), q=q, method="linear_solve")
+    """The tensor from resolvent tangents, one factorization for all of them."""
+    tangents = _tangents(derivs, psi,
+                         lambda matrices: resolvent_tangent(ham, energy, psi, matrices, tol=tol))
+    return qgt_from_tangents(tangents, labels, "linear_solve")
 
 
 # ---------------------------------------------------------------------------
@@ -185,7 +254,8 @@ GroundStateBuilder = Callable[[ModelParams], np.ndarray]
 
 def _fd_tangents(builder: GroundStateBuilder, p: ModelParams,
                  labels: Sequence[str], steps: dict[str, float],
-                 min_overlap: float) -> tuple[np.ndarray, list[np.ndarray]]:
+                 min_overlap: float) -> np.ndarray:
+    """Central-difference tangents, projected off the centre state, one per column."""
     center = gauge_fix(builder(p))
     tangents = []
     for label in labels:
@@ -198,19 +268,8 @@ def _fd_tangents(builder: GroundStateBuilder, p: ModelParams,
                 f"stencil neighbors overlap only {closeness:.3f} along {label}; "
                 "the step is too large or a level crossing sits inside the stencil")
         tangents.append((plus - minus) / (2.0 * h))
-    return center, tangents
-
-
-def _q_from_tangents(center: np.ndarray, tangents: list[np.ndarray]) -> np.ndarray:
-    m = len(tangents)
-    q = np.empty((m, m), dtype=complex)
-    proj = [np.vdot(t, center) for t in tangents]  # <d_mu psi | psi>
-    for i in range(m):
-        for k in range(i, m):
-            val = np.vdot(tangents[i], tangents[k]) - proj[i] * np.conj(proj[k])
-            q[i, k] = val
-            q[k, i] = np.conj(val)
-    return q
+    tangents = np.stack(tangents, axis=1)
+    return tangents - np.outer(center, center.conj() @ tangents)
 
 
 def default_steps(p: ModelParams, labels: Sequence[str],
@@ -233,11 +292,11 @@ def qgt_finite_difference(builder: GroundStateBuilder, p: ModelParams,
     if richardson is None:
         richardson = abs(p.g - 1.0) <= 0.03
     steps = dict(steps) if steps is not None else default_steps(p, labels)
-    center, tangents = _fd_tangents(builder, p, labels, steps, min_overlap)
-    q = _q_from_tangents(center, tangents)
+    q = qgt_from_tangents(_fd_tangents(builder, p, labels, steps, min_overlap),
+                          labels, "finite_difference").q
     if richardson:
         halved = {k: v / 2.0 for k, v in steps.items()}
-        _, tangents_h = _fd_tangents(builder, p, labels, halved, min_overlap)
-        q_h = _q_from_tangents(center, tangents_h)
+        q_h = qgt_from_tangents(_fd_tangents(builder, p, labels, halved, min_overlap),
+                                labels, "finite_difference").q
         q = (4.0 * q_h - q) / 3.0
     return QGTComponents(labels=tuple(labels), q=q, method="finite_difference")

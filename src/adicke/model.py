@@ -127,7 +127,11 @@ class Truncation:
 
 @dataclass(frozen=True)
 class OperatorMatrix:
-    """A complex matrix together with a tag naming the basis it lives on."""
+    """A Hermitian matrix together with a tag naming the basis it lives on.
+
+    Builders return float64 when every coefficient is real (theta = 0) and
+    complex otherwise; every consumer keeps the dtype it is given.
+    """
 
     mat: object  # scipy.sparse CSR from every builder; numpy.ndarray for small ladders
     basis: str = ""
@@ -147,6 +151,16 @@ class OperatorMatrix:
         if sp.issparse(diff):
             return float(np.max(np.abs(diff.data))) if diff.nnz else 0.0
         return float(np.max(np.abs(diff))) if diff.size else 0.0
+
+
+def real_if_exact(c: complex) -> complex | float:
+    """A coefficient as a float when its imaginary part is exactly zero.
+
+    Multiplying real sparse pieces by such a coefficient keeps them float64,
+    which is what makes the theta = 0 problem real.
+    """
+    c = complex(c)
+    return c.real if c.imag == 0.0 else c
 
 
 def _adjoint(mat):
@@ -215,12 +229,12 @@ def _product_pieces(p: ModelParams, t: Truncation):
     number = sp.kron(sp.csr_array(n_op), eye_s, format="csr")
     jz_full = sp.kron(eye_b, sp.csr_array(jz), format="csr")
 
-    phase = np.exp(1j * p.theta)
+    phase = real_if_exact(np.exp(1j * p.theta))
     norm = 1.0 / math.sqrt(2 * p.j)
     up_minus = sp.kron(sp.csr_array(adag), sp.csr_array(jm), format="csr")
     up_plus = sp.kron(sp.csr_array(adag), sp.csr_array(jp), format="csr")
-    rw = norm * (phase * up_minus + np.conj(phase) * up_minus.conj().T)
-    cr = norm * (phase * up_plus + np.conj(phase) * up_plus.conj().T)
+    rw = norm * (phase * up_minus + np.conj(phase) * up_minus.T)
+    cr = norm * (phase * up_plus + np.conj(phase) * up_plus.T)
     return number, jz_full, rw, cr
 
 
@@ -299,23 +313,16 @@ def param_derivative(p: ModelParams, t: Truncation, which: str) -> OperatorMatri
         raise ValueError(f"unknown parameter {which!r}; expected one of {PARAMETER_LABELS}")
     number, jz_full, rw, cr = _product_pieces(p, t)
     if which == "omega":
-        deriv = number.astype(complex)
+        deriv = number
     elif which == "Omega":
-        deriv = jz_full.astype(complex)
+        deriv = jz_full
     elif which == "lambda1":
         deriv = rw
     elif which == "lambda2":
         deriv = cr
-    else:  # theta: i [a'a, H], written out per coupling term
-        _, adag, _ = (op.mat for op in boson_operators(t.n_max))
-        jp, jm, _ = (op.mat for op in spin_operators(p.j))
-        phase = np.exp(1j * p.theta)
-        norm = 1.0 / math.sqrt(2 * p.j)
-        up_minus = sp.kron(sp.csr_array(adag), sp.csr_array(jm), format="csr")
-        up_plus = sp.kron(sp.csr_array(adag), sp.csr_array(jp), format="csr")
-        anti_rw = phase * up_minus - np.conj(phase) * up_minus.conj().T
-        anti_cr = phase * up_plus - np.conj(phase) * up_plus.conj().T
-        deriv = 1j * norm * (p.lambda1 * anti_rw + p.lambda2 * anti_cr)
+    else:  # theta: i [a'a, H]; only the couplings fail to commute with a'a
+        coupling = p.lambda1 * rw + p.lambda2 * cr
+        deriv = 1j * (number @ coupling - coupling @ number)
     full = OperatorMatrix(deriv.tocsr(), basis=_basis_tag(t, "full"))
     if t.parity_sector == "full":
         return full

@@ -3,7 +3,9 @@
 Every solver returns gauge-fixed eigenvectors: the global phase of each state
 is rotated so that its largest-magnitude component is real and positive (ties
 broken by lowest basis index).  This makes eigenvectors deterministic across
-backends and is what allows finite differences of ground states.
+backends and is what allows finite differences of ground states.  The solvers
+keep the dtype of the matrix: a real symmetric matrix gets real eigenvectors,
+whose phase is a sign.
 """
 
 from __future__ import annotations
@@ -39,9 +41,10 @@ def gauge_fix(v: np.ndarray, tie_tol: float = 1e-12) -> np.ndarray:
     """Rotate a state's global phase so its largest component is real positive.
 
     Components whose magnitudes agree within ``tie_tol`` (relative) are tied;
-    the lowest basis index wins, keeping the choice deterministic.
+    the lowest basis index wins, keeping the choice deterministic.  A real
+    vector stays real: its phase is the sign of the pivot.
     """
-    v = np.asarray(v, dtype=complex)
+    v = np.asarray(v)
     mags = np.abs(v)
     top = mags.max()
     if top == 0.0:
@@ -104,7 +107,6 @@ def dense_eigensystem(op: OperatorMatrix, dense_limit: int = DENSE_EIG_LIMIT) ->
         raise TruncationError(
             f"dimension {op.dim} exceeds the dense limit {dense_limit}; use lowest_k instead")
     energies, states = la.eigh(op.toarray())
-    states = states.astype(complex)
     for k in range(states.shape[1]):
         states[:, k] = gauge_fix(states[:, k])
     return Eigensystem(energies=energies, states=states, sector=op.basis)
@@ -134,7 +136,7 @@ def lowest_k(op: OperatorMatrix, k: int, tol: float = 0.0,
             f"iterative eigensolver converged only {found}/{k} pairs", residual=None) from exc
     order = np.argsort(energies)
     energies = energies[order]
-    states = states[:, order].astype(complex)
+    states = states[:, order]
     for i in range(states.shape[1]):
         states[:, i] = gauge_fix(states[:, i])
     return Eigensystem(energies=energies, states=states, sector=op.basis)

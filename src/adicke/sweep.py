@@ -319,6 +319,8 @@ def ratio_scan(j_list, gamma_list, eta_list, g: float, *, omega: float = 1.0,
 
     Each full-model value is recomputed at an enlarged cutoff; the row is
     flagged unconverged when the relative change exceeds ``convergence_rtol``.
+    A row whose effective value is zero (below QFI_ZERO_FLOOR) gets a NaN
+    ratio and is flagged as well.
     """
     rows = []
     for j in j_list:
@@ -331,12 +333,16 @@ def ratio_scan(j_list, gamma_list, eta_list, g: float, *, omega: float = 1.0,
                 bigger = families.default_truncation("full", p, n_max + check_step,
                                                      sector=sector)
                 lab_check = families.qfi_omega("full", p, bigger, method=method)
-                converged = abs(lab_check - lab) <= convergence_rtol * max(abs(lab), 1e-300)
+                converged = (abs(lab_check - lab)
+                             <= convergence_rtol * max(abs(lab), QFI_ZERO_FLOOR))
                 eff_trunc = families.default_truncation(eff_model, p, eff_n_max)
                 eff = families.qfi_omega(eff_model, p, eff_trunc)
+                # a vanishing effective value has no ratio; flag the row, do not abort
+                has_ratio = abs(eff) > QFI_ZERO_FLOOR
                 rows.append(RatioRow(j=float(j), gamma=float(gamma), eta=float(eta),
                                      qfi_lab=lab_check, qfi_eff=eff,
-                                     ratio=lab_check / eff, converged=converged))
+                                     ratio=lab_check / eff if has_ratio else math.nan,
+                                     converged=converged and has_ratio))
     return rows
 
 

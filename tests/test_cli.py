@@ -116,6 +116,16 @@ def test_ratio_scan_command(runner):
     assert len(lines) == 3
 
 
+def test_ratio_scan_zero_effective_value_exits_two(runner):
+    result = runner.invoke(main, [
+        "ratio-scan", "--j-list", "2", "--gamma-list", "1", "--eta-list", "2",
+        "--g", "0", "--nmax", "20"])
+    assert result.exit_code == 2, result.output
+    lines = result.output.strip().split("\n")
+    assert len(lines) == 2
+    assert lines[1].split(",")[-2:] == ["nan", "false"]
+
+
 def test_converge_command(runner):
     result = runner.invoke(main, [
         "converge", "--model", "full", "--param", "g", "--from", "0.1",

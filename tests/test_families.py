@@ -5,9 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from adicke import FockCutoff, ModelParams, Truncation, bogoliubov_modes, effective_form
-from adicke.families import (default_truncation, ground_pair, hamiltonian_matrix,
-                             qgt_components, resolve_branch)
+from adicke import (FockCutoff, ModelParams, Truncation, bogoliubov_modes,
+                    dense_eigensystem, effective_form, geometry)
+from adicke.families import (default_truncation, derivative_matrix, ground_pair,
+                             hamiltonian_matrix, qgt_components, resolve_branch)
+from adicke.geometry import qgt_matrix_sum
 from adicke.spectra import DENSE_SOLVE_LIMIT
 
 
@@ -79,3 +81,63 @@ def test_sector_embedding_recovers_full_ground_state():
     embedded[idx] = es_block.states[:, 0]
     es_full = dense_eigensystem(ham)
     assert abs(np.vdot(embedded, es_full.states[:, 0])) > 1 - 1e-12
+
+
+# ---------------------------------------------------------------------------
+# the real theta = 0 core against direct complex builds
+
+
+FIVE_LABELS = ("omega", "Omega", "lambda1", "lambda2", "theta")
+
+THETA_CASES = [
+    ("full", 0.8, Truncation.for_spin(16, 2.0, "positive"), 2.0),
+    ("cs_np", 0.8, FockCutoff(12, 12), 3.0),
+    ("cs_sp", 1.3, FockCutoff(12, 12), 3.0),
+    ("co_np", 0.8, FockCutoff(40), 3.0),
+    ("co_sp", 1.3, FockCutoff(40), 3.0),
+]
+
+
+@pytest.mark.parametrize("name,g,trunc,j", THETA_CASES)
+def test_builders_are_real_exactly_at_theta_zero(name, g, trunc, j):
+    for theta, dtype in ((0.0, np.float64), (0.3, np.complex128)):
+        p = ModelParams.from_ratios(g, gamma=2.0, theta=theta, j=j)
+        assert hamiltonian_matrix(name, p, trunc).mat.dtype == dtype
+        assert derivative_matrix(name, p, trunc, "lambda1").mat.dtype == dtype
+        # i [n_a, H] is imaginary even where H is real
+        assert derivative_matrix(name, p, trunc, "theta").mat.dtype == np.complex128
+
+
+@pytest.mark.parametrize("theta", [0.3, 1.1])
+@pytest.mark.parametrize("name,g,trunc,j", THETA_CASES)
+def test_real_core_matches_complex_sum_at_theta(name, g, trunc, j, theta):
+    # the reference solves the complex matrix at theta with every derivative,
+    # theta included, as an explicit matrix
+    p = ModelParams.from_ratios(g, gamma=2.0, theta=theta, j=j)
+    es = dense_eigensystem(hamiltonian_matrix(name, p, trunc))
+    derivs = [derivative_matrix(name, p, trunc, label) for label in FIVE_LABELS]
+    reference = qgt_matrix_sum(es, derivs, FIVE_LABELS).q
+    scale = max(1.0, float(np.abs(reference).max()))
+    for method in ("sum", "solve"):
+        comp = qgt_components(name, p, trunc, labels=FIVE_LABELS, method=method)
+        assert float(np.abs(comp.q - reference).max()) < 1e-10 * scale, method
+        assert comp.energy == pytest.approx(es.energies[0], abs=1e-10 * scale)
+
+
+def test_five_label_solve_point_factors_once(monkeypatch):
+    counts = {"splu": 0, "resolvent_tangent": 0}
+
+    def counted(key, func):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return func(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(geometry.spla, "splu", counted("splu", geometry.spla.splu))
+    monkeypatch.setattr(geometry, "resolvent_tangent",
+                        counted("resolvent_tangent", geometry.resolvent_tangent))
+    p = ModelParams.from_ratios(0.8, gamma=2.0, theta=0.4, j=3.0)
+    comp = qgt_components("cs_np", p, FockCutoff(20, 20), labels=FIVE_LABELS,
+                          method="solve")
+    assert comp.method == "linear_solve"
+    assert counts == {"splu": 1, "resolvent_tangent": 1}

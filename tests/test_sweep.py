@@ -127,6 +127,23 @@ def test_evaluate_point_builds_and_solves_once(spec, method, monkeypatch):
     assert counts == {"build": 1, "solve": 1}
 
 
+def test_perturbed_eigenpair_becomes_flagged_row(monkeypatch):
+    spec = small_spec()
+    assert evaluate_point(spec, 0.5).converged
+    solve = spectra.dense_eigensystem
+
+    def perturbed(op, *args, **kwargs):
+        es = solve(op, *args, **kwargs)
+        states = es.states.copy()
+        states[:, 0] += 1e-3 * states[:, 1]
+        states[:, 0] /= np.linalg.norm(states[:, 0])
+        return dataclasses.replace(es, states=states)
+
+    monkeypatch.setattr(spectra, "dense_eigensystem", perturbed)
+    row = evaluate_point(spec, 0.5)
+    assert not row.converged and math.isnan(row.I_omega_omega)
+
+
 def test_fd_exclusion_zone_flags_rows():
     spec = small_spec(method="fd", start=0.999, stop=1.004, points=2, n_max=40)
     rows = [evaluate_point(spec, 0.9995), evaluate_point(spec, 0.95)]
@@ -248,6 +265,15 @@ def test_ratio_scan_effective_value_follows_eta():
         p = ModelParams.from_ratios(0.9, gamma=2.0, eta=row.eta, j=10.0)
         assert row.qfi_eff == pytest.approx(qfi_omega("cs_np", p, FockCutoff(30, 30)),
                                             rel=1e-12)
+
+
+def test_ratio_scan_zero_effective_value_flags_row():
+    # at g = 0 both models are decoupled and the effective value is exactly zero
+    rows = ratio_scan([2.0], [1.0], [2.0], 0.0, n_max=20, check_step=10, eff_n_max=20)
+    assert len(rows) == 1
+    row = rows[0]
+    assert row.qfi_eff == 0.0 and abs(row.qfi_lab) < 1e-20
+    assert math.isnan(row.ratio) and not row.converged
 
 
 def test_ratio_of_identical_quantities_is_one():
