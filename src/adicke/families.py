@@ -61,9 +61,26 @@ def derivative_matrix(name: str, p: ModelParams, trunc, which: str) -> OperatorM
     return effective.effective_param_derivative(name, p, trunc, which)
 
 
+def ground_eigensystem(name: str, p: ModelParams, ham: OperatorMatrix) -> spectra.Eigensystem:
+    """Ground state and the level above it, by the DENSE_SOLVE_LIMIT policy.
+
+    At or below the limit this is the full dense spectrum, so the sum over
+    states can use the same solve.  Above it the two lowest pairs come by
+    shift-invert about the Bogoliubov ground energy of the quadratic limit:
+    the variant's own form, or for the full model the classical-spin branch
+    at p.g.  A truncation compresses an effective form, so by Cauchy
+    interlacing its ground energy is not below that estimate.
+    """
+    if ham.dim <= spectra.DENSE_SOLVE_LIMIT:
+        return spectra.dense_eigensystem(ham)
+    branch = resolve_branch("auto_cs", p.g) if name == "full" else name
+    estimate = spectra.bogoliubov_modes(effective.effective_form(branch, p))
+    return spectra.lowest_k(ham, 2, estimate=estimate)
+
+
 def ground_pair(name: str, p: ModelParams, trunc) -> tuple[float, np.ndarray, float]:
     """Ground energy, gauge-fixed ground state, and the matrix gap above it."""
-    es = spectra.ground_eigensystem(hamiltonian_matrix(name, p, trunc))
+    es = ground_eigensystem(name, p, hamiltonian_matrix(name, p, trunc))
     return float(es.energies[0]), es.states[:, 0], es.gap
 
 
@@ -106,7 +123,7 @@ def qgt_components(name: str, p: ModelParams, trunc,
     ham = hamiltonian_matrix(name, at, trunc)
     if method is None:
         method = "sum" if ham.dim <= spectra.DENSE_SOLVE_LIMIT else "solve"
-    es = spectra.dense_eigensystem(ham) if method == "sum" else spectra.ground_eigensystem(ham)
+    es = spectra.dense_eigensystem(ham) if method == "sum" else ground_eigensystem(name, at, ham)
     es.check(ham)
     energy, psi = float(es.energies[0]), es.states[:, 0]
     if method == "fd":
@@ -123,7 +140,8 @@ def qgt_components(name: str, p: ModelParams, trunc,
             if es.gap < spectra.DEGENERACY_RTOL * max(1.0, abs(energy)):
                 raise DegeneracyError(
                     f"ground gap {es.gap:.2e} is below the degeneracy tolerance")
-            comp = qgt_matrix_solve(ham, energy, psi, derivs, labels)
+            comp = qgt_matrix_solve(ham, energy, psi, derivs, labels, factor=es.factor,
+                                    gap=es.gap)
     return dataclasses.replace(comp, energy=energy, gap=es.gap)
 
 

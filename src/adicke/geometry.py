@@ -2,7 +2,10 @@
 
 * sum over states   -- perturbative sum over the full spectrum,
 * linear solve      -- resolvent tangents |x_mu> = (H - E0)^+ P dH_mu |psi0>,
-  so no excited states are needed,
+  so no excited states are needed: conjugate gradients on the complement of
+  the state, preconditioned with the certified shift-invert factor that the
+  ground-pair solve already made (``spectra.shift_invert``), so a point is
+  factored once,
 * finite difference -- central differences of gauge-fixed ground states.
 
 Each method produces a matrix T of projected tangents, one column per label,
@@ -30,13 +33,17 @@ import scipy.sparse.linalg as spla
 
 from .errors import ConvergenceError, DegeneracyError, StencilError
 from .model import ModelParams, OperatorMatrix
-from .spectra import Eigensystem, gauge_fix
+from .spectra import Eigensystem, ShiftInvert, gauge_fix, shift_invert
 
 #: Default relative finite-difference step.
 FD_STEP = 1e-5
 
 #: Stencil neighbors overlapping less than this indicate a crossing.
 MIN_STENCIL_OVERLAP = 0.5
+
+#: Iteration cap of each preconditioned resolvent solve; a factor within one
+#: gap of E0 converges in a few, and the residual check catches the rest.
+CG_MAXITER = 100
 
 
 @dataclass(frozen=True)
@@ -199,37 +206,38 @@ def qgt_matrix_sum(es: Eigensystem, derivs: Sequence[Derivative],
 
 
 def resolvent_tangent(ham: OperatorMatrix, energy: float, psi: np.ndarray,
-                      derivs: Sequence[OperatorMatrix], tol: float = 1e-10) -> np.ndarray:
-    """Solve (H - E0) |x_mu> = P_perp dH_mu |psi0> inside the orthogonal complement.
+                      derivs: Sequence[OperatorMatrix], tol: float = 1e-10,
+                      factor: ShiftInvert | None = None, gap: float = math.nan) -> np.ndarray:
+    """Solve P (H - E0) P |x_mu> = P dH_mu |psi0>, P = 1 - |psi0><psi0|.
 
-    A bordered system pins <psi0|x_mu> = 0, which keeps the otherwise singular
-    shifted matrix invertible without densifying it.  It is factored once and
-    every derivative is one column of the right-hand side; the result holds
-    one tangent per column, in the dtype the inputs need.
+    Conjugate gradients on the orthogonal complement of the state, where
+    H - E0 is positive definite, preconditioned with P (H - sigma)^-1 P from
+    a shift-invert factor: the ground-pair solve's, when it lies within one
+    ``gap`` of E0, or else one factored here at E0 - gap/10 (see
+    ``spectra.shift_invert``).  The preconditioned spectrum lies in
+    [gap / (gap + E0 - sigma), 1), so a few iterations suffice.  The result
+    holds one tangent per column, in the dtype the inputs need, and every
+    column's residual is checked against H - E0.
     """
     dim = ham.dim
     rhs = _derivative_columns(derivs, psi)
     rhs = rhs - np.outer(psi, psi.conj() @ rhs)
+    if factor is None or energy - factor.sigma > gap:
+        factor = shift_invert(ham, energy, gap)
     shifted = (sp.csr_array(ham.mat) - energy * sp.identity(dim, format="csr")).tocsr()
     dtype = np.result_type(shifted.dtype, psi.dtype, rhs.dtype)
-    bordered = sp.bmat(
-        [[shifted, psi.reshape(-1, 1)], [psi.conj().reshape(1, -1), None]],
-        format="csc", dtype=dtype)
-    try:
-        # the bordered matrix is structurally symmetric, so an A'+A ordering
-        # fits it: half the fill of the default COLAMD ordering (0.39M against
-        # 0.81M factor entries for cs_np at 6561 rows)
-        factor = spla.splu(bordered, permc_spec="MMD_AT_PLUS_A")
-    except RuntimeError as exc:  # an exactly singular factorization
-        raise ConvergenceError(f"bordered resolvent matrix is singular: {exc}",
-                               residual=math.nan) from exc
-    sol = factor.solve(np.vstack([rhs, np.zeros((1, rhs.shape[1]))]).astype(dtype))
-    x = sol[:dim]
+    project = lambda v: v - psi * np.vdot(psi, v)
+    op = spla.LinearOperator((dim, dim), matvec=lambda v: project(shifted @ v), dtype=dtype)
+    precond = spla.LinearOperator((dim, dim), matvec=lambda v: project(factor.solve(v)),
+                                  dtype=dtype)
+    bounds = tol * np.maximum(1.0, np.linalg.norm(rhs, axis=0))
+    x = np.stack([spla.cg(op, rhs[:, k].astype(dtype), rtol=0.0, atol=1e-3 * bounds[k],
+                          maxiter=CG_MAXITER, M=precond)[0]
+                  for k in range(rhs.shape[1])], axis=1)
     x = x - np.outer(psi, psi.conj() @ x)
     residuals = np.linalg.norm(shifted @ x - rhs, axis=0)
-    bounds = tol * np.maximum(1.0, np.linalg.norm(rhs, axis=0))
     for residual, bound in zip(residuals, bounds):
-        # written so that a NaN residual (an exactly singular factorization) fails too
+        # written so that a NaN residual (a breakdown of the iteration) fails too
         if not residual <= bound:
             raise ConvergenceError(f"projected linear solve residual {residual:.2e}",
                                    residual=float(residual))
@@ -238,10 +246,15 @@ def resolvent_tangent(ham: OperatorMatrix, energy: float, psi: np.ndarray,
 
 def qgt_matrix_solve(ham: OperatorMatrix, energy: float, psi: np.ndarray,
                      derivs: Sequence[Derivative], labels: Sequence[str],
-                     tol: float = 1e-10) -> QGTComponents:
-    """The tensor from resolvent tangents, one factorization for all of them."""
-    tangents = _tangents(derivs, psi,
-                         lambda matrices: resolvent_tangent(ham, energy, psi, matrices, tol=tol))
+                     tol: float = 1e-10, factor: ShiftInvert | None = None,
+                     gap: float = math.nan) -> QGTComponents:
+    """The tensor from resolvent tangents, one factorization for all of them.
+
+    ``factor`` and ``gap`` come from the ground-pair solve when it has them
+    (``Eigensystem.factor``, ``Eigensystem.gap``); see ``resolvent_tangent``.
+    """
+    tangents = _tangents(derivs, psi, lambda matrices: resolvent_tangent(
+        ham, energy, psi, matrices, tol=tol, factor=factor, gap=gap))
     return qgt_from_tangents(tangents, labels, "linear_solve")
 
 

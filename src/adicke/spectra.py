@@ -6,11 +6,17 @@ broken by lowest basis index).  This makes eigenvectors deterministic across
 backends and is what allows finite differences of ground states.  The solvers
 keep the dtype of the matrix: a real symmetric matrix gets real eigenvectors,
 whose phase is a sign.
+
+Above the dense limit the lowest pairs come from shift-invert Lanczos
+(Ericsson & Ruhe, Math. Comp. 35, 1251 (1980)) about a shift certified to lie
+below the spectrum; the factor of the shifted matrix is kept on the result,
+so the resolvent solve of the same point needs no second factorization.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg as la
@@ -25,9 +31,11 @@ from .model import OperatorMatrix
 #: solved (the parity-sector block for the full model).  At or below it a
 #: matrix gets a dense full-spectrum decomposition and the tensor defaults to
 #: the sum over states; above it the two lowest pairs come from the sparse
-#: iterative solver and the tensor defaults to the resolvent solve.  On a
-#: 2-core Xeon with OpenBLAS the dense route is at least as fast up to
-#: dimension ~200 and the sparse route is faster from ~250 up (4x at 641).
+#: shift-invert solver and the tensor defaults to the resolvent solve.  Per
+#: two-label tensor on a 2-core Xeon with OpenBLAS (best of 15), the two
+#: routes tie near dimension 120 (full model, 7.5 ms); the sparse one is
+#: 1.2-2.5x faster at 170-260 and 9x at 644 (15x for cs_np at 676).  The
+#: limit stays at 256, so every row keeps the method it reported before.
 DENSE_SOLVE_LIMIT = 256
 
 #: Full-spectrum decompositions are refused above this dimension.
@@ -36,31 +44,115 @@ DENSE_EIG_LIMIT = 4000
 #: Levels closer than this (relative to the spectral scale) count as degenerate.
 DEGENERACY_RTOL = 1e-10
 
+#: Shifts tried below an energy estimate, the step growing 4x each time,
+#: before the Gershgorin floor.
+SHIFT_TRIES = 4
+
 
 def gauge_fix(v: np.ndarray, tie_tol: float = 1e-12) -> np.ndarray:
     """Rotate a state's global phase so its largest component is real positive.
 
-    Components whose magnitudes agree within ``tie_tol`` (relative) are tied;
-    the lowest basis index wins, keeping the choice deterministic.  A real
-    vector stays real: its phase is the sign of the pivot.
+    ``v`` is one state or a matrix holding one state per column; each column
+    is fixed on its own.  Components whose magnitudes agree within
+    ``tie_tol`` (relative) are tied; the lowest basis index wins, keeping the
+    choice deterministic.  A real vector stays real: its phase is the sign of
+    the pivot.  A zero column is returned unchanged.
     """
     v = np.asarray(v)
-    mags = np.abs(v)
-    top = mags.max()
-    if top == 0.0:
-        return v.copy()
-    pivot = int(np.flatnonzero(mags >= top * (1.0 - tie_tol))[0])
-    phase = v[pivot] / mags[pivot]
-    return v * np.conj(phase)
+    cols = v.reshape(v.shape[0], -1)
+    mags = np.abs(cols)
+    top = mags.max(axis=0)
+    pivot = np.argmax(mags >= top * (1.0 - tie_tol), axis=0)  # first tied index
+    at = np.arange(cols.shape[1])
+    nonzero = top > 0.0
+    phase = np.where(nonzero, cols[pivot, at] / np.where(nonzero, mags[pivot, at], 1.0), 1.0)
+    return (cols * np.conj(phase)).reshape(v.shape)
+
+
+@dataclass(frozen=True)
+class ShiftInvert:
+    """An LU factor of H - sigma, with sigma certified below every eigenvalue of H."""
+
+    sigma: float
+    lu: spla.SuperLU
+    dtype: np.dtype
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """(H - sigma)^-1 rhs, for one column or several; a real factor takes complex rhs."""
+        if np.iscomplexobj(rhs) and self.dtype.kind != "c":
+            return self.lu.solve(rhs.real) + 1j * self.lu.solve(rhs.imag)
+        return self.lu.solve(rhs)
+
+
+def gershgorin_floor(op: OperatorMatrix) -> float:
+    """min_i (H_ii - sum_{j != i} |H_ij|): no eigenvalue of H lies below it."""
+    h = sp.csr_array(op.mat)
+    diag = h.diagonal()
+    radius = np.asarray(abs(h).sum(axis=1)).ravel() - np.abs(diag)
+    return float(np.min(diag.real - radius))
+
+
+def _certified_factor(shifted: sp.csc_array) -> spla.SuperLU | None:
+    """LU factor of a Hermitian matrix if it is positive definite, else None.
+
+    The pivots are kept on the diagonal and the rows permuted like the
+    columns, so the factor is a congruence P A P' = L D L^dagger with
+    D = diag(U).  By Sylvester's law of inertia A is positive definite
+    exactly when every pivot is positive.
+    """
+    try:
+        lu = spla.splu(shifted, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                       options={"SymmetricMode": True})
+    except RuntimeError:  # an exactly singular factorization
+        return None
+    if np.array_equal(lu.perm_r, lu.perm_c) and bool(np.all(lu.U.diagonal().real > 0.0)):
+        return lu
+    return None
+
+
+def shift_invert(op: OperatorMatrix, energy: float = math.nan,
+                 gap: float = math.nan) -> ShiftInvert:
+    """Factor H - sigma for a sigma certified below the lowest eigenvalue of H.
+
+    ``energy`` estimates the ground energy and ``gap`` the spacing above it.
+    The first shift is a tenth of the gap below the estimate, and at least
+    1e-8 of its scale; after each failed certificate (or singular factor)
+    the step below the estimate grows 4x, for at most SHIFT_TRIES shifts.
+    The last resort, and the start when the estimate is missing or not
+    above it, is the Gershgorin floor, which lies below the spectrum by
+    construction.
+    """
+    h = sp.csc_array(op.mat)
+    eye = sp.identity(op.dim, format="csc")
+    floor = gershgorin_floor(op)
+    shifts = []
+    if energy > floor:  # False for a NaN estimate
+        step = max(gap / 10.0 if gap > 0.0 else 0.0, 1e-8 * max(1.0, abs(energy)))
+        shifts = [energy - step * 4.0**k for k in range(SHIFT_TRIES)]
+        shifts = [sigma for sigma in shifts if sigma > floor]
+    shifts.append(floor - 1e-8 * max(1.0, abs(floor)))
+    for sigma in shifts:
+        shifted = (h - sigma * eye).tocsc()
+        lu = _certified_factor(shifted)
+        if lu is not None:
+            return ShiftInvert(sigma=sigma, lu=lu, dtype=shifted.dtype)
+    raise ConvergenceError(
+        f"no shift down to the Gershgorin floor {floor:.6g} factors as positive definite",
+        residual=None)
 
 
 @dataclass(frozen=True)
 class Eigensystem:
-    """Ascending eigenvalues with orthonormal, gauge-fixed eigenvectors."""
+    """Ascending eigenvalues with orthonormal, gauge-fixed eigenvectors.
+
+    ``factor`` is the certified shift-invert factor the pairs came from, when
+    they came from one; the resolvent solve reuses it.
+    """
 
     energies: np.ndarray
     states: np.ndarray  # one eigenvector per column
     sector: str = ""
+    factor: ShiftInvert | None = field(default=None, compare=False, repr=False)
 
     @property
     def dim(self) -> int:
@@ -107,9 +199,7 @@ def dense_eigensystem(op: OperatorMatrix, dense_limit: int = DENSE_EIG_LIMIT) ->
         raise TruncationError(
             f"dimension {op.dim} exceeds the dense limit {dense_limit}; use lowest_k instead")
     energies, states = la.eigh(op.toarray())
-    for k in range(states.shape[1]):
-        states[:, k] = gauge_fix(states[:, k])
-    return Eigensystem(energies=energies, states=states, sector=op.basis)
+    return Eigensystem(energies=energies, states=gauge_fix(states), sector=op.basis)
 
 
 def _start_vector(dim: int) -> np.ndarray:
@@ -118,39 +208,34 @@ def _start_vector(dim: int) -> np.ndarray:
     return pattern / np.linalg.norm(pattern)
 
 
-def lowest_k(op: OperatorMatrix, k: int, tol: float = 0.0,
-             maxiter: int | None = None) -> Eigensystem:
-    """The k lowest eigenpairs of a (possibly sparse) Hermitian matrix."""
+def lowest_k(op: OperatorMatrix, k: int, tol: float = 0.0, maxiter: int | None = None,
+             estimate: NormalModes | None = None) -> Eigensystem:
+    """The k lowest eigenpairs of a (possibly sparse) Hermitian matrix.
+
+    Shift-invert Lanczos about a shift certified below the spectrum (see
+    ``shift_invert``), placed by the ground energy and gap of ``estimate``
+    when it is stable; the factor is kept on the result.
+    """
     dim = op.dim
     if k >= dim - 1:
         # ARPACK needs k < dim - 1; below that just take the dense route.
         es = dense_eigensystem(op)
         return Eigensystem(energies=es.energies[:k], states=es.states[:, :k],
                            sector=es.sector)
+    stable = estimate is not None and estimate.stable
+    factor = shift_invert(op, estimate.ground_energy, estimate.gap) if stable else shift_invert(op)
+    opinv = spla.LinearOperator((dim, dim), matvec=factor.solve, dtype=factor.dtype)
     try:
-        energies, states = spla.eigsh(op.mat, k=k, which="SA", v0=_start_vector(dim),
-                                      tol=tol, maxiter=maxiter)
+        energies, states = spla.eigsh(op.mat, k=k, sigma=factor.sigma, which="LM",
+                                      OPinv=opinv, v0=_start_vector(dim), tol=tol,
+                                      maxiter=maxiter)
     except spla.ArpackNoConvergence as exc:
         found = len(exc.eigenvalues)
         raise ConvergenceError(
             f"iterative eigensolver converged only {found}/{k} pairs", residual=None) from exc
     order = np.argsort(energies)
-    energies = energies[order]
-    states = states[:, order]
-    for i in range(states.shape[1]):
-        states[:, i] = gauge_fix(states[:, i])
-    return Eigensystem(energies=energies, states=states, sector=op.basis)
-
-
-def ground_eigensystem(op: OperatorMatrix) -> Eigensystem:
-    """Ground state and the level above it, by the DENSE_SOLVE_LIMIT policy.
-
-    At or below the limit this is the full dense spectrum, so the sum over
-    states can use the same solve; above it, the two lowest pairs.
-    """
-    if op.dim <= DENSE_SOLVE_LIMIT:
-        return dense_eigensystem(op)
-    return lowest_k(op, 2)
+    return Eigensystem(energies=energies[order], states=gauge_fix(states[:, order]),
+                       sector=op.basis, factor=factor)
 
 
 # ---------------------------------------------------------------------------

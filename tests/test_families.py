@@ -124,6 +124,26 @@ def test_real_core_matches_complex_sum_at_theta(name, g, trunc, j, theta):
         assert comp.energy == pytest.approx(es.energies[0], abs=1e-10 * scale)
 
 
+@pytest.mark.parametrize("name,g,trunc,j", [
+    ("full", 0.8, Truncation.for_spin(2 * DENSE_SOLVE_LIMIT // 5 + 1, 2.0, "positive"), 2.0),
+    ("cs_np", 0.8, FockCutoff(16, 15), 3.0),
+    ("cs_sp", 1.3, FockCutoff(16, 15), 3.0),
+    ("co_np", 0.8, FockCutoff(DENSE_SOLVE_LIMIT), 3.0),
+    ("co_sp", 1.3, FockCutoff(DENSE_SOLVE_LIMIT), 3.0),
+])
+def test_solve_just_above_the_limit_matches_sum(name, g, trunc, j):
+    p = ModelParams.from_ratios(g, gamma=2.0, j=j)
+    dim = hamiltonian_matrix(name, p, trunc).dim
+    assert DENSE_SOLVE_LIMIT < dim <= DENSE_SOLVE_LIMIT + 16
+    solved = qgt_components(name, p, trunc, labels=FIVE_LABELS)
+    assert solved.method == "linear_solve"
+    summed = qgt_components(name, p, trunc, labels=FIVE_LABELS, method="sum")
+    scale = max(1.0, float(np.abs(summed.q).max()))
+    assert float(np.abs(solved.q - summed.q).max()) < 1e-10 * scale
+    assert solved.energy == pytest.approx(summed.energy, abs=1e-10 * max(1.0, abs(summed.energy)))
+    assert solved.gap == pytest.approx(summed.gap, rel=1e-9)
+
+
 def test_five_label_solve_point_factors_once(monkeypatch):
     counts = {"splu": 0, "resolvent_tangent": 0}
 

@@ -103,7 +103,7 @@ def test_linear_solve_decoupled_zero():
 
 
 def test_linear_solve_at_reference_cutoff_scale():
-    # dimension 2121 before projection: the sparse bordered path must carry it
+    # sector dimension 1061: shift-invert and the preconditioned resolvent carry it
     p = from_g(0.9, gamma=2.0, eta=1.0, j=10.0)
     t = Truncation.for_spin(100, p.j, "positive")
     comp = qgt_components("full", p, t, labels=("omega",), method="solve")

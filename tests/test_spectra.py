@@ -4,13 +4,15 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
-from adicke import (FockCutoff, ModelParams, OperatorMatrix, Truncation,
+from adicke import (FockCutoff, ModelParams, NormalModes, OperatorMatrix, Truncation,
                     TruncationError, bogoliubov_modes, dense_eigensystem,
                     full_hamiltonian, gauge_fix, lowest_k)
 from adicke.effective import (QuadraticBosonForm, co_normal_form, cs_normal_form,
                               cs_superradiant_form, co_superradiant_form,
                               effective_form, form_matrix)
+from adicke.spectra import DENSE_SOLVE_LIMIT, gershgorin_floor
 
 
 def test_dense_diagonal_matrix():
@@ -98,6 +100,98 @@ def test_gauge_fix_tie_breaks_to_lowest_index():
     v = np.array([amp, (amp - 1e-14) * np.exp(1.3j)], dtype=complex)
     out = gauge_fix(v)
     assert out[0].imag == 0.0 and out[0].real > 0
+
+
+def _gauge_fix_one(v, tie_tol=1e-12):
+    """The rule gauge_fix applies, one state at a time, as a loop would."""
+    mags = np.abs(v)
+    top = mags.max()
+    if top == 0.0:
+        return v.copy()
+    pivot = int(np.flatnonzero(mags >= top * (1.0 - tie_tol))[0])
+    phase = v[pivot] / mags[pivot]
+    return v * np.conj(phase)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+def test_gauge_fix_columns_match_the_per_column_rule(dtype):
+    rng = np.random.default_rng(11)
+    states = rng.normal(size=(8, 6)).astype(dtype)
+    if dtype is np.complex128:
+        states = states + 1j * rng.normal(size=(8, 6))
+    phase = np.exp(0.4j) if dtype is np.complex128 else -1.0
+    states[:, 1] = 0.0
+    states[[2, 5], 1] = [-0.6, 0.6 * phase]                  # exact tie: index 2 wins
+    states[:, 2] = 0.1
+    states[[1, 6], 2] = [0.3 * (1 - 1e-13) * phase, -0.3]   # tie within tie_tol: index 1
+    states[:, 3] = 0.0                                      # zero column stays zero
+    states[4, 4] = -10.0                                    # negative pivot
+    columns = np.stack([_gauge_fix_one(states[:, k]) for k in range(states.shape[1])], axis=1)
+    fixed = gauge_fix(states)
+    assert fixed.dtype == states.dtype
+    assert np.array_equal(fixed, columns)
+    assert np.array_equal(gauge_fix(states[:, 2]), columns[:, 2])
+    vectors = np.linalg.eigh(states.T.conj() @ states)[1]
+    assert np.array_equal(gauge_fix(vectors), np.stack(
+        [_gauge_fix_one(vectors[:, k]) for k in range(vectors.shape[1])], axis=1))
+
+
+# ---------------------------------------------------------------------------
+# the certified shift of the sparse route
+
+
+def _above_limit_hamiltonian(theta=0.0):
+    p = ModelParams.from_ratios(0.9, gamma=2.0, eta=1.0, theta=theta, j=5.0)
+    ham = full_hamiltonian(p, Truncation.for_spin(60, p.j, "positive"))
+    assert ham.dim > DENSE_SOLVE_LIMIT
+    return p, ham
+
+
+def _assert_pairs_match_dense(es, ham, tol=1e-9):
+    dense = dense_eigensystem(ham)
+    assert np.max(np.abs(es.energies - dense.energies[:es.count])) < tol
+    assert np.max(np.abs(es.states - dense.states[:, :es.count])) < tol
+
+
+def test_estimate_above_the_ground_energy_is_widened(monkeypatch):
+    _, ham = _above_limit_hamiltonian()
+    dense = dense_eigensystem(ham)
+    e0, gap = float(dense.energies[0]), dense.gap
+    calls = []
+    splu = spla.splu
+    monkeypatch.setattr(spla, "splu", lambda *a, **k: calls.append(1) or splu(*a, **k))
+    estimate = NormalModes(energies=np.array([gap]), ground_energy=e0 + 0.2 * gap, stable=True)
+    es = lowest_k(ham, 2, estimate=estimate)
+    # e0 + 0.1 gap fails the certificate; the next shift, 4x further down, passes
+    assert len(calls) == 2
+    assert es.factor.sigma == pytest.approx(e0 - 0.2 * gap, abs=1e-12)
+    _assert_pairs_match_dense(es, ham)
+
+
+@pytest.mark.parametrize("case", ["missing", "nan", "unstable"])
+def test_missing_or_unstable_estimate_starts_at_the_gershgorin_floor(case):
+    _, ham = _above_limit_hamiltonian()
+    dense = dense_eigensystem(ham)
+    # the unstable estimate carries a usable energy that must still be ignored
+    estimate = {
+        "missing": None,
+        "nan": NormalModes(energies=np.array([math.nan]), ground_energy=math.nan, stable=True),
+        "unstable": NormalModes(energies=np.array([dense.gap]),
+                                ground_energy=float(dense.energies[0]), stable=False),
+    }[case]
+    es = lowest_k(ham, 2, estimate=estimate)
+    floor = gershgorin_floor(ham)
+    assert floor < es.energies[0]
+    assert es.factor.sigma == floor - 1e-8 * max(1.0, abs(floor))
+    _assert_pairs_match_dense(es, ham)
+
+
+def test_shift_invert_pairs_of_a_complex_hermitian_matrix():
+    p, ham = _above_limit_hamiltonian(theta=0.7)
+    assert ham.mat.dtype == np.complex128
+    es = lowest_k(ham, 3, estimate=bogoliubov_modes(cs_normal_form(p)))
+    assert es.factor.sigma < es.energies[0]
+    _assert_pairs_match_dense(es, ham)
 
 
 # ---------------------------------------------------------------------------

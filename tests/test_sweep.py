@@ -6,10 +6,11 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
-from adicke import (FockCutoff, ModelParams, SweepSpec, convergence_scan,
-                    families, gamma_comparison, peak_locate, qfi_omega, ratio_scan,
-                    rows_to_csv, run_sweep, spectra, write_csv, write_json)
+from adicke import (FockCutoff, ModelParams, SweepSpec, Truncation, convergence_scan,
+                    families, gamma_comparison, peak_locate, qfi_omega, qgt_components,
+                    ratio_scan, rows_to_csv, run_sweep, spectra, write_csv, write_json)
 from adicke.sweep import CSV_COLUMNS, SweepRow, continuity_report, evaluate_point
 
 
@@ -125,6 +126,33 @@ def test_evaluate_point_builds_and_solves_once(spec, method, monkeypatch):
     row = evaluate_point(spec, 0.7)
     assert row.converged and row.method == method
     assert counts == {"build": 1, "solve": 1}
+
+
+def test_solve_points_above_the_limit_factor_once_without_sa(monkeypatch):
+    calls = {"splu": 0, "which": []}
+    splu, eigsh = spla.splu, spla.eigsh
+
+    def counted_splu(*args, **kwargs):
+        calls["splu"] += 1
+        return splu(*args, **kwargs)
+
+    def recorded_eigsh(*args, **kwargs):
+        calls["which"].append(kwargs.get("which", "LM"))
+        return eigsh(*args, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", counted_splu)
+    monkeypatch.setattr(spla, "eigsh", recorded_eigsh)
+    p = ModelParams.from_ratios(0.9, gamma=2.0, eta=1.0, j=5.0)
+    trunc = Truncation.for_spin(60, p.j, "positive")
+    assert families.hamiltonian_matrix("full", p, trunc).dim > spectra.DENSE_SOLVE_LIMIT
+    comp = qgt_components("full", p, trunc, labels=("theta", "omega"))
+    assert comp.method == "linear_solve"
+    assert calls == {"splu": 1, "which": ["LM"]}
+    calls.update(splu=0, which=[])
+    spec = SweepSpec(model="cs_np", gamma=2.0, j=2.0, n_max=20, n_max_b=20)
+    row = evaluate_point(spec, 0.7)
+    assert row.converged and row.method == "solve"
+    assert calls == {"splu": 1, "which": ["LM"]}
 
 
 def test_perturbed_eigenpair_becomes_flagged_row(monkeypatch):
