@@ -17,14 +17,15 @@ alongside the truncated-matrix route built here.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
-from .model import (DEFAULT_MAX_DIM, ModelParams, OperatorMatrix, boson_operators,
-                    real_if_exact)
+from .model import (DEFAULT_MAX_DIM, PIECE_CACHE_SIZE, ModelParams, OperatorMatrix,
+                    boson_operators, real_if_exact)
 from .errors import TruncationError
 
 
@@ -228,6 +229,58 @@ def effective_form(model: str, p: ModelParams) -> QuadraticBosonForm:
 # matrices
 
 
+@functools.lru_cache(maxsize=PIECE_CACHE_SIZE)
+def _form_pieces(cut: FockCutoff) -> tuple[tuple[sp.csr_array, bool], ...]:
+    """Parameter-free monomials of every quadratic form on one cutoff.
+
+    One (monomial, carries its adjoint) pair per coefficient, in the order
+    of :func:`_coefficients`; built once per cutoff and read-only.  An
+    adjoint term uses the transposed view of its piece, so only the pieces
+    are held.
+    """
+    _, adag, n_op = (sp.csr_array(op.mat) for op in boson_operators(cut.n_a))
+    kron = lambda x, y: sp.kron(sp.csr_array(x), sp.csr_array(y), format="csr")
+    if cut.modes == 1:
+        pieces = ((n_op, False), (adag @ adag, True))
+    else:
+        b, bdag, nb_op = (op.mat for op in boson_operators(cut.n_b))
+        eye_a = sp.identity(cut.n_a + 1, format="csr")
+        eye_b = sp.identity(cut.n_b + 1, format="csr")
+        pieces = ((kron(n_op, eye_b), False),
+                  (kron(eye_a, nb_op), False),
+                  (kron(adag, b), True),       # a'b
+                  (kron(adag, bdag), True),    # a'b'
+                  (kron(adag @ adag, eye_b), True))
+    for piece, _ in pieces:
+        piece.sum_duplicates()  # canonical, so no later operation sorts in place
+        for arr in (piece.data, piece.indices, piece.indptr):
+            arr.flags.writeable = False
+    return pieces
+
+
+def _coefficients(form: QuadraticBosonForm) -> tuple:
+    if form.modes == 1:
+        return form.n_a, form.squeeze
+    return form.n_a, form.n_b, form.hop, form.pair, form.squeeze
+
+
+def _assemble(form: QuadraticBosonForm, cut: FockCutoff,
+              max_dim: int = DEFAULT_MAX_DIM) -> OperatorMatrix:
+    """The form's coefficients times the cached pieces of the cutoff."""
+    if cut.modes != form.modes:
+        raise ValueError(f"cutoff has {cut.modes} mode(s) but the form has {form.modes}")
+    if cut.dim > max_dim:
+        raise TruncationError(f"basis dimension {cut.dim} exceeds the guard {max_dim}")
+    ham = sp.csr_array((cut.dim, cut.dim))
+    for coeff, (piece, with_adjoint) in zip(_coefficients(form), _form_pieces(cut)):
+        coeff = real_if_exact(coeff)
+        ham = ham + coeff * piece
+        if with_adjoint:
+            ham = ham + np.conj(coeff) * piece.T
+    ham = ham + form.const * sp.identity(cut.dim, format="csr")
+    return OperatorMatrix(ham.tocsr(), basis=cut.tag)
+
+
 def form_matrix(form: QuadraticBosonForm, cut: FockCutoff,
                 max_dim: int = DEFAULT_MAX_DIM) -> OperatorMatrix:
     """Matrix of a quadratic form on the truncated Fock basis.
@@ -235,31 +288,7 @@ def form_matrix(form: QuadraticBosonForm, cut: FockCutoff,
     Two-mode basis ordering is |n_a> x |n_b> with n_a outer.  The matrix is
     float64 when every coefficient is real and complex otherwise.
     """
-    if cut.modes != form.modes:
-        raise ValueError(f"cutoff has {cut.modes} mode(s) but the form has {form.modes}")
-    if cut.dim > max_dim:
-        raise TruncationError(f"basis dimension {cut.dim} exceeds the guard {max_dim}")
-    _, adag, n_op = (sp.csr_array(op.mat) for op in boson_operators(cut.n_a))
-    kron = lambda x, y: sp.kron(sp.csr_array(x), sp.csr_array(y), format="csr")
-    if form.modes == 1:
-        terms = [(form.n_a, n_op, False), (form.squeeze, adag @ adag, True)]
-    else:
-        b, bdag, nb_op = (op.mat for op in boson_operators(cut.n_b))
-        eye_a = sp.identity(cut.n_a + 1, format="csr")
-        eye_b = sp.identity(cut.n_b + 1, format="csr")
-        terms = [(form.n_a, kron(n_op, eye_b), False),
-                 (form.n_b, kron(eye_a, nb_op), False),
-                 (form.hop, kron(adag, b), True),       # a'b
-                 (form.pair, kron(adag, bdag), True),   # a'b'
-                 (form.squeeze, kron(adag @ adag, eye_b), True)]
-    ham = sp.csr_array((cut.dim, cut.dim))
-    for coeff, piece, with_adjoint in terms:
-        coeff = real_if_exact(coeff)
-        ham = ham + coeff * piece
-        if with_adjoint:
-            ham = ham + np.conj(coeff) * piece.T
-    ham = ham + form.const * sp.identity(cut.dim, format="csr")
-    return OperatorMatrix(ham.tocsr(), basis=cut.tag)
+    return _assemble(form, cut, max_dim)
 
 
 def boson_parity_labels(cut: FockCutoff) -> np.ndarray:
@@ -379,8 +408,11 @@ def form_param_derivative(model: str, p: ModelParams, which: str,
 
 def effective_param_derivative(model: str, p: ModelParams, cut: FockCutoff,
                                which: str) -> OperatorMatrix:
-    """Matrix of d H_eff / d(which) on the truncated basis."""
+    """Matrix of d H_eff / d(which) on the truncated basis.
+
+    Assembled from the cutoff's cached pieces like the Hamiltonian, but not
+    through :func:`form_matrix`, which counts Hamiltonian builds.
+    """
     if which == "theta":
-        return theta_derivative_matrix(form_matrix(effective_form(model, p), cut), cut)
-    dform = form_param_derivative(model, p, which)
-    return form_matrix(dform, cut)
+        return theta_derivative_matrix(_assemble(effective_form(model, p), cut), cut)
+    return _assemble(form_param_derivative(model, p, which), cut)

@@ -13,10 +13,18 @@ Basis ordering is photon-major: |n> x |j, m> with n = 0..n_max outer and
 m = -j..j inner, so index = n * (2j+1) + (m+j).  The Z2 parity
 exp{i pi (a'a + Jz + j)} is diagonal in this basis and exactly conserved,
 so the Hamiltonian splits into two parity blocks even after truncation.
+
+At fixed truncation H is a linear combination of four parameter-free
+pieces, a'a, Jz, a'J- and a'J+ (with their adjoints).  Their blocks on the
+truncation's sector are cut out of the product basis once and cached per
+truncation; every Hamiltonian and parameter derivative is assembled from
+them.  ``project_parity`` stays as the general sector projection that the
+tests check the cached blocks against.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -32,6 +40,10 @@ PARAMETER_LABELS = ("omega", "Omega", "lambda1", "lambda2", "theta")
 DEFAULT_MAX_DIM = 250_000
 
 _SECTORS = ("positive", "negative", "full")
+
+#: Truncations whose parameter-free sector pieces stay cached; a sweep or a
+#: convergence scan touches a handful.
+PIECE_CACHE_SIZE = 8
 
 
 @dataclass(frozen=True)
@@ -214,30 +226,6 @@ def _check_truncation(p: ModelParams, t: Truncation):
         raise ValueError(f"truncation spin_dim {t.spin_dim} does not match 2j+1 = {p.spin_dim}")
 
 
-def _product_pieces(p: ModelParams, t: Truncation):
-    """Sparse pieces of the product-basis Hamiltonian.
-
-    Returns (number, jz_full, rw, cr) where rw = e^{i theta} a'J- + h.c. and
-    cr = e^{i theta} a'J+ + h.c., both already carrying the 1/sqrt(2j)
-    normalization of the collective coupling.
-    """
-    _, adag, n_op = (op.mat for op in boson_operators(t.n_max))
-    jp, jm, jz = (op.mat for op in spin_operators(p.j))
-    eye_b = sp.identity(t.n_max + 1, format="csr")
-    eye_s = sp.identity(t.spin_dim, format="csr")
-
-    number = sp.kron(sp.csr_array(n_op), eye_s, format="csr")
-    jz_full = sp.kron(eye_b, sp.csr_array(jz), format="csr")
-
-    phase = real_if_exact(np.exp(1j * p.theta))
-    norm = 1.0 / math.sqrt(2 * p.j)
-    up_minus = sp.kron(sp.csr_array(adag), sp.csr_array(jm), format="csr")
-    up_plus = sp.kron(sp.csr_array(adag), sp.csr_array(jp), format="csr")
-    rw = norm * (phase * up_minus + np.conj(phase) * up_minus.T)
-    cr = norm * (phase * up_plus + np.conj(phase) * up_plus.T)
-    return number, jz_full, rw, cr
-
-
 def parity_labels(t: Truncation) -> np.ndarray:
     """Diagonal of exp{i pi (a'a + Jz + j)}: +1 / -1 per product-basis state."""
     n = np.arange(t.n_max + 1)
@@ -267,7 +255,9 @@ def project_parity(m: OperatorMatrix, t: Truncation,
 
     Returns the sector block and the index map embedding it back into the
     full basis.  Raises if the operator mixes the sectors, i.e. the caller
-    passed something that does not commute with the parity.
+    passed something that does not commute with the parity.  The builders
+    do not call it (they cut their pieces once per truncation); it is the
+    general projection the tests check them against.
     """
     idx = parity_indices(t, sector)
     comp = np.setdiff1d(np.arange(t.dim), idx, assume_unique=True)
@@ -283,51 +273,82 @@ def _basis_tag(t: Truncation, sector: str) -> str:
     return f"product:n{t.n_max}:s{t.spin_dim}:{sector}"
 
 
+def _sector_tag(t: Truncation) -> str:
+    """Tag of the basis every builder returns: the full basis, or one sector of it."""
+    tag = _basis_tag(t, "full")
+    return tag if t.parity_sector == "full" else f"{tag}|{t.parity_sector}"
+
+
+@functools.lru_cache(maxsize=PIECE_CACHE_SIZE)
+def _sector_pieces(t: Truncation) -> tuple[sp.csr_array, ...]:
+    """Parameter-free pieces (a'a, Jz, a'J-, a'J+) on the truncation's sector.
+
+    Each piece commutes with the parity, so its sector block is cut out of
+    the product-basis Kronecker product once, here, and every Hamiltonian
+    and derivative on this truncation is a combination of the cached blocks.
+    The blocks are read-only; j = (spin_dim - 1)/2 follows from the key.
+    """
+    _, adag, n_op = (sp.csr_array(op.mat) for op in boson_operators(t.n_max))
+    jp, jm, jz = (sp.csr_array(op.mat) for op in spin_operators((t.spin_dim - 1) / 2))
+    eye_b = sp.identity(t.n_max + 1, format="csr")
+    eye_s = sp.identity(t.spin_dim, format="csr")
+    pieces = (sp.kron(n_op, eye_s, format="csr"), sp.kron(eye_b, jz, format="csr"),
+              sp.kron(adag, jm, format="csr"), sp.kron(adag, jp, format="csr"))
+    if t.parity_sector != "full":
+        idx = parity_indices(t, t.parity_sector)
+        pieces = tuple(piece[idx][:, idx].tocsr() for piece in pieces)
+    for piece in pieces:
+        piece.sum_duplicates()  # canonical, so no later operation sorts in place
+        for arr in (piece.data, piece.indices, piece.indptr):
+            arr.flags.writeable = False
+    return pieces
+
+
+def _coupling(p: ModelParams, raising) -> sp.csr_array:
+    """(e^{i theta} raising + h.c.)/sqrt(2j): one collective coupling at p's phase."""
+    phase = real_if_exact(np.exp(1j * p.theta))
+    norm = 1.0 / math.sqrt(2 * p.j)
+    return norm * (phase * raising + np.conj(phase) * raising.T)
+
+
 def full_hamiltonian(p: ModelParams, t: Truncation,
                      max_dim: int = DEFAULT_MAX_DIM) -> OperatorMatrix:
     """Hamiltonian matrix on the photon-major product basis.
 
-    With ``t.parity_sector`` set to 'positive' or 'negative' the projected
+    With ``t.parity_sector`` set to 'positive' or 'negative' the sector
     block is returned instead of the full matrix.
     """
     _check_truncation(p, t)
     if t.dim > max_dim:
         raise TruncationError(f"basis dimension {t.dim} exceeds the guard {max_dim}")
-    number, jz_full, rw, cr = _product_pieces(p, t)
-    ham = p.omega * number + p.Omega * jz_full + p.lambda1 * rw + p.lambda2 * cr
-    full = OperatorMatrix(ham.tocsr(), basis=_basis_tag(t, "full"))
-    if t.parity_sector == "full":
-        return full
-    block, _ = project_parity(full, t, t.parity_sector)
-    return block
+    number, jz, up_minus, up_plus = _sector_pieces(t)
+    ham = (p.omega * number + p.Omega * jz + p.lambda1 * _coupling(p, up_minus)
+           + p.lambda2 * _coupling(p, up_plus))
+    return OperatorMatrix(ham.tocsr(), basis=_sector_tag(t))
 
 
 def param_derivative(p: ModelParams, t: Truncation, which: str) -> OperatorMatrix:
     """Exact derivative of the Hamiltonian with respect to one primary parameter.
 
-    Every derivative commutes with the parity, so the same sector projection
-    as for the Hamiltonian applies (controlled by ``t.parity_sector``).
+    Every derivative commutes with the parity, so it lives on the same
+    sector as the Hamiltonian (``t.parity_sector``).
     """
     _check_truncation(p, t)
     if which not in PARAMETER_LABELS:
         raise ValueError(f"unknown parameter {which!r}; expected one of {PARAMETER_LABELS}")
-    number, jz_full, rw, cr = _product_pieces(p, t)
+    number, jz, up_minus, up_plus = _sector_pieces(t)
     if which == "omega":
-        deriv = number
+        deriv = number.copy()
     elif which == "Omega":
-        deriv = jz_full
+        deriv = jz.copy()
     elif which == "lambda1":
-        deriv = rw
+        deriv = _coupling(p, up_minus)
     elif which == "lambda2":
-        deriv = cr
+        deriv = _coupling(p, up_plus)
     else:  # theta: i [a'a, H]; only the couplings fail to commute with a'a
-        coupling = p.lambda1 * rw + p.lambda2 * cr
+        coupling = p.lambda1 * _coupling(p, up_minus) + p.lambda2 * _coupling(p, up_plus)
         deriv = 1j * (number @ coupling - coupling @ number)
-    full = OperatorMatrix(deriv.tocsr(), basis=_basis_tag(t, "full"))
-    if t.parity_sector == "full":
-        return full
-    block, _ = project_parity(full, t, t.parity_sector)
-    return block
+    return OperatorMatrix(deriv.tocsr(), basis=_sector_tag(t))
 
 
 def photon_number_diagonal(t: Truncation) -> np.ndarray:

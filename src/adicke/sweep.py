@@ -321,6 +321,16 @@ def ratio_scan(j_list, gamma_list, eta_list, g: float, *, omega: float = 1.0,
     flagged unconverged when the relative change exceeds ``convergence_rtol``.
     A row whose effective value is zero (below QFI_ZERO_FLOOR) gets a NaN
     ratio and is flagged as well.
+
+    Above the transition (g > 1) every row is flagged.  The default
+    ``co_np`` form has no stable ground state there: its quadratic form is
+    not bounded below, so a truncated matrix still has a lowest state, but
+    that state and its Fisher information depend on the cutoff and describe
+    nothing.  Whenever the effective form is unstable (by its symplectic
+    normal modes) the effective value and the ratio are NaN instead.  The
+    superradiant forms are stable there but drop the mean-field
+    displacement that the full model keeps, so they measure a different
+    quantity and their rows stay flagged too.
     """
     rows = []
     for j in j_list:
@@ -335,14 +345,16 @@ def ratio_scan(j_list, gamma_list, eta_list, g: float, *, omega: float = 1.0,
                 lab_check = families.qfi_omega("full", p, bigger, method=method)
                 converged = (abs(lab_check - lab)
                              <= convergence_rtol * max(abs(lab), QFI_ZERO_FLOOR))
-                eff_trunc = families.default_truncation(eff_model, p, eff_n_max)
-                eff = families.qfi_omega(eff_model, p, eff_trunc)
-                # a vanishing effective value has no ratio; flag the row, do not abort
+                eff = math.nan
+                if bogoliubov_modes(effective_form(eff_model, p)).stable:
+                    eff_trunc = families.default_truncation(eff_model, p, eff_n_max)
+                    eff = families.qfi_omega(eff_model, p, eff_trunc)
+                # a vanishing or missing effective value has no ratio; flag the row, do not abort
                 has_ratio = abs(eff) > QFI_ZERO_FLOOR
                 rows.append(RatioRow(j=float(j), gamma=float(gamma), eta=float(eta),
                                      qfi_lab=lab_check, qfi_eff=eff,
                                      ratio=lab_check / eff if has_ratio else math.nan,
-                                     converged=converged and has_ratio))
+                                     converged=converged and has_ratio and g <= 1.0))
     return rows
 
 

@@ -126,6 +126,18 @@ def test_ratio_scan_zero_effective_value_exits_two(runner):
     assert lines[1].split(",")[-2:] == ["nan", "false"]
 
 
+def test_ratio_scan_above_the_transition_exits_two(runner):
+    result = runner.invoke(main, [
+        "ratio-scan", "--j-list", "5", "--gamma-list", "1", "--eta-list", "2",
+        "--g", "1.2"])
+    assert result.exit_code == 2, result.output
+    lines = result.output.strip().split("\n")
+    assert len(lines) == 2
+    cells = lines[1].split(",")
+    assert float(cells[3]) > 0
+    assert cells[4:] == ["nan", "nan", "false"]
+
+
 def test_converge_command(runner):
     result = runner.invoke(main, [
         "converge", "--model", "full", "--param", "g", "--from", "0.1",

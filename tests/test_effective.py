@@ -5,15 +5,16 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
-from adicke import (FockCutoff, ModelParams, bogoliubov_modes,
-                    dense_eigensystem, displacement_solution, form_matrix,
-                    quadratic_form, rescaled_params)
+from adicke import (FockCutoff, ModelParams, TruncationError, bogoliubov_modes,
+                    dense_eigensystem, displacement_solution, effective, form_matrix,
+                    qgt_components, quadratic_form, rescaled_params)
 from adicke.effective import (QuadraticBosonForm, boson_parity_labels,
                               co_normal_form, co_superradiant_form,
                               cs_normal_form, cs_superradiant_form,
                               effective_form, effective_param_derivative,
-                              form_param_derivative)
+                              form_param_derivative, theta_derivative_matrix)
 from adicke.families import ground_state
 
 
@@ -318,3 +319,118 @@ def test_cs_normal_omega_derivative_is_mode_a_number():
     dform = form_param_derivative("cs_np", p, "omega")
     assert dform.n_a == pytest.approx(1.0, abs=1e-11)
     assert abs(dform.n_b) < 1e-11 and abs(dform.hop) < 1e-11 and abs(dform.pair) < 1e-11
+
+
+# ---------------------------------------------------------------------------
+# parameter-free pieces, cached once per cutoff
+
+
+def _dense_form_matrix(form: QuadraticBosonForm, cut: FockCutoff) -> np.ndarray:
+    """The form's matrix from dense Kronecker products of the ladder matrices."""
+    a = np.diag(np.sqrt(np.arange(1.0, cut.n_a + 1)), 1)
+    eye_a = np.eye(cut.n_a + 1)
+    if cut.modes == 1:
+        terms = [(form.n_a, a.T @ a, False), (form.squeeze, a.T @ a.T, True)]
+    else:
+        b = np.diag(np.sqrt(np.arange(1.0, cut.n_b + 1)), 1)
+        eye_b = np.eye(cut.n_b + 1)
+        terms = [(form.n_a, np.kron(a.T @ a, eye_b), False),
+                 (form.n_b, np.kron(eye_a, b.T @ b), False),
+                 (form.hop, np.kron(a.T, b), True),
+                 (form.pair, np.kron(a.T, b.T), True),
+                 (form.squeeze, np.kron(a.T @ a.T, eye_b), True)]
+    ham = form.const * np.eye(cut.dim, dtype=complex)
+    for coeff, piece, with_adjoint in terms:
+        ham += coeff * piece
+        if with_adjoint:
+            ham += np.conj(coeff) * piece.T
+    return ham
+
+
+@pytest.mark.parametrize("model,g,cut", [("cs_np", 0.7, FockCutoff(5, 7)),
+                                         ("cs_sp", 1.3, FockCutoff(7, 5)),
+                                         ("co_np", 0.7, FockCutoff(9)),
+                                         ("co_sp", 1.3, FockCutoff(9))])
+@pytest.mark.parametrize("theta", [0.0, 0.7])
+def test_form_matrix_from_cached_pieces_matches_dense_products(model, g, cut, theta):
+    p = from_g(g, gamma=2.0, eta=1.5, theta=theta, j=3.0)
+    for form in (effective_form(model, p), form_param_derivative(model, p, "omega")):
+        built = form_matrix(form, cut)
+        assert built.basis == cut.tag
+        if theta == 0.0:
+            assert built.mat.dtype == np.float64
+        want = _dense_form_matrix(form, cut)
+        assert np.max(np.abs(built.toarray() - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+def test_cutoffs_differing_in_one_field_get_their_own_pieces():
+    pieces = effective._form_pieces(FockCutoff(5, 6))
+    assert effective._form_pieces(FockCutoff(5, 6)) is pieces
+    for other in (FockCutoff(6, 5), FockCutoff(5, 7), FockCutoff(5)):
+        theirs = effective._form_pieces(other)
+        assert theirs is not pieces
+        assert theirs[0][0].shape == (other.dim, other.dim)
+
+
+def test_effective_guards_run_before_the_piece_cache():
+    effective._form_pieces.cache_clear()
+    form = effective_form("cs_np", from_g(0.5))
+    with pytest.raises(TruncationError):
+        form_matrix(form, FockCutoff(20, 20), max_dim=100)
+    with pytest.raises(ValueError, match="mode"):
+        form_matrix(form, FockCutoff(20))
+    with pytest.raises(ValueError, match="mode"):
+        effective_param_derivative("cs_np", from_g(0.5), FockCutoff(20), "omega")
+    assert effective._form_pieces.cache_info().currsize == 0
+
+
+@pytest.mark.parametrize("model,g", [("cs_np", 0.7), ("co_sp", 1.3)])
+def test_derivative_matrices_do_not_rebuild_the_hamiltonian(model, g, monkeypatch):
+    p = from_g(g, gamma=2.0, eta=1.5, theta=0.35, j=3.0)
+    cut = FockCutoff(6, 6) if model.startswith("cs") else FockCutoff(10)
+    expected = {which: form_matrix(form_param_derivative(model, p, which), cut).toarray()
+                for which in ("omega", "Omega", "lambda1", "lambda2")}
+    expected["theta"] = theta_derivative_matrix(
+        form_matrix(effective_form(model, p), cut), cut).toarray()
+    builds = []
+    monkeypatch.setattr(effective, "form_matrix", lambda *a, **k: builds.append(a))
+    for which, want in expected.items():
+        assert np.array_equal(effective_param_derivative(model, p, cut, which).toarray(), want)
+    assert builds == []
+
+
+def test_points_on_one_cutoff_build_the_kronecker_products_once(monkeypatch):
+    calls = []
+    kron = sp.kron
+
+    def counting_kron(*args, **kwargs):
+        calls.append(1)
+        return kron(*args, **kwargs)
+
+    monkeypatch.setattr(effective.sp, "kron", counting_kron)
+    effective._form_pieces.cache_clear()
+    cut = FockCutoff(8, 8)
+    for k, g in enumerate(np.linspace(0.2, 0.9, 8)):
+        p = from_g(g, gamma=2.0, eta=1.5, theta=0.1 * k, j=3.0)
+        form_matrix(effective_form("cs_np", p), cut)
+        for which in ("omega", "Omega", "lambda1", "lambda2", "theta"):
+            effective_param_derivative("cs_np", p, cut, which)
+        assert len(calls) == 5
+
+
+@pytest.mark.parametrize("model,g,cut", [("cs_np", 0.8, FockCutoff(10, 10)),
+                                         ("co_np", 0.8, FockCutoff(20))])
+def test_tensor_evaluation_leaves_the_cached_form_pieces_unchanged(model, g, cut):
+    p = from_g(g, gamma=2.0, eta=1.5, theta=0.7, j=3.0)
+    pieces = effective._form_pieces(cut)
+    cached = [piece for piece, _ in pieces]
+    before = [m.copy() for m in cached]
+    labels = ("theta", "omega", "Omega", "lambda1", "lambda2")
+    for method in ("sum", "solve", "fd"):
+        qgt_components(model, p, cut, labels=labels, method=method)
+    assert effective._form_pieces(cut) is pieces
+    for mat, copy in zip(cached, before):
+        for name in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(mat, name), getattr(copy, name))
+    with pytest.raises(ValueError):
+        cached[0].data[0] = 1.0

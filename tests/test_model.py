@@ -4,12 +4,13 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from adicke import (ModelParams, OperatorMatrix, Truncation, TruncationError,
-                    boson_operators, full_hamiltonian,
+                    boson_operators, full_hamiltonian, model,
                     param_derivative, parity_operator, project_parity,
-                    spin_operators)
-from adicke.model import parity_indices, photon_number_diagonal
+                    qgt_components, spin_operators)
+from adicke.model import PARAMETER_LABELS, parity_indices, photon_number_diagonal
 
 
 def dense(op):
@@ -331,3 +332,130 @@ def test_photon_number_diagonal_sector():
     nd = photon_number_diagonal(t)
     # positive-sector states of (n, m+j): (0,0), (1,1), (2,0)
     assert np.array_equal(nd, [0.0, 1.0, 2.0])
+
+
+# ---------------------------------------------------------------------------
+# parameter-free pieces, cached once per truncation
+
+
+def _product_pieces(t: Truncation):
+    """(a'a, Jz, a'J-, a'J+) on the full product basis, as dense Kronecker products."""
+    _, adag, n_op = (dense(o) for o in boson_operators(t.n_max))
+    jp, jm, jz = (dense(o) for o in spin_operators((t.spin_dim - 1) / 2))
+    eye_b, eye_s = np.eye(t.n_max + 1), np.eye(t.spin_dim)
+    return (np.kron(n_op, eye_s), np.kron(eye_b, jz), np.kron(adag, jm), np.kron(adag, jp))
+
+
+def _on_sector(mat: np.ndarray, t: Truncation) -> np.ndarray:
+    if t.parity_sector == "full":
+        return mat
+    return dense(project_parity(OperatorMatrix(mat, basis="test"), t, t.parity_sector)[0])
+
+
+def _product_operators(p: ModelParams, t: Truncation) -> dict:
+    """H and every dH on the full product basis, built from the pieces in the test."""
+    number, jz, up_minus, up_plus = _product_pieces(t)
+    phase = np.exp(1j * p.theta)
+    norm = 1.0 / math.sqrt(2 * p.j)
+    rw = norm * (phase * up_minus + np.conj(phase) * up_minus.T)
+    cr = norm * (phase * up_plus + np.conj(phase) * up_plus.T)
+    coupling = p.lambda1 * rw + p.lambda2 * cr
+    return {"H": p.omega * number + p.Omega * jz + coupling,
+            "omega": number, "Omega": jz, "lambda1": rw, "lambda2": cr,
+            "theta": 1j * (number @ coupling - coupling @ number)}
+
+
+@pytest.mark.parametrize("sector", ["positive", "negative", "full"])
+@pytest.mark.parametrize("j", [2.0, 1.5])
+def test_cached_sector_pieces_are_projected_product_pieces(sector, j):
+    t = Truncation.for_spin(7, j, sector)
+    cached = model._sector_pieces(t)
+    for block, product in zip(cached, _product_pieces(t)):
+        assert block.shape == (len(photon_number_diagonal(t)),) * 2
+        assert np.array_equal(block.toarray(), _on_sector(product, t))
+
+
+@pytest.mark.parametrize("sector", ["positive", "negative", "full"])
+@pytest.mark.parametrize("j", [2.0, 1.5])
+@pytest.mark.parametrize("theta", [0.0, 0.7])
+def test_operators_from_cached_pieces_match_the_product_basis(sector, j, theta):
+    p = ModelParams.from_ratios(0.8, gamma=2.0, eta=1.3, theta=theta, j=j)
+    t = Truncation.for_spin(7, j, sector)
+    built = {"H": full_hamiltonian(p, t)}
+    built.update((which, param_derivative(p, t, which)) for which in PARAMETER_LABELS)
+    for key, reference in _product_operators(p, t).items():
+        got, want = dense(built[key]), _on_sector(reference, t)
+        assert built[key].basis.startswith(f"product:n7:s{t.spin_dim}:full")
+        if theta == 0.0:
+            # real pieces stay float64; dH/dtheta = i [a'a, H] is imaginary
+            assert built[key].mat.dtype == (np.complex128 if key == "theta" else np.float64)
+            assert np.array_equal(got, want), key
+        else:
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want)), key
+
+
+def test_truncations_differing_in_one_field_get_their_own_pieces():
+    base = Truncation(n_max=5, spin_dim=4, parity_sector="positive")
+    others = [Truncation(5, 4, "negative"), Truncation(5, 4, "full"),
+              Truncation(6, 4, "positive"), Truncation(5, 5, "positive")]
+    pieces = model._sector_pieces(base)
+    assert model._sector_pieces(Truncation(5, 4, "positive")) is pieces
+    for other in others:
+        theirs = model._sector_pieces(other)
+        assert theirs is not pieces
+        for their, product in zip(theirs, _product_pieces(other)):
+            assert np.array_equal(their.toarray(), _on_sector(product, other))
+        assert any(mine.shape != their.shape or not np.array_equal(mine.toarray(),
+                                                                   their.toarray())
+                   for mine, their in zip(pieces, theirs))
+
+
+def test_guards_run_before_the_piece_cache():
+    model._sector_pieces.cache_clear()
+    p = ModelParams(lambda1=0.3, j=1.0)
+    with pytest.raises(TruncationError):
+        full_hamiltonian(p, Truncation.for_spin(50, p.j), max_dim=100)
+    mismatched = Truncation.for_spin(5, 1.5)
+    with pytest.raises(ValueError, match="spin_dim"):
+        full_hamiltonian(p, mismatched)
+    with pytest.raises(ValueError, match="spin_dim"):
+        param_derivative(p, mismatched, "omega")
+    assert model._sector_pieces.cache_info().currsize == 0
+
+
+def test_tensor_evaluation_leaves_the_cached_pieces_unchanged():
+    p = ModelParams.from_ratios(0.9, gamma=2.0, eta=1.0, theta=0.7, j=2.0)
+    t = Truncation.for_spin(12, p.j, "positive")
+    pieces = model._sector_pieces(t)
+    before = [piece.copy() for piece in pieces]
+    for method in ("sum", "solve", "fd"):
+        qgt_components("full", p, t, labels=PARAMETER_LABELS, method=method)
+    assert model._sector_pieces(t) is pieces
+    for piece, copy in zip(pieces, before):
+        assert piece.dtype == copy.dtype
+        for name in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(piece, name), getattr(copy, name))
+    with pytest.raises(ValueError):
+        pieces[0].data[0] = 1.0
+    derivative = param_derivative(p, t, "omega")
+    derivative.mat.data[:] = 0.0  # a returned matrix is the caller's own
+    assert np.array_equal(pieces[0].toarray(), before[0].toarray())
+
+
+def test_points_on_one_truncation_build_the_kronecker_products_once(monkeypatch):
+    calls = []
+    kron = sp.kron
+
+    def counting_kron(*args, **kwargs):
+        calls.append(args[0].shape)
+        return kron(*args, **kwargs)
+
+    monkeypatch.setattr(model.sp, "kron", counting_kron)
+    model._sector_pieces.cache_clear()
+    t = Truncation.for_spin(10, 3.0, "full")
+    for k, g in enumerate(np.linspace(0.2, 0.9, 8)):
+        p = ModelParams.from_ratios(g, gamma=2.0, eta=1.5, theta=0.1 * k, j=3.0)
+        full_hamiltonian(p, t)
+        for which in PARAMETER_LABELS:
+            param_derivative(p, t, which)
+        assert len(calls) == 4

@@ -11,6 +11,8 @@ import scipy.sparse.linalg as spla
 from adicke import (FockCutoff, ModelParams, SweepSpec, Truncation, convergence_scan,
                     families, gamma_comparison, peak_locate, qfi_omega, qgt_components,
                     ratio_scan, rows_to_csv, run_sweep, spectra, write_csv, write_json)
+from adicke.effective import effective_form
+from adicke.spectra import bogoliubov_modes
 from adicke.sweep import CSV_COLUMNS, SweepRow, continuity_report, evaluate_point
 
 
@@ -302,6 +304,21 @@ def test_ratio_scan_zero_effective_value_flags_row():
     row = rows[0]
     assert row.qfi_eff == 0.0 and abs(row.qfi_lab) < 1e-20
     assert math.isnan(row.ratio) and not row.converged
+
+
+def test_ratio_scan_flags_rows_above_the_transition():
+    # co_np has no stable ground state at g > 1: its value would depend on the cutoff
+    p = ModelParams.from_ratios(1.2, gamma=1.0, eta=2.0, j=5.0)
+    assert not bogoliubov_modes(effective_form("co_np", p)).stable
+    assert qfi_omega("co_np", p, FockCutoff(20)) != pytest.approx(
+        qfi_omega("co_np", p, FockCutoff(40)), rel=1e-2)
+    row, = ratio_scan([5.0], [1.0], [2.0], 1.2, n_max=30, check_step=10, eff_n_max=20)
+    assert math.isfinite(row.qfi_lab) and row.qfi_lab > 0
+    assert math.isnan(row.qfi_eff) and math.isnan(row.ratio) and not row.converged
+    # a stable superradiant form still omits the mean-field term: flagged, not NaN
+    row, = ratio_scan([5.0], [1.0], [2.0], 1.2, n_max=30, check_step=10, eff_model="co_sp",
+                      eff_n_max=20)
+    assert math.isfinite(row.qfi_eff) and math.isfinite(row.ratio) and not row.converged
 
 
 def test_ratio_of_identical_quantities_is_one():
