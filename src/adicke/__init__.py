@@ -7,9 +7,8 @@ from .errors import ConvergenceError, DegeneracyError, StencilError, TruncationE
 from .families import MODEL_CHOICES, qfi_omega, qgt_components, resolve_branch
 from .geometry import (QFIValue, QGTComponents, berry, metric, qfi,
                        qgt_finite_difference)
-from .model import (ModelParams, OperatorMatrix, Truncation, boson_operators,
-                    full_hamiltonian, param_derivative, parity_operator,
-                    project_parity, spin_operators)
+from .model import (ModelParams, Truncation, boson_operators, full_hamiltonian,
+                    param_derivative, parity_operator, project_parity, spin_operators)
 from .spectra import (Eigensystem, NormalModes, bogoliubov_modes,
                       dense_eigensystem, gauge_fix, lowest_k)
 from .squeezed import (SqueezeParams, berry_curvature_np, berry_curvature_sp,
@@ -20,7 +19,7 @@ from .sweep import (SweepRow, SweepSpec, convergence_scan, gamma_comparison,
 
 __all__ = [
     "ConvergenceError", "DegeneracyError", "StencilError", "TruncationError",
-    "ModelParams", "Truncation", "OperatorMatrix",
+    "ModelParams", "Truncation",
     "boson_operators", "spin_operators", "full_hamiltonian", "parity_operator",
     "project_parity", "param_derivative",
     "FockCutoff", "QuadraticBosonForm", "DisplacementSolution", "RescaledParams",

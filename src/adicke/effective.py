@@ -24,8 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .model import (DEFAULT_MAX_DIM, PIECE_CACHE_SIZE, ModelParams, OperatorMatrix,
-                    boson_operators, real_if_exact)
+from .model import (DEFAULT_MAX_DIM, PIECE_CACHE_SIZE, ModelParams, boson_operators,
+                    real_if_exact)
 from .errors import TruncationError
 
 
@@ -50,12 +50,6 @@ class FockCutoff:
         if self.n_b is not None:
             d *= self.n_b + 1
         return d
-
-    @property
-    def tag(self) -> str:
-        if self.n_b is None:
-            return f"fock:{self.n_a}"
-        return f"fock2:{self.n_a}x{self.n_b}"
 
 
 @dataclass(frozen=True)
@@ -238,12 +232,12 @@ def _form_pieces(cut: FockCutoff) -> tuple[tuple[sp.csr_array, bool], ...]:
     adjoint term uses the transposed view of its piece, so only the pieces
     are held.
     """
-    _, adag, n_op = (sp.csr_array(op.mat) for op in boson_operators(cut.n_a))
-    kron = lambda x, y: sp.kron(sp.csr_array(x), sp.csr_array(y), format="csr")
+    _, adag, n_op = boson_operators(cut.n_a)
+    kron = lambda x, y: sp.kron(x, y, format="csr")
     if cut.modes == 1:
         pieces = ((n_op, False), (adag @ adag, True))
     else:
-        b, bdag, nb_op = (op.mat for op in boson_operators(cut.n_b))
+        b, bdag, nb_op = boson_operators(cut.n_b)
         eye_a = sp.identity(cut.n_a + 1, format="csr")
         eye_b = sp.identity(cut.n_b + 1, format="csr")
         pieces = ((kron(n_op, eye_b), False),
@@ -265,7 +259,7 @@ def _coefficients(form: QuadraticBosonForm) -> tuple:
 
 
 def _assemble(form: QuadraticBosonForm, cut: FockCutoff,
-              max_dim: int = DEFAULT_MAX_DIM) -> OperatorMatrix:
+              max_dim: int = DEFAULT_MAX_DIM) -> sp.csr_array:
     """The form's coefficients times the cached pieces of the cutoff."""
     if cut.modes != form.modes:
         raise ValueError(f"cutoff has {cut.modes} mode(s) but the form has {form.modes}")
@@ -278,11 +272,11 @@ def _assemble(form: QuadraticBosonForm, cut: FockCutoff,
         if with_adjoint:
             ham = ham + np.conj(coeff) * piece.T
     ham = ham + form.const * sp.identity(cut.dim, format="csr")
-    return OperatorMatrix(ham.tocsr(), basis=cut.tag)
+    return ham.tocsr()
 
 
 def form_matrix(form: QuadraticBosonForm, cut: FockCutoff,
-                max_dim: int = DEFAULT_MAX_DIM) -> OperatorMatrix:
+                max_dim: int = DEFAULT_MAX_DIM) -> sp.csr_array:
     """Matrix of a quadratic form on the truncated Fock basis.
 
     Two-mode basis ordering is |n_a> x |n_b> with n_a outer.  The matrix is
@@ -313,15 +307,15 @@ def mode_a_number_diagonal(cut: FockCutoff) -> np.ndarray:
 # coefficient extraction (feeds the symplectic oracle)
 
 
-def quadratic_form(m: OperatorMatrix, cut: FockCutoff,
+def quadratic_form(m, cut: FockCutoff,
                    tol: float = 1e-14) -> QuadraticBosonForm:
-    """Read the coefficient table back off a matrix.
+    """Read the coefficient table back off a matrix, sparse or dense.
 
     The extracted coefficients must rebuild the matrix entrywise (relative to
     its scale); anything else -- linear terms, cubic terms, a foreign basis --
     is rejected.
     """
-    mat = m.toarray()
+    mat = m.toarray() if sp.issparse(m) else np.asarray(m)
     if mat.shape[0] != cut.dim:
         raise ValueError(f"matrix dimension {mat.shape[0]} does not match cutoff dim {cut.dim}")
     if cut.modes == 1:
@@ -358,15 +352,15 @@ def quadratic_form(m: OperatorMatrix, cut: FockCutoff,
 # parameter derivatives of the effective models
 
 
-def theta_derivative_matrix(ham: OperatorMatrix, cut: FockCutoff) -> OperatorMatrix:
+def theta_derivative_matrix(ham: sp.csr_array, cut: FockCutoff) -> sp.csr_array:
     """d H / d theta = i [n_a, H], exact for every effective model.
 
     All theta dependence enters through phases of mode-a raising operators,
     so the commutator with the mode-a number operator generates it.
     """
     n_op = sp.diags_array(mode_a_number_diagonal(cut), format="csr")
-    mat = sp.csr_array(ham.mat)
-    return OperatorMatrix((1j * (n_op @ mat - mat @ n_op)).tocsr(), basis=ham.basis)
+    mat = sp.csr_array(ham)
+    return (1j * (n_op @ mat - mat @ n_op)).tocsr()
 
 
 def _form_vector(form: QuadraticBosonForm) -> np.ndarray:
@@ -386,28 +380,39 @@ def form_param_derivative(model: str, p: ModelParams, which: str,
     """Coefficient-wise derivative of an effective model's form.
 
     Uses a five-point fourth-order stencil on the (analytic) coefficient
-    functions; for the superradiant forms the step is shrunk so the stencil
-    never leaves the g > 1 domain.
+    functions: central, or one-sided forward where the backward points would
+    leave the parameter domain (a coupling within two steps of zero).  For
+    the superradiant forms the step is shrunk so the stencil never leaves
+    the g > 1 domain.
     """
     build = _FORMS[model]
     h = step if step is not None else 2e-4 * max(1.0, abs(getattr(p, which)))
+    try:
+        p.shifted(which, -2 * h)
+        central = True
+    except ValueError:
+        central = False
     if model.endswith("_sp"):
         for _ in range(60):
             try:
-                if p.shifted(which, 2 * h).g > 1.0 and p.shifted(which, -2 * h).g > 1.0:
+                if all(p.shifted(which, k * h).g > 1.0 for k in ((-2, 2) if central else (0, 4))):
                     break
             except ValueError:
                 pass
             h /= 2
         else:
             raise ValueError("cannot differentiate this close to the critical point")
-    samples = [_form_vector(build(p.shifted(which, k * h))) for k in (-2, -1, 1, 2)]
-    vec = (samples[0] - 8 * samples[1] + 8 * samples[2] - samples[3]) / (12 * h)
+    if central:
+        f = [_form_vector(build(p.shifted(which, k * h))) for k in (-2, -1, 1, 2)]
+        vec = (f[0] - 8 * f[1] + 8 * f[2] - f[3]) / (12 * h)
+    else:
+        f = [_form_vector(build(p.shifted(which, k * h))) for k in range(5)]
+        vec = (-25 * f[0] + 48 * f[1] - 36 * f[2] + 16 * f[3] - 3 * f[4]) / (12 * h)
     return _vector_form(vec, build(p).modes)
 
 
 def effective_param_derivative(model: str, p: ModelParams, cut: FockCutoff,
-                               which: str) -> OperatorMatrix:
+                               which: str) -> sp.csr_array:
     """Matrix of d H_eff / d(which) on the truncated basis.
 
     Assembled from the cutoff's cached pieces like the Hamiltonian, but not

@@ -11,12 +11,13 @@ from __future__ import annotations
 import dataclasses
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import effective, model, spectra
 from .errors import DegeneracyError
 from .geometry import (GaugeGenerator, QGTComponents, qgt_finite_difference,
                        qgt_matrix_solve, qgt_matrix_sum)
-from .model import ModelParams, OperatorMatrix, Truncation
+from .model import ModelParams, Truncation
 from .effective import FockCutoff
 
 CONCRETE_MODELS = ("full", "cs_np", "cs_sp", "co_np", "co_sp")
@@ -47,21 +48,21 @@ def _check_trunc(name: str, trunc) -> None:
             raise ValueError(f"{name} needs a {want}-mode cutoff")
 
 
-def hamiltonian_matrix(name: str, p: ModelParams, trunc) -> OperatorMatrix:
+def hamiltonian_matrix(name: str, p: ModelParams, trunc) -> sp.csr_array:
     _check_trunc(name, trunc)
     if name == "full":
         return model.full_hamiltonian(p, trunc)
     return effective.form_matrix(effective.effective_form(name, p), trunc)
 
 
-def derivative_matrix(name: str, p: ModelParams, trunc, which: str) -> OperatorMatrix:
+def derivative_matrix(name: str, p: ModelParams, trunc, which: str) -> sp.csr_array:
     _check_trunc(name, trunc)
     if name == "full":
         return model.param_derivative(p, trunc, which)
     return effective.effective_param_derivative(name, p, trunc, which)
 
 
-def ground_eigensystem(name: str, p: ModelParams, ham: OperatorMatrix) -> spectra.Eigensystem:
+def ground_eigensystem(name: str, p: ModelParams, ham: sp.csr_array) -> spectra.Eigensystem:
     """Ground state and the level above it, by the DENSE_SOLVE_LIMIT policy.
 
     At or below the limit this is the full dense spectrum, so the sum over
@@ -71,7 +72,7 @@ def ground_eigensystem(name: str, p: ModelParams, ham: OperatorMatrix) -> spectr
     at p.g.  A truncation compresses an effective form, so by Cauchy
     interlacing its ground energy is not below that estimate.
     """
-    if ham.dim <= spectra.DENSE_SOLVE_LIMIT:
+    if ham.shape[0] <= spectra.DENSE_SOLVE_LIMIT:
         return spectra.dense_eigensystem(ham)
     branch = resolve_branch("auto_cs", p.g) if name == "full" else name
     estimate = spectra.bogoliubov_modes(effective.effective_form(branch, p))
@@ -97,8 +98,7 @@ def photon_number_diagonal(name: str, trunc) -> np.ndarray:
 
 
 def qgt_components(name: str, p: ModelParams, trunc,
-                   labels=("theta", "omega"), method: str | None = None,
-                   richardson: bool | None = None) -> QGTComponents:
+                   labels=("theta", "omega"), method: str | None = None) -> QGTComponents:
     """Ground-state tensor over a label subset, by any of the three methods.
 
     ``method`` is one of "sum", "solve", "fd"; by default the full-spectrum
@@ -122,14 +122,14 @@ def qgt_components(name: str, p: ModelParams, trunc,
     at = p if method == "fd" else dataclasses.replace(p, theta=0.0)
     ham = hamiltonian_matrix(name, at, trunc)
     if method is None:
-        method = "sum" if ham.dim <= spectra.DENSE_SOLVE_LIMIT else "solve"
+        method = "sum" if ham.shape[0] <= spectra.DENSE_SOLVE_LIMIT else "solve"
     es = spectra.dense_eigensystem(ham) if method == "sum" else ground_eigensystem(name, at, ham)
     es.check(ham)
     energy, psi = float(es.energies[0]), es.states[:, 0]
     if method == "fd":
         # the centre of the stencil is the state solved above
         builder = lambda q: psi if q == p else ground_state(name, q, trunc)
-        comp = qgt_finite_difference(builder, p, labels, richardson=richardson)
+        comp = qgt_finite_difference(builder, p, labels)
     else:
         # dH/dtheta = i[n_a, H]: the theta tangent needs no matrix and no solve
         derivs = [GaugeGenerator(photon_number_diagonal(name, trunc)) if label == "theta"

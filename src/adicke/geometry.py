@@ -32,14 +32,20 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import ConvergenceError, DegeneracyError, StencilError
-from .model import ModelParams, OperatorMatrix
+from .model import ModelParams
 from .spectra import Eigensystem, ShiftInvert, gauge_fix, shift_invert
 
-#: Default relative finite-difference step.
+#: Relative finite-difference step.
 FD_STEP = 1e-5
 
 #: Stencil neighbors overlapping less than this indicate a crossing.
 MIN_STENCIL_OVERLAP = 0.5
+
+#: Relative residual bound of each resolvent tangent.
+SOLVE_TOL = 1e-10
+
+#: Largest |Q - Q^dagger| entry that ``metric`` and ``berry`` accept.
+HERMITICITY_TOL = 1e-8
 
 #: Iteration cap of each preconditioned resolvent solve; a factor within one
 #: gap of E0 converges in a few, and the residual check catches the rest.
@@ -95,23 +101,24 @@ class QFIValue:
             raise ValueError(f"negative Fisher information {self.value}")
 
 
-def metric(components: QGTComponents, hermiticity_tol: float = 1e-8) -> np.ndarray:
-    """Real part of the tensor, symmetrized exactly."""
+def _hermitian_q(components: QGTComponents) -> np.ndarray:
+    """The tensor, refused when |Q - Q^dagger| exceeds HERMITICITY_TOL."""
     qm = components.q
     defect = float(np.max(np.abs(qm - qm.conj().T)))
-    if defect > hermiticity_tol:
-        raise ValueError(f"tensor Hermiticity defect {defect:.2e} exceeds {hermiticity_tol}")
-    real = qm.real
+    if defect > HERMITICITY_TOL:
+        raise ValueError(f"tensor Hermiticity defect {defect:.2e} exceeds {HERMITICITY_TOL}")
+    return qm
+
+
+def metric(components: QGTComponents) -> np.ndarray:
+    """Real part of the tensor, symmetrized exactly."""
+    real = _hermitian_q(components).real
     return 0.5 * (real + real.T)
 
 
-def berry(components: QGTComponents, hermiticity_tol: float = 1e-8) -> np.ndarray:
+def berry(components: QGTComponents) -> np.ndarray:
     """Curvature 2 Im Q, antisymmetrized exactly."""
-    qm = components.q
-    defect = float(np.max(np.abs(qm - qm.conj().T)))
-    if defect > hermiticity_tol:
-        raise ValueError(f"tensor Hermiticity defect {defect:.2e} exceeds {hermiticity_tol}")
-    imag = qm.imag
+    imag = _hermitian_q(components).imag
     return imag - imag.T
 
 
@@ -142,7 +149,7 @@ class GaugeGenerator:
         return -1j * (self.diag - np.vdot(psi, self.diag * psi).real) * psi
 
 
-Derivative = OperatorMatrix | GaugeGenerator
+Derivative = sp.csr_array | GaugeGenerator
 
 
 def qgt_from_tangents(tangents: np.ndarray, labels: Sequence[str],
@@ -158,21 +165,21 @@ def qgt_from_tangents(tangents: np.ndarray, labels: Sequence[str],
 
 
 def _tangents(derivs: Sequence[Derivative], psi: np.ndarray,
-              solve: Callable[[list[OperatorMatrix]], np.ndarray]) -> np.ndarray:
+              solve: Callable[[list[sp.csr_array]], np.ndarray]) -> np.ndarray:
     """One tangent column per derivative, in order.
 
     Generators give theirs directly; every derivative matrix goes through one
     call of ``solve``, which returns their tangents as columns.
     """
-    matrices = [d for d in derivs if isinstance(d, OperatorMatrix)]
+    matrices = [d for d in derivs if not isinstance(d, GaugeGenerator)]
     solved = iter(solve(matrices).T if matrices else ())
     return np.stack([d.tangent(psi) if isinstance(d, GaugeGenerator) else next(solved)
                      for d in derivs], axis=1)
 
 
-def _derivative_columns(derivs: Sequence[OperatorMatrix], psi: np.ndarray) -> np.ndarray:
+def _derivative_columns(derivs: Sequence[sp.csr_array], psi: np.ndarray) -> np.ndarray:
     """dH_mu |psi>, one column per derivative."""
-    return np.stack([d.mat @ psi for d in derivs], axis=1)
+    return np.stack([d @ psi for d in derivs], axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -180,17 +187,17 @@ def _derivative_columns(derivs: Sequence[OperatorMatrix], psi: np.ndarray) -> np
 
 
 def qgt_matrix_sum(es: Eigensystem, derivs: Sequence[Derivative],
-                   labels: Sequence[str], n: int = 0) -> QGTComponents:
-    """Assemble the full tensor over a label subset from one spectrum.
+                   labels: Sequence[str]) -> QGTComponents:
+    """Assemble the ground-state tensor over a label subset from one spectrum.
 
-    A derivative matrix has the tangent sum_k |k><k|dH_mu|n>/(E_k - E_n)
-    over k != n.
+    A derivative matrix has the tangent sum_k |k><k|dH_mu|0>/(E_k - E_0)
+    over k != 0.
     """
-    if es.degenerate(n):
-        raise DegeneracyError(f"state {n} is (near-)degenerate; the sum is ill-defined")
-    psi = es.states[:, n]
-    denom = es.energies - es.energies[n]
-    keep = np.arange(es.count) != n
+    if es.degenerate(0):
+        raise DegeneracyError("the ground state is (near-)degenerate; the sum is ill-defined")
+    psi = es.states[:, 0]
+    denom = es.energies - es.energies[0]
+    keep = np.arange(es.count) != 0
     weights = np.zeros_like(denom)
     weights[keep] = 1.0 / denom[keep]
 
@@ -205,8 +212,7 @@ def qgt_matrix_sum(es: Eigensystem, derivs: Sequence[Derivative],
 # method 2: resolvent linear solve
 
 
-def resolvent_tangent(ham: OperatorMatrix, energy: float, psi: np.ndarray,
-                      derivs: Sequence[OperatorMatrix], tol: float = 1e-10,
+def resolvent_tangent(ham, energy: float, psi: np.ndarray, derivs: Sequence[sp.csr_array],
                       factor: ShiftInvert | None = None, gap: float = math.nan) -> np.ndarray:
     """Solve P (H - E0) P |x_mu> = P dH_mu |psi0>, P = 1 - |psi0><psi0|.
 
@@ -219,18 +225,18 @@ def resolvent_tangent(ham: OperatorMatrix, energy: float, psi: np.ndarray,
     holds one tangent per column, in the dtype the inputs need, and every
     column's residual is checked against H - E0.
     """
-    dim = ham.dim
+    dim = ham.shape[0]
     rhs = _derivative_columns(derivs, psi)
     rhs = rhs - np.outer(psi, psi.conj() @ rhs)
     if factor is None or energy - factor.sigma > gap:
         factor = shift_invert(ham, energy, gap)
-    shifted = (sp.csr_array(ham.mat) - energy * sp.identity(dim, format="csr")).tocsr()
+    shifted = (sp.csr_array(ham) - energy * sp.identity(dim, format="csr")).tocsr()
     dtype = np.result_type(shifted.dtype, psi.dtype, rhs.dtype)
     project = lambda v: v - psi * np.vdot(psi, v)
     op = spla.LinearOperator((dim, dim), matvec=lambda v: project(shifted @ v), dtype=dtype)
     precond = spla.LinearOperator((dim, dim), matvec=lambda v: project(factor.solve(v)),
                                   dtype=dtype)
-    bounds = tol * np.maximum(1.0, np.linalg.norm(rhs, axis=0))
+    bounds = SOLVE_TOL * np.maximum(1.0, np.linalg.norm(rhs, axis=0))
     x = np.stack([spla.cg(op, rhs[:, k].astype(dtype), rtol=0.0, atol=1e-3 * bounds[k],
                           maxiter=CG_MAXITER, M=precond)[0]
                   for k in range(rhs.shape[1])], axis=1)
@@ -244,17 +250,16 @@ def resolvent_tangent(ham: OperatorMatrix, energy: float, psi: np.ndarray,
     return x
 
 
-def qgt_matrix_solve(ham: OperatorMatrix, energy: float, psi: np.ndarray,
+def qgt_matrix_solve(ham, energy: float, psi: np.ndarray,
                      derivs: Sequence[Derivative], labels: Sequence[str],
-                     tol: float = 1e-10, factor: ShiftInvert | None = None,
-                     gap: float = math.nan) -> QGTComponents:
+                     factor: ShiftInvert | None = None, gap: float = math.nan) -> QGTComponents:
     """The tensor from resolvent tangents, one factorization for all of them.
 
     ``factor`` and ``gap`` come from the ground-pair solve when it has them
     (``Eigensystem.factor``, ``Eigensystem.gap``); see ``resolvent_tangent``.
     """
     tangents = _tangents(derivs, psi, lambda matrices: resolvent_tangent(
-        ham, energy, psi, matrices, tol=tol, factor=factor, gap=gap))
+        ham, energy, psi, matrices, factor=factor, gap=gap))
     return qgt_from_tangents(tangents, labels, "linear_solve")
 
 
@@ -266,8 +271,7 @@ GroundStateBuilder = Callable[[ModelParams], np.ndarray]
 
 
 def _fd_tangents(builder: GroundStateBuilder, p: ModelParams,
-                 labels: Sequence[str], steps: dict[str, float],
-                 min_overlap: float) -> np.ndarray:
+                 labels: Sequence[str], steps: dict[str, float]) -> np.ndarray:
     """Central-difference tangents, projected off the centre state, one per column."""
     center = gauge_fix(builder(p))
     tangents = []
@@ -276,7 +280,7 @@ def _fd_tangents(builder: GroundStateBuilder, p: ModelParams,
         plus = gauge_fix(builder(p.shifted(label, h)))
         minus = gauge_fix(builder(p.shifted(label, -h)))
         closeness = abs(np.vdot(plus, minus))
-        if closeness < min_overlap:
+        if closeness < MIN_STENCIL_OVERLAP:
             raise StencilError(
                 f"stencil neighbors overlap only {closeness:.3f} along {label}; "
                 "the step is too large or a level crossing sits inside the stencil")
@@ -285,31 +289,25 @@ def _fd_tangents(builder: GroundStateBuilder, p: ModelParams,
     return tangents - np.outer(center, center.conj() @ tangents)
 
 
-def default_steps(p: ModelParams, labels: Sequence[str],
-                  scale: float = FD_STEP) -> dict[str, float]:
-    return {label: scale * max(1.0, abs(getattr(p, label))) for label in labels}
-
-
 def qgt_finite_difference(builder: GroundStateBuilder, p: ModelParams,
-                          labels: Sequence[str], steps: dict[str, float] | None = None,
-                          richardson: bool | None = None,
-                          min_overlap: float = MIN_STENCIL_OVERLAP) -> QGTComponents:
+                          labels: Sequence[str], richardson: bool | None = None) -> QGTComponents:
     """Tensor from central differences of the ground-state family.
 
     ``builder`` maps a parameter point to a normalized ground state; it is
-    re-gauge-fixed here, so any phase convention is accepted.  With
+    re-gauge-fixed here, so any phase convention is accepted.  Each label's
+    step is FD_STEP relative to the parameter (absolute below 1).  With
     ``richardson`` the step is halved once and the two estimates extrapolated;
     it defaults to on near the critical coupling where the state manifold
     curves strongly.
     """
     if richardson is None:
         richardson = abs(p.g - 1.0) <= 0.03
-    steps = dict(steps) if steps is not None else default_steps(p, labels)
-    q = qgt_from_tangents(_fd_tangents(builder, p, labels, steps, min_overlap),
+    steps = {label: FD_STEP * max(1.0, abs(getattr(p, label))) for label in labels}
+    q = qgt_from_tangents(_fd_tangents(builder, p, labels, steps),
                           labels, "finite_difference").q
     if richardson:
         halved = {k: v / 2.0 for k, v in steps.items()}
-        q_h = qgt_from_tangents(_fd_tangents(builder, p, labels, halved, min_overlap),
+        q_h = qgt_from_tangents(_fd_tangents(builder, p, labels, halved),
                                 labels, "finite_difference").q
         q = (4.0 * q_h - q) / 3.0
     return QGTComponents(labels=tuple(labels), q=q, method="finite_difference")

@@ -20,6 +20,10 @@ truncation's sector are cut out of the product basis once and cached per
 truncation; every Hamiltonian and parameter derivative is assembled from
 them.  ``project_parity`` stays as the general sector projection that the
 tests check the cached blocks against.
+
+Every builder returns a ``scipy.sparse.csr_array``: float64 when every
+coefficient is real (theta = 0) and complex otherwise.  Every consumer
+keeps the dtype it is given.
 """
 
 from __future__ import annotations
@@ -137,34 +141,6 @@ class Truncation:
         return (self.n_max + 1) * self.spin_dim
 
 
-@dataclass(frozen=True)
-class OperatorMatrix:
-    """A Hermitian matrix together with a tag naming the basis it lives on.
-
-    Builders return float64 when every coefficient is real (theta = 0) and
-    complex otherwise; every consumer keeps the dtype it is given.
-    """
-
-    mat: object  # scipy.sparse CSR from every builder; numpy.ndarray for small ladders
-    basis: str = ""
-
-    @property
-    def dim(self) -> int:
-        return self.mat.shape[0]
-
-    def toarray(self) -> np.ndarray:
-        if sp.issparse(self.mat):
-            return self.mat.toarray()
-        return np.asarray(self.mat)
-
-    def hermiticity_defect(self) -> float:
-        """Entrywise max |M - M^dagger|."""
-        diff = self.mat - _adjoint(self.mat)
-        if sp.issparse(diff):
-            return float(np.max(np.abs(diff.data))) if diff.nnz else 0.0
-        return float(np.max(np.abs(diff))) if diff.size else 0.0
-
-
 def real_if_exact(c: complex) -> complex | float:
     """A coefficient as a float when its imaginary part is exactly zero.
 
@@ -175,17 +151,11 @@ def real_if_exact(c: complex) -> complex | float:
     return c.real if c.imag == 0.0 else c
 
 
-def _adjoint(mat):
-    if sp.issparse(mat):
-        return mat.conj().T
-    return np.asarray(mat).conj().T
-
-
 # ---------------------------------------------------------------------------
 # elementary operators
 
 
-def boson_operators(n_max: int) -> tuple[OperatorMatrix, OperatorMatrix, OperatorMatrix]:
+def boson_operators(n_max: int) -> tuple[sp.csr_array, sp.csr_array, sp.csr_array]:
     """Truncated ladder matrices (a, a_dag, n) on Fock states |0..n_max>.
 
     The commutator [a, a_dag] equals the identity except for the single corner
@@ -198,11 +168,10 @@ def boson_operators(n_max: int) -> tuple[OperatorMatrix, OperatorMatrix, Operato
     a = np.zeros((dim, dim))
     a[np.arange(n_max), np.arange(1, dim)] = np.sqrt(np.arange(1, dim))
     n_op = np.diag(np.arange(dim, dtype=float))
-    tag = f"fock:{n_max}"
-    return (OperatorMatrix(a, tag), OperatorMatrix(a.T.copy(), tag), OperatorMatrix(n_op, tag))
+    return sp.csr_array(a), sp.csr_array(a.T), sp.csr_array(n_op)
 
 
-def spin_operators(j: float) -> tuple[OperatorMatrix, OperatorMatrix, OperatorMatrix]:
+def spin_operators(j: float) -> tuple[sp.csr_array, sp.csr_array, sp.csr_array]:
     """Collective spin matrices (J+, J-, Jz) on |j, m>, m = -j..j ascending."""
     two_j = 2 * j
     if j <= 0 or abs(two_j - round(two_j)) > 1e-9:
@@ -213,8 +182,7 @@ def spin_operators(j: float) -> tuple[OperatorMatrix, OperatorMatrix, OperatorMa
     amp = np.sqrt(j * (j + 1) - m[:-1] * (m[:-1] + 1))  # <m+1|J+|m>
     jp = np.zeros((dim, dim))
     jp[np.arange(1, dim), np.arange(dim - 1)] = amp
-    tag = f"spin:{j}"
-    return (OperatorMatrix(jp, tag), OperatorMatrix(jp.T.copy(), tag), OperatorMatrix(jz, tag))
+    return sp.csr_array(jp), sp.csr_array(jp.T), sp.csr_array(jz)
 
 
 # ---------------------------------------------------------------------------
@@ -233,10 +201,9 @@ def parity_labels(t: Truncation) -> np.ndarray:
     return np.where((np.add.outer(n, m_shifted) % 2) == 0, 1.0, -1.0).ravel()
 
 
-def parity_operator(t: Truncation) -> OperatorMatrix:
+def parity_operator(t: Truncation) -> sp.csr_array:
     """The Z2 parity, diagonal with entries +-1; squares to the identity."""
-    return OperatorMatrix(sp.diags_array(parity_labels(t), format="csr"),
-                          basis=_basis_tag(t, "full"))
+    return sp.diags_array(parity_labels(t), format="csr")
 
 
 def parity_indices(t: Truncation, sector: str) -> np.ndarray:
@@ -249,34 +216,24 @@ def parity_indices(t: Truncation, sector: str) -> np.ndarray:
     raise ValueError(f"sector must be 'positive' or 'negative', got {sector!r}")
 
 
-def project_parity(m: OperatorMatrix, t: Truncation,
-                   sector: str) -> tuple[OperatorMatrix, np.ndarray]:
+def project_parity(m, t: Truncation, sector: str) -> tuple[sp.csr_array, np.ndarray]:
     """Restrict a parity-commuting operator to one sector.
 
-    Returns the sector block and the index map embedding it back into the
-    full basis.  Raises if the operator mixes the sectors, i.e. the caller
-    passed something that does not commute with the parity.  The builders
+    ``m`` is sparse or dense.  Returns the CSR sector block and the index
+    map embedding it back into the full basis.  Raises if the operator
+    mixes the sectors, i.e. the caller passed something that does not
+    commute with the parity.  The builders
     do not call it (they cut their pieces once per truncation); it is the
     general projection the tests check them against.
     """
     idx = parity_indices(t, sector)
     comp = np.setdiff1d(np.arange(t.dim), idx, assume_unique=True)
-    rows = sp.csr_array(m.mat)[idx]
+    rows = sp.csr_array(m)[idx]
     off = rows[:, comp]
     off_max = float(np.max(np.abs(off.data))) if off.nnz else 0.0
     if off_max > 1e-12:
         raise ValueError(f"operator does not commute with parity (off-block max {off_max:.2e})")
-    return OperatorMatrix(rows[:, idx].tocsr(), basis=m.basis + f"|{sector}"), idx
-
-
-def _basis_tag(t: Truncation, sector: str) -> str:
-    return f"product:n{t.n_max}:s{t.spin_dim}:{sector}"
-
-
-def _sector_tag(t: Truncation) -> str:
-    """Tag of the basis every builder returns: the full basis, or one sector of it."""
-    tag = _basis_tag(t, "full")
-    return tag if t.parity_sector == "full" else f"{tag}|{t.parity_sector}"
+    return rows[:, idx].tocsr(), idx
 
 
 @functools.lru_cache(maxsize=PIECE_CACHE_SIZE)
@@ -288,8 +245,8 @@ def _sector_pieces(t: Truncation) -> tuple[sp.csr_array, ...]:
     and derivative on this truncation is a combination of the cached blocks.
     The blocks are read-only; j = (spin_dim - 1)/2 follows from the key.
     """
-    _, adag, n_op = (sp.csr_array(op.mat) for op in boson_operators(t.n_max))
-    jp, jm, jz = (sp.csr_array(op.mat) for op in spin_operators((t.spin_dim - 1) / 2))
+    _, adag, n_op = boson_operators(t.n_max)
+    jp, jm, jz = spin_operators((t.spin_dim - 1) / 2)
     eye_b = sp.identity(t.n_max + 1, format="csr")
     eye_s = sp.identity(t.spin_dim, format="csr")
     pieces = (sp.kron(n_op, eye_s, format="csr"), sp.kron(eye_b, jz, format="csr"),
@@ -312,7 +269,7 @@ def _coupling(p: ModelParams, raising) -> sp.csr_array:
 
 
 def full_hamiltonian(p: ModelParams, t: Truncation,
-                     max_dim: int = DEFAULT_MAX_DIM) -> OperatorMatrix:
+                     max_dim: int = DEFAULT_MAX_DIM) -> sp.csr_array:
     """Hamiltonian matrix on the photon-major product basis.
 
     With ``t.parity_sector`` set to 'positive' or 'negative' the sector
@@ -324,10 +281,10 @@ def full_hamiltonian(p: ModelParams, t: Truncation,
     number, jz, up_minus, up_plus = _sector_pieces(t)
     ham = (p.omega * number + p.Omega * jz + p.lambda1 * _coupling(p, up_minus)
            + p.lambda2 * _coupling(p, up_plus))
-    return OperatorMatrix(ham.tocsr(), basis=_sector_tag(t))
+    return ham.tocsr()
 
 
-def param_derivative(p: ModelParams, t: Truncation, which: str) -> OperatorMatrix:
+def param_derivative(p: ModelParams, t: Truncation, which: str) -> sp.csr_array:
     """Exact derivative of the Hamiltonian with respect to one primary parameter.
 
     Every derivative commutes with the parity, so it lives on the same
@@ -348,7 +305,7 @@ def param_derivative(p: ModelParams, t: Truncation, which: str) -> OperatorMatri
     else:  # theta: i [a'a, H]; only the couplings fail to commute with a'a
         coupling = p.lambda1 * _coupling(p, up_minus) + p.lambda2 * _coupling(p, up_plus)
         deriv = 1j * (number @ coupling - coupling @ number)
-    return OperatorMatrix(deriv.tocsr(), basis=_sector_tag(t))
+    return deriv.tocsr()
 
 
 def photon_number_diagonal(t: Truncation) -> np.ndarray:

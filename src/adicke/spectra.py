@@ -25,7 +25,6 @@ import scipy.sparse.linalg as spla
 
 from .effective import QuadraticBosonForm
 from .errors import ConvergenceError, TruncationError
-from .model import OperatorMatrix
 
 #: The one dense/sparse policy, keyed on the dimension of the matrix that is
 #: solved (the parity-sector block for the full model).  At or below it a
@@ -44,25 +43,34 @@ DENSE_EIG_LIMIT = 4000
 #: Levels closer than this (relative to the spectral scale) count as degenerate.
 DEGENERACY_RTOL = 1e-10
 
+#: Eigenpair residual bound of ``Eigensystem.check``, relative to the matrix norm.
+RESIDUAL_RTOL = 1e-9
+
+#: Largest entry of V^dagger V - 1 that ``Eigensystem.check`` accepts.
+ORTHO_TOL = 1e-10
+
+#: Components whose magnitudes agree within this (relative) tie in ``gauge_fix``.
+GAUGE_TIE_TOL = 1e-12
+
 #: Shifts tried below an energy estimate, the step growing 4x each time,
 #: before the Gershgorin floor.
 SHIFT_TRIES = 4
 
 
-def gauge_fix(v: np.ndarray, tie_tol: float = 1e-12) -> np.ndarray:
+def gauge_fix(v: np.ndarray) -> np.ndarray:
     """Rotate a state's global phase so its largest component is real positive.
 
     ``v`` is one state or a matrix holding one state per column; each column
     is fixed on its own.  Components whose magnitudes agree within
-    ``tie_tol`` (relative) are tied; the lowest basis index wins, keeping the
-    choice deterministic.  A real vector stays real: its phase is the sign of
-    the pivot.  A zero column is returned unchanged.
+    GAUGE_TIE_TOL (relative) are tied; the lowest basis index wins, keeping
+    the choice deterministic.  A real vector stays real: its phase is the
+    sign of the pivot.  A zero column is returned unchanged.
     """
     v = np.asarray(v)
     cols = v.reshape(v.shape[0], -1)
     mags = np.abs(cols)
     top = mags.max(axis=0)
-    pivot = np.argmax(mags >= top * (1.0 - tie_tol), axis=0)  # first tied index
+    pivot = np.argmax(mags >= top * (1.0 - GAUGE_TIE_TOL), axis=0)  # first tied index
     at = np.arange(cols.shape[1])
     nonzero = top > 0.0
     phase = np.where(nonzero, cols[pivot, at] / np.where(nonzero, mags[pivot, at], 1.0), 1.0)
@@ -84,9 +92,9 @@ class ShiftInvert:
         return self.lu.solve(rhs)
 
 
-def gershgorin_floor(op: OperatorMatrix) -> float:
+def gershgorin_floor(op) -> float:
     """min_i (H_ii - sum_{j != i} |H_ij|): no eigenvalue of H lies below it."""
-    h = sp.csr_array(op.mat)
+    h = sp.csr_array(op)
     diag = h.diagonal()
     radius = np.asarray(abs(h).sum(axis=1)).ravel() - np.abs(diag)
     return float(np.min(diag.real - radius))
@@ -110,7 +118,7 @@ def _certified_factor(shifted: sp.csc_array) -> spla.SuperLU | None:
     return None
 
 
-def shift_invert(op: OperatorMatrix, energy: float = math.nan,
+def shift_invert(op, energy: float = math.nan,
                  gap: float = math.nan) -> ShiftInvert:
     """Factor H - sigma for a sigma certified below the lowest eigenvalue of H.
 
@@ -122,8 +130,8 @@ def shift_invert(op: OperatorMatrix, energy: float = math.nan,
     above it, is the Gershgorin floor, which lies below the spectrum by
     construction.
     """
-    h = sp.csc_array(op.mat)
-    eye = sp.identity(op.dim, format="csc")
+    h = sp.csc_array(op)
+    eye = sp.identity(op.shape[0], format="csc")
     floor = gershgorin_floor(op)
     shifts = []
     if energy > floor:  # False for a NaN estimate
@@ -151,12 +159,7 @@ class Eigensystem:
 
     energies: np.ndarray
     states: np.ndarray  # one eigenvector per column
-    sector: str = ""
     factor: ShiftInvert | None = field(default=None, compare=False, repr=False)
-
-    @property
-    def dim(self) -> int:
-        return self.states.shape[0]
 
     @property
     def count(self) -> int:
@@ -167,39 +170,38 @@ class Eigensystem:
         """Distance from the lowest level to the next; NaN for a single level."""
         return float(self.energies[1] - self.energies[0]) if self.count > 1 else float("nan")
 
-    def degenerate(self, n: int, rtol: float = DEGENERACY_RTOL) -> bool:
-        """Whether level n is closer than rtol * spectral scale to a neighbor."""
+    def degenerate(self, n: int) -> bool:
+        """Whether level n is closer than DEGENERACY_RTOL * spectral scale to a neighbor."""
         scale = max(1.0, float(np.max(np.abs(self.energies))))
         gaps = []
         if n > 0:
             gaps.append(self.energies[n] - self.energies[n - 1])
         if n + 1 < self.count:
             gaps.append(self.energies[n + 1] - self.energies[n])
-        return bool(gaps) and min(gaps) < rtol * scale
+        return bool(gaps) and min(gaps) < DEGENERACY_RTOL * scale
 
-    def check(self, op: OperatorMatrix, residual_rtol: float = 1e-9,
-              ortho_tol: float = 1e-10) -> None:
+    def check(self, h) -> None:
         """Validate residuals and orthonormality against the source matrix."""
-        h = op.mat
         norm = float(spla.norm(h)) if sp.issparse(h) else float(np.linalg.norm(h))
         res = h @ self.states - self.states * self.energies[None, :]
         worst = float(np.max(np.linalg.norm(res, axis=0)))
-        if worst > residual_rtol * max(norm, 1.0):
+        if worst > RESIDUAL_RTOL * max(norm, 1.0):
             raise ConvergenceError(f"eigenpair residual {worst:.2e} exceeds tolerance",
                                    residual=worst)
         overlaps = self.states.conj().T @ self.states
         defect = float(np.max(np.abs(overlaps - np.eye(self.count))))
-        if defect > ortho_tol:
+        if defect > ORTHO_TOL:
             raise ConvergenceError(f"orthonormality defect {defect:.2e}", residual=defect)
 
 
-def dense_eigensystem(op: OperatorMatrix, dense_limit: int = DENSE_EIG_LIMIT) -> Eigensystem:
-    """Full spectrum of a Hermitian matrix, ascending, gauge-fixed."""
-    if op.dim > dense_limit:
+def dense_eigensystem(op, dense_limit: int = DENSE_EIG_LIMIT) -> Eigensystem:
+    """Full spectrum of a Hermitian matrix, sparse or dense, ascending, gauge-fixed."""
+    dim = op.shape[0]
+    if dim > dense_limit:
         raise TruncationError(
-            f"dimension {op.dim} exceeds the dense limit {dense_limit}; use lowest_k instead")
-    energies, states = la.eigh(op.toarray())
-    return Eigensystem(energies=energies, states=gauge_fix(states), sector=op.basis)
+            f"dimension {dim} exceeds the dense limit {dense_limit}; use lowest_k instead")
+    energies, states = la.eigh(op.toarray() if sp.issparse(op) else np.asarray(op))
+    return Eigensystem(energies=energies, states=gauge_fix(states))
 
 
 def _start_vector(dim: int) -> np.ndarray:
@@ -208,34 +210,31 @@ def _start_vector(dim: int) -> np.ndarray:
     return pattern / np.linalg.norm(pattern)
 
 
-def lowest_k(op: OperatorMatrix, k: int, tol: float = 0.0, maxiter: int | None = None,
-             estimate: NormalModes | None = None) -> Eigensystem:
+def lowest_k(op, k: int, estimate: NormalModes | None = None) -> Eigensystem:
     """The k lowest eigenpairs of a (possibly sparse) Hermitian matrix.
 
     Shift-invert Lanczos about a shift certified below the spectrum (see
     ``shift_invert``), placed by the ground energy and gap of ``estimate``
     when it is stable; the factor is kept on the result.
     """
-    dim = op.dim
+    dim = op.shape[0]
     if k >= dim - 1:
         # ARPACK needs k < dim - 1; below that just take the dense route.
         es = dense_eigensystem(op)
-        return Eigensystem(energies=es.energies[:k], states=es.states[:, :k],
-                           sector=es.sector)
+        return Eigensystem(energies=es.energies[:k], states=es.states[:, :k])
     stable = estimate is not None and estimate.stable
     factor = shift_invert(op, estimate.ground_energy, estimate.gap) if stable else shift_invert(op)
     opinv = spla.LinearOperator((dim, dim), matvec=factor.solve, dtype=factor.dtype)
     try:
-        energies, states = spla.eigsh(op.mat, k=k, sigma=factor.sigma, which="LM",
-                                      OPinv=opinv, v0=_start_vector(dim), tol=tol,
-                                      maxiter=maxiter)
+        energies, states = spla.eigsh(op, k=k, sigma=factor.sigma, which="LM",
+                                      OPinv=opinv, v0=_start_vector(dim))
     except spla.ArpackNoConvergence as exc:
         found = len(exc.eigenvalues)
         raise ConvergenceError(
             f"iterative eigensolver converged only {found}/{k} pairs", residual=None) from exc
     order = np.argsort(energies)
     return Eigensystem(energies=energies[order], states=gauge_fix(states[:, order]),
-                       sector=op.basis, factor=factor)
+                       factor=factor)
 
 
 # ---------------------------------------------------------------------------

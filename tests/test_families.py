@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from adicke import (FockCutoff, ModelParams, Truncation, bogoliubov_modes,
                     dense_eigensystem, effective_form, geometry)
@@ -53,7 +54,7 @@ def test_default_method_switches_with_dimension():
     assert above.method == "linear_solve"
     # the full model is solved in one parity sector, about half the product basis
     trunc = Truncation.for_spin(DENSE_SOLVE_LIMIT // 5, 2.0, "positive")
-    assert trunc.dim > DENSE_SOLVE_LIMIT >= hamiltonian_matrix("full", p, trunc).dim
+    assert trunc.dim > DENSE_SOLVE_LIMIT >= hamiltonian_matrix("full", p, trunc).shape[0]
     sector = qgt_components("full", p, trunc, labels=("omega",))
     assert sector.method == "sum_over_states"
 
@@ -102,10 +103,15 @@ THETA_CASES = [
 def test_builders_are_real_exactly_at_theta_zero(name, g, trunc, j):
     for theta, dtype in ((0.0, np.float64), (0.3, np.complex128)):
         p = ModelParams.from_ratios(g, gamma=2.0, theta=theta, j=j)
-        assert hamiltonian_matrix(name, p, trunc).mat.dtype == dtype
-        assert derivative_matrix(name, p, trunc, "lambda1").mat.dtype == dtype
+        ham = hamiltonian_matrix(name, p, trunc)
+        d_lambda1 = derivative_matrix(name, p, trunc, "lambda1")
+        d_theta = derivative_matrix(name, p, trunc, "theta")
+        for mat in (ham, d_lambda1, d_theta):
+            assert isinstance(mat, sp.csr_array)
+        assert ham.dtype == dtype
+        assert d_lambda1.dtype == dtype
         # i [n_a, H] is imaginary even where H is real
-        assert derivative_matrix(name, p, trunc, "theta").mat.dtype == np.complex128
+        assert d_theta.dtype == np.complex128
 
 
 @pytest.mark.parametrize("theta", [0.3, 1.1])
@@ -133,7 +139,7 @@ def test_real_core_matches_complex_sum_at_theta(name, g, trunc, j, theta):
 ])
 def test_solve_just_above_the_limit_matches_sum(name, g, trunc, j):
     p = ModelParams.from_ratios(g, gamma=2.0, j=j)
-    dim = hamiltonian_matrix(name, p, trunc).dim
+    dim = hamiltonian_matrix(name, p, trunc).shape[0]
     assert DENSE_SOLVE_LIMIT < dim <= DENSE_SOLVE_LIMIT + 16
     solved = qgt_components(name, p, trunc, labels=FIVE_LABELS)
     assert solved.method == "linear_solve"
@@ -161,3 +167,15 @@ def test_five_label_solve_point_factors_once(monkeypatch):
                           method="solve")
     assert comp.method == "linear_solve"
     assert counts == {"splu": 1, "resolvent_tangent": 1}
+
+
+@pytest.mark.parametrize("omega,Omega", [(1.0, 1.0), (0.8, 1.5)])
+def test_coupling_tensor_at_zero_coupling_matches_the_full_model(omega, Omega):
+    # a zero coupling cannot be stepped below zero, so its stencil is one-sided
+    p = ModelParams(omega=omega, Omega=Omega, j=10.0)
+    labels = ("lambda1", "lambda2")
+    want = np.diag([0.0, 1.0 / (omega + Omega) ** 2])
+    effective = qgt_components("cs_np", p, FockCutoff(6, 6), labels=labels)
+    full = qgt_components("full", p, Truncation.for_spin(6, p.j), labels=labels)
+    assert float(np.abs(full.q - want).max()) < 1e-12
+    assert float(np.abs(effective.q - full.q).max()) < 1e-10

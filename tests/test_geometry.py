@@ -41,8 +41,7 @@ def test_sum_vanishes_when_decoupled():
 def test_sum_refuses_degenerate_state():
     es = Eigensystem(energies=np.array([0.0, 1e-14, 1.0]),
                      states=np.eye(3, dtype=complex))
-    from adicke.model import OperatorMatrix
-    d = OperatorMatrix(np.eye(3, dtype=complex))
+    d = np.eye(3, dtype=complex)
     with pytest.raises(DegeneracyError):
         qgt_matrix_sum(es, [d], ("omega",))
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
-from adicke import (FockCutoff, ModelParams, NormalModes, OperatorMatrix, Truncation,
+from adicke import (FockCutoff, ModelParams, NormalModes, Truncation,
                     TruncationError, bogoliubov_modes, dense_eigensystem,
                     full_hamiltonian, gauge_fix, lowest_k)
 from adicke.effective import (QuadraticBosonForm, co_normal_form, cs_normal_form,
@@ -17,7 +17,7 @@ from adicke.spectra import DENSE_SOLVE_LIMIT, gershgorin_floor
 
 def test_dense_diagonal_matrix():
     diag = np.array([3.0, -1.0, 2.0, 0.0])
-    es = dense_eigensystem(OperatorMatrix(np.diag(diag)))
+    es = dense_eigensystem(np.diag(diag))
     assert np.allclose(es.energies, np.sort(diag))
 
 
@@ -31,15 +31,15 @@ def test_dense_decoupled_ground():
 def test_dense_random_hermitian_reconstruction():
     rng = np.random.default_rng(5)
     raw = rng.normal(size=(50, 50)) + 1j * rng.normal(size=(50, 50))
-    herm = OperatorMatrix((raw + raw.conj().T) / 2)
+    herm = (raw + raw.conj().T) / 2
     es = dense_eigensystem(herm)
     rebuilt = es.states @ np.diag(es.energies) @ es.states.conj().T
-    assert np.max(np.abs(rebuilt - herm.mat)) < 1e-10
+    assert np.max(np.abs(rebuilt - herm)) < 1e-10
     es.check(herm)  # residuals and orthonormality
 
 
 def test_dense_limit_error():
-    big = OperatorMatrix(np.eye(10))
+    big = np.eye(10)
     with pytest.raises(TruncationError, match="lowest_k"):
         dense_eigensystem(big, dense_limit=5)
 
@@ -56,7 +56,7 @@ def test_lowest_k_matches_dense_ground():
 
 def test_lowest_k_diagonal():
     diag = np.array([5.0, 1.0, 4.0, 0.5, 2.0, 9.0, 7.0, 3.0])
-    es = lowest_k(OperatorMatrix(np.diag(diag)), 3)
+    es = lowest_k(np.diag(diag), 3)
     assert np.allclose(es.energies, [0.5, 1.0, 2.0], atol=1e-12)
 
 
@@ -143,7 +143,7 @@ def test_gauge_fix_columns_match_the_per_column_rule(dtype):
 def _above_limit_hamiltonian(theta=0.0):
     p = ModelParams.from_ratios(0.9, gamma=2.0, eta=1.0, theta=theta, j=5.0)
     ham = full_hamiltonian(p, Truncation.for_spin(60, p.j, "positive"))
-    assert ham.dim > DENSE_SOLVE_LIMIT
+    assert ham.shape[0] > DENSE_SOLVE_LIMIT
     return p, ham
 
 
@@ -188,7 +188,7 @@ def test_missing_or_unstable_estimate_starts_at_the_gershgorin_floor(case):
 
 def test_shift_invert_pairs_of_a_complex_hermitian_matrix():
     p, ham = _above_limit_hamiltonian(theta=0.7)
-    assert ham.mat.dtype == np.complex128
+    assert ham.dtype == np.complex128
     es = lowest_k(ham, 3, estimate=bogoliubov_modes(cs_normal_form(p)))
     assert es.factor.sigma < es.energies[0]
     _assert_pairs_match_dense(es, ham)

@@ -146,7 +146,7 @@ def test_solve_points_above_the_limit_factor_once_without_sa(monkeypatch):
     monkeypatch.setattr(spla, "eigsh", recorded_eigsh)
     p = ModelParams.from_ratios(0.9, gamma=2.0, eta=1.0, j=5.0)
     trunc = Truncation.for_spin(60, p.j, "positive")
-    assert families.hamiltonian_matrix("full", p, trunc).dim > spectra.DENSE_SOLVE_LIMIT
+    assert families.hamiltonian_matrix("full", p, trunc).shape[0] > spectra.DENSE_SOLVE_LIMIT
     comp = qgt_components("full", p, trunc, labels=("theta", "omega"))
     assert comp.method == "linear_solve"
     assert calls == {"splu": 1, "which": ["LM"]}
