@@ -9,9 +9,13 @@ Four models are provided, each exact in its limit and phase:
   (Omega/omega -> inf at finite j), obtained by projecting onto the lowest
   spin state; a single quadratic mode.
 
-All four are bilinear in ladder operators, so an exact symplectic
-normal-mode treatment is available (see :func:`adicke.spectra.bogoliubov_modes`)
-alongside the truncated-matrix route built here.
+All four are bilinear in ladder operators, so their ground states are
+Gaussian and need no Fock cutoff: the normal modes come from the form's
+single-particle matrix (:func:`adicke.spectra.symplectic_transform`), and
+the ground-state tensor is a finite sum over mode pairs of the derivative
+forms built here (:func:`adicke.geometry.qgt_gaussian`).  That is what
+``families.qgt_components`` computes when it is given no cutoff.  The
+truncated matrices built here on a ``FockCutoff`` are kept as its oracle.
 """
 
 from __future__ import annotations
@@ -27,6 +31,13 @@ import scipy.sparse as sp
 from .model import (DEFAULT_MAX_DIM, PIECE_CACHE_SIZE, ModelParams, boson_operators,
                     real_if_exact)
 from .errors import TruncationError
+
+#: Step of ``form_param_derivative``, relative to the parameter (absolute below 1).
+FORM_STEP = 2e-4
+
+#: Largest rebuild defect, relative to the matrix scale, that
+#: ``quadratic_form`` accepts.
+QUADRATIC_FORM_TOL = 1e-14
 
 
 @dataclass(frozen=True)
@@ -307,13 +318,12 @@ def mode_a_number_diagonal(cut: FockCutoff) -> np.ndarray:
 # coefficient extraction (feeds the symplectic oracle)
 
 
-def quadratic_form(m, cut: FockCutoff,
-                   tol: float = 1e-14) -> QuadraticBosonForm:
+def quadratic_form(m, cut: FockCutoff) -> QuadraticBosonForm:
     """Read the coefficient table back off a matrix, sparse or dense.
 
-    The extracted coefficients must rebuild the matrix entrywise (relative to
-    its scale); anything else -- linear terms, cubic terms, a foreign basis --
-    is rejected.
+    The extracted coefficients must rebuild the matrix entrywise, within
+    QUADRATIC_FORM_TOL of its scale; anything else -- linear terms, cubic
+    terms, a foreign basis -- is rejected.
     """
     mat = m.toarray() if sp.issparse(m) else np.asarray(m)
     if mat.shape[0] != cut.dim:
@@ -342,7 +352,7 @@ def quadratic_form(m, cut: FockCutoff,
     rebuilt = form_matrix(form, cut).toarray()
     scale = max(1.0, float(np.max(np.abs(mat))))
     defect = float(np.max(np.abs(rebuilt - mat)))
-    if defect > tol * scale:
+    if defect > QUADRATIC_FORM_TOL * scale:
         raise ValueError(f"matrix is not quadratic in the expected monomials "
                          f"(rebuild defect {defect:.2e})")
     return form
@@ -375,18 +385,25 @@ def _vector_form(vec: np.ndarray, modes: int) -> QuadraticBosonForm:
                               squeeze=vec[4], const=vec[5].real)
 
 
-def form_param_derivative(model: str, p: ModelParams, which: str,
-                          step: float | None = None) -> QuadraticBosonForm:
+def form_param_derivative(model: str, p: ModelParams, which: str) -> QuadraticBosonForm:
     """Coefficient-wise derivative of an effective model's form.
 
-    Uses a five-point fourth-order stencil on the (analytic) coefficient
-    functions: central, or one-sided forward where the backward points would
-    leave the parameter domain (a coupling within two steps of zero).  For
-    the superradiant forms the step is shrunk so the stencil never leaves
-    the g > 1 domain.
+    The theta derivative is exact: theta enters every form only as the phase
+    e^{i theta} of each a' (``theta_derivative_matrix``), so it multiplies
+    hop and pair by i and squeeze by 2i and removes the rest.  Any other
+    label uses a five-point fourth-order stencil on the (analytic)
+    coefficient functions, of step FORM_STEP relative to the parameter:
+    central, or one-sided forward where the backward points would leave the
+    parameter domain (a coupling within two steps of zero).  For the
+    superradiant forms the step is shrunk so the stencil never leaves the
+    g > 1 domain.
     """
     build = _FORMS[model]
-    h = step if step is not None else 2e-4 * max(1.0, abs(getattr(p, which)))
+    if which == "theta":
+        form = build(p)
+        return QuadraticBosonForm(modes=form.modes, n_a=0.0, const=0.0, hop=1j * form.hop,
+                                  pair=1j * form.pair, squeeze=2j * form.squeeze)
+    h = FORM_STEP * max(1.0, abs(getattr(p, which)))
     try:
         p.shifted(which, -2 * h)
         central = True

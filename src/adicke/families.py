@@ -16,7 +16,7 @@ import scipy.sparse as sp
 from . import effective, model, spectra
 from .errors import DegeneracyError
 from .geometry import (GaugeGenerator, QGTComponents, qgt_finite_difference,
-                       qgt_matrix_solve, qgt_matrix_sum)
+                       qgt_gaussian, qgt_matrix_solve, qgt_matrix_sum)
 from .model import ModelParams, Truncation
 from .effective import FockCutoff
 
@@ -97,13 +97,36 @@ def photon_number_diagonal(name: str, trunc) -> np.ndarray:
     return effective.mode_a_number_diagonal(trunc)
 
 
-def qgt_components(name: str, p: ModelParams, trunc,
-                   labels=("theta", "omega"), method: str | None = None) -> QGTComponents:
-    """Ground-state tensor over a label subset, by any of the three methods.
+def _gaussian_components(name: str, p: ModelParams, labels: tuple[str, ...]) -> QGTComponents:
+    """Exact ground-state tensor of an effective model: no Fock cutoff, no eigensolve.
 
-    ``method`` is one of "sum", "solve", "fd"; by default the full-spectrum
-    sum is used when the solved matrix has at most spectra.DENSE_SOLVE_LIMIT
-    rows and the linear solve above it.  The Hamiltonian is built and
+    The form's normal modes come from its 2n x 2n single-particle matrix
+    and are certified (``spectra.check_symplectic``); the tensor is the pair
+    sum of ``geometry.qgt_gaussian`` over the derivative forms.  Like "sum"
+    and "solve" it works at theta = 0, where the theta derivative form is
+    exact.  The energy and gap are those of ``spectra.bogoliubov_modes``.
+    """
+    at = dataclasses.replace(p, theta=0.0)
+    form = effective.effective_form(name, at)
+    eps, t = spectra.symplectic_transform(form)
+    spectra.check_symplectic(form, eps, t)
+    derivs = [spectra.single_particle_matrix(effective.form_param_derivative(name, at, label))
+              for label in labels]
+    modes = spectra.bogoliubov_modes(form)
+    return dataclasses.replace(qgt_gaussian(eps, t, derivs, labels),
+                               energy=modes.ground_energy, gap=modes.gap)
+
+
+def qgt_components(name: str, p: ModelParams, trunc=None,
+                   labels=("theta", "omega"), method: str | None = None) -> QGTComponents:
+    """Ground-state tensor over a label subset: exact, or on a truncation.
+
+    With no truncation an effective model takes the exact Gaussian route
+    (``_gaussian_components``), and ``method`` must be left unset.  Given a
+    truncation -- which the full model always needs -- ``method`` is one of
+    "sum", "solve", "fd"; by default the full-spectrum sum is used when the
+    solved matrix has at most spectra.DENSE_SOLVE_LIMIT rows and the linear
+    solve above it.  The Hamiltonian is built and
     diagonalized once, and the solved pairs are checked against it; the
     result carries its ground energy and gap.
 
@@ -119,6 +142,10 @@ def qgt_components(name: str, p: ModelParams, trunc,
     labels = tuple(labels)
     if method not in (None, "sum", "solve", "fd"):
         raise ValueError(f"unknown method {method!r}; expected 'sum', 'solve' or 'fd'")
+    if trunc is None and name != "full":
+        if method is not None:
+            raise ValueError(f"method {method!r} needs a truncation")
+        return _gaussian_components(name, p, labels)
     at = p if method == "fd" else dataclasses.replace(p, theta=0.0)
     ham = hamiltonian_matrix(name, at, trunc)
     if method is None:
@@ -145,8 +172,8 @@ def qgt_components(name: str, p: ModelParams, trunc,
     return dataclasses.replace(comp, energy=energy, gap=es.gap)
 
 
-def qfi_omega(name: str, p: ModelParams, trunc, method: str | None = None) -> float:
-    """Fisher information of the field frequency, 4 G_omega_omega."""
+def qfi_omega(name: str, p: ModelParams, trunc=None, method: str | None = None) -> float:
+    """Fisher information of the field frequency, 4 G_omega_omega (see qgt_components)."""
     comp = qgt_components(name, p, trunc, labels=("omega",), method=method)
     return comp.qfi("omega").value
 

@@ -1,4 +1,5 @@
-"""Quantum geometric tensor of a nondegenerate eigenstate, three ways.
+"""Quantum geometric tensor of a nondegenerate eigenstate, three ways, and exactly
+for a Gaussian ground state.
 
 * sum over states   -- perturbative sum over the full spectrum,
 * linear solve      -- resolvent tangents |x_mu> = (H - E0)^+ P dH_mu |psi0>,
@@ -14,6 +15,10 @@ real or complex inputs and keep their dtype.  A derivative given as a
 ``GaugeGenerator`` (dH = i[G, H], G diagonal) gets its tangent in closed
 form; ``families.qgt_components`` feeds the sum and the solve the real
 theta = 0 problem with the theta derivative in that form.
+
+The ground state of a quadratic boson form is Gaussian, and its tensor is a
+finite sum over normal-mode pairs (``qgt_gaussian``), with no Fock cutoff;
+the three methods above are its oracle on the truncated matrices.
 
 All three agree on tractable problems; they validate each other in the test
 suite.  The real part of the tensor is the metric, the imaginary part gives
@@ -311,3 +316,28 @@ def qgt_finite_difference(builder: GroundStateBuilder, p: ModelParams,
                                 labels, "finite_difference").q
         q = (4.0 * q_h - q) / 3.0
     return QGTComponents(labels=tuple(labels), q=q, method="finite_difference")
+
+
+# ---------------------------------------------------------------------------
+# exact: the pair sum of a Gaussian ground state
+
+
+def qgt_gaussian(eps: np.ndarray, t: np.ndarray, derivs: Sequence[np.ndarray],
+                 labels: Sequence[str]) -> QGTComponents:
+    """The tensor of the vacuum of the normal modes, summed over mode pairs.
+
+    ``eps`` and ``t`` come from ``spectra.symplectic_transform``, so that
+    alpha = T beta with beta = (c, c'); each derivative is the
+    single-particle matrix D_mu of dH_mu = alpha^dagger D_mu alpha / 2 + const
+    (``spectra.single_particle_matrix`` of a derivative form).  dH_mu reaches
+    the vacuum only through the pair block B^mu = (T^dagger D_mu T)[:n, n:],
+    which creates c_k' c_l' at energy eps_k + eps_l, so
+    Q_mu_nu = 1/2 sum_kl conj(B^mu_kl) B^nu_kl / (eps_k + eps_l)^2, exactly
+    (Colpa, Physica A 93, 327 (1978); Safranek, arXiv:1801.00299).  The
+    tangent of dH_mu in the pair basis is B^mu / (eps_k + eps_l) / sqrt(2).
+    """
+    n = eps.size
+    pairs = np.stack([(t.conj().T @ d @ t)[:n, n:] for d in derivs])
+    pairs = pairs / (eps[:, None] + eps[None, :])
+    tangents = pairs.reshape(len(derivs), n * n).T / math.sqrt(2.0)
+    return qgt_from_tangents(tangents, labels, "gaussian")

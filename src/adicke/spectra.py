@@ -11,6 +11,11 @@ Above the dense limit the lowest pairs come from shift-invert Lanczos
 (Ericsson & Ruhe, Math. Comp. 35, 1251 (1980)) about a shift certified to lie
 below the spectrum; the factor of the shifted matrix is kept on the result,
 so the resolvent solve of the same point needs no second factorization.
+
+A quadratic boson form needs no matrix at all: its normal-mode energies come
+from its single-particle matrix, and ``symplectic_transform`` gives the
+transform to the normal modes (Colpa, Physica A 93, 327 (1978)), certified
+by ``check_symplectic``.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .effective import QuadraticBosonForm
-from .errors import ConvergenceError, TruncationError
+from .errors import ConvergenceError, DegeneracyError, TruncationError
 
 #: The one dense/sparse policy, keyed on the dimension of the matrix that is
 #: solved (the parity-sector block for the full model).  At or below it a
@@ -55,6 +60,20 @@ GAUGE_TIE_TOL = 1e-12
 #: Shifts tried below an energy estimate, the step growing 4x each time,
 #: before the Gershgorin floor.
 SHIFT_TRIES = 4
+
+#: Relative tolerance of ``bogoliubov_modes``: a mode eigenvalue whose
+#: imaginary part, or a single-particle eigenvalue whose negative part,
+#: exceeds it (times the matrix scale) makes the form unstable.
+MODE_STABILITY_TOL = 1e-9
+
+#: Largest entry of T^dagger eta T - eta and of T^dagger M T - diag(eps, eps),
+#: each relative to |t_k| |t_l| (and the scale of M), that
+#: ``check_symplectic`` accepts.
+SYMPLECTIC_TOL = 1e-10
+
+#: Largest relative uncertainty of a mode energy that ``check_symplectic``
+#: accepts; a mode softer than that counts as gapless.
+MODE_RTOL = 1e-8
 
 
 def gauge_fix(v: np.ndarray) -> np.ndarray:
@@ -260,7 +279,27 @@ class NormalModes:
         return float(np.min(self.energies.real)) if self.energies.size else 0.0
 
 
-def bogoliubov_modes(form: QuadraticBosonForm, tol: float = 1e-9) -> NormalModes:
+def single_particle_matrix(form: QuadraticBosonForm) -> np.ndarray:
+    """M = [[h, Delta], [Delta^*, h^*]], so that H = alpha^dagger M alpha / 2 + const.
+
+    alpha = (a, b, a', b') for two modes and (a, a') for one; h holds the
+    number and hopping coefficients and Delta = [[2 squeeze, pair], [pair, 0]]
+    the pair coefficients.  The constant is the form's own minus tr(h) / 2.
+    """
+    h = np.array([[form.n_a, form.hop],
+                  [np.conj(form.hop), form.n_b]], dtype=complex)
+    delta = np.array([[2.0 * form.squeeze, form.pair],
+                      [form.pair, 0.0]], dtype=complex)
+    big = np.block([[h, delta], [np.conj(delta), np.conj(h)]])
+    return big if form.modes == 2 else big[np.ix_((0, 2), (0, 2))]
+
+
+def _eta(modes: int) -> np.ndarray:
+    """Diagonal of the symplectic metric diag(1, -1) on alpha."""
+    return np.repeat([1.0, -1.0], modes)
+
+
+def bogoliubov_modes(form: QuadraticBosonForm) -> NormalModes:
     """Symplectic normal-mode frequencies of a quadratic form.
 
     One mode: H = A n + (c a'^2 + h.c.) + C0 has epsilon = sqrt(A^2 - 4|c|^2)
@@ -271,7 +310,7 @@ def bogoliubov_modes(form: QuadraticBosonForm, tol: float = 1e-9) -> NormalModes
         a_coeff = form.n_a
         b_mag = 2.0 * abs(form.squeeze)
         disc = a_coeff * a_coeff - b_mag * b_mag
-        if disc < -tol * max(1.0, a_coeff * a_coeff) or a_coeff < 0:
+        if disc < -MODE_STABILITY_TOL * max(1.0, a_coeff * a_coeff) or a_coeff < 0:
             eps = np.array([np.emath.sqrt(disc)])
             return NormalModes(energies=eps, ground_energy=float("nan"), stable=False)
         eps = float(np.sqrt(max(disc, 0.0)))
@@ -279,20 +318,75 @@ def bogoliubov_modes(form: QuadraticBosonForm, tol: float = 1e-9) -> NormalModes
                            ground_energy=form.const + 0.5 * (eps - a_coeff),
                            stable=True)
 
-    h = np.array([[form.n_a, form.hop],
-                  [np.conj(form.hop), form.n_b]], dtype=complex)
-    delta = np.array([[2.0 * form.squeeze, form.pair],
-                      [form.pair, 0.0]], dtype=complex)
-    big = np.block([[h, delta], [np.conj(delta), np.conj(h)]])
-    dyn = np.block([[h, delta], [-np.conj(delta), -np.conj(h)]])
+    big = single_particle_matrix(form)
+    dyn = _eta(form.modes)[:, None] * big
     scale = max(1.0, float(np.max(np.abs(big))))
     eig = np.linalg.eigvals(dyn)
-    real_enough = float(np.max(np.abs(eig.imag))) <= tol * scale
-    positive = float(np.min(np.linalg.eigvalsh(big))) >= -tol * scale
+    real_enough = float(np.max(np.abs(eig.imag))) <= MODE_STABILITY_TOL * scale
+    positive = float(np.min(np.linalg.eigvalsh(big))) >= -MODE_STABILITY_TOL * scale
     if not (real_enough and positive):
         return NormalModes(energies=np.sort_complex(eig), ground_energy=float("nan"),
                            stable=False)
     eps = np.sort(eig.real)[form.modes:]  # keep the +epsilon partners
     eps = np.clip(eps, 0.0, None)
-    ground = form.const + 0.5 * (float(np.sum(eps)) - float(np.trace(h).real))
+    ground = form.const + 0.5 * (float(np.sum(eps)) - form.n_a - form.n_b)
     return NormalModes(energies=eps, ground_energy=ground, stable=True)
+
+
+def symplectic_transform(form: QuadraticBosonForm) -> tuple[np.ndarray, np.ndarray]:
+    """Mode energies eps (ascending) and the transform T to the normal modes.
+
+    Colpa's method: factor M = K^dagger K (``single_particle_matrix``) by
+    Cholesky and diagonalize K eta K^dagger = U L U^dagger, eta = diag(1, -1);
+    its n positive eigenvalues are the mode energies, and with them the
+    columns K^-1 U L^1/2 solve M t = eps eta t.  Those make the upper half of
+    T; the lower half is their conjugate swap, the partner at -eps.  Then
+    alpha = T beta with beta = (c, c') the normal-mode ladder operators,
+    T^dagger eta T = eta, T^dagger M T = diag(eps, eps), and the Gaussian
+    ground state is the vacuum of every c_k.  ``check_symplectic``
+    certifies the result.
+
+    Raises ``ConvergenceError`` when the Cholesky factorization fails: M is
+    not positive definite, so the form has no Gaussian ground state.
+    """
+    m = single_particle_matrix(form)
+    n = form.modes
+    try:
+        k = np.linalg.cholesky(m).conj().T
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError("the single-particle matrix is not positive definite: "
+                               "the form has no Gaussian ground state") from exc
+    lam, u = np.linalg.eigh(k @ (_eta(n)[:, None] * k.conj().T))
+    eps = lam[n:]
+    x = la.solve_triangular(k, u[:, n:] * np.sqrt(eps))
+    t = np.block([[x[:n], x[n:].conj()], [x[n:], x[:n].conj()]])
+    return eps, t
+
+
+def check_symplectic(form: QuadraticBosonForm, eps: np.ndarray, t: np.ndarray) -> None:
+    """Certify a normal-mode transform; the counterpart of ``Eigensystem.check``.
+
+    Every entry of T^dagger eta T - eta, and of T^dagger M T - diag(eps, eps)
+    over the scale of M, must stay below SYMPLECTIC_TOL |t_k| |t_l|, the
+    error a backward-stable computation leaves.  Each
+    mode energy must also be resolved: to first order eps_k moves by
+    t_k^dagger dM t_k, so one unit of roundoff in M moves it by up to
+    ulp |M| |t_k|^2, and that must stay below MODE_RTOL eps_k.  A gapless
+    form, or a point within roundoff of the critical one, fails this.
+    Raises ``ConvergenceError`` for a defect, ``DegeneracyError`` for a
+    mode that is not resolved.
+    """
+    m = single_particle_matrix(form)
+    eta = _eta(form.modes)
+    scale = max(1.0, float(np.max(np.abs(m))))
+    norms = np.linalg.norm(t, axis=0)
+    weight = np.outer(norms, norms)
+    symplectic = np.abs(t.conj().T @ (eta[:, None] * t) - np.diag(eta)) / weight
+    diagonal = np.abs(t.conj().T @ m @ t - np.diag(np.r_[eps, eps])) / (scale * weight)
+    defect = float(max(np.max(symplectic), np.max(diagonal)))
+    if not defect <= SYMPLECTIC_TOL:  # a NaN defect fails too
+        raise ConvergenceError(f"symplectic transform defect {defect:.2e}", residual=defect)
+    spread = np.finfo(float).eps * scale * norms[:form.modes] ** 2
+    if not np.all(spread <= MODE_RTOL * eps):
+        raise DegeneracyError(f"softest mode energy {float(np.min(eps)):.2e} is not resolved "
+                              "above roundoff: the form is gapless here")

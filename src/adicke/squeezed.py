@@ -35,6 +35,9 @@ from .errors import TruncationError
 
 _BRANCHES = ("np", "sp")
 
+#: Norm that a Fock cutoff may lose off a squeezed or displaced state.
+SQUEEZE_TAIL_TOL = 1e-10
+
 
 @dataclass(frozen=True)
 class SqueezeParams:
@@ -72,13 +75,12 @@ def squeeze_params(g: float, theta: float, branch: str,
     return SqueezeParams(r=cmath.exp(2j * theta) * rho, branch=branch, alpha=alpha)
 
 
-def squeezed_state_vector(sq: SqueezeParams, n_max: int,
-                          tail_tol: float = 1e-10) -> np.ndarray:
+def squeezed_state_vector(sq: SqueezeParams, n_max: int) -> np.ndarray:
     """Fock-basis vector of S[r]|0>, displaced by D[alpha] when alpha != 0.
 
     The undisplaced squeezed vacuum has support on even photon numbers only;
     its coefficients follow the standard two-photon recursion.  The cutoff
-    must hold all but ``tail_tol`` of the norm, otherwise the construction
+    must hold all but SQUEEZE_TAIL_TOL of the norm, otherwise the construction
     refuses and asks for a larger basis.
     """
     if n_max < 2:
@@ -99,7 +101,7 @@ def squeezed_state_vector(sq: SqueezeParams, n_max: int,
             vec[2 * m] = coeff
             m += 1
         tail = 1.0 - float(np.sum(np.abs(vec) ** 2))
-        if tail > tail_tol:
+        if tail > SQUEEZE_TAIL_TOL:
             raise TruncationError(
                 f"cutoff n_max={n_max} keeps only 1-{tail:.2e} of the squeezed state; "
                 "increase the cutoff")
@@ -109,7 +111,7 @@ def squeezed_state_vector(sq: SqueezeParams, n_max: int,
         gen = sq.alpha * ladder.T - np.conj(sq.alpha) * ladder
         vec = la.expm(gen) @ vec
         defect = abs(1.0 - float(np.linalg.norm(vec)))
-        if defect > tail_tol:
+        if defect > SQUEEZE_TAIL_TOL:
             raise TruncationError(
                 f"displacement pushes {defect:.2e} of the norm past n_max={n_max}; "
                 "increase the cutoff")

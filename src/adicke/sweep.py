@@ -34,8 +34,13 @@ FD_EXCLUSION = 5e-3
 #: convergence scan compares changes against it instead of against zero.
 QFI_ZERO_FLOOR = 1e-20
 
+#: Largest relative change of I_omega_omega between two cutoffs that the
+#: convergence scan and the ratio scan count as converged.
+CONVERGENCE_RTOL = 1e-4
+
 #: Row label of each tensor method.
-_ROW_METHOD = {"sum_over_states": "sum", "linear_solve": "solve", "finite_difference": "fd"}
+_ROW_METHOD = {"sum_over_states": "sum", "linear_solve": "solve", "finite_difference": "fd",
+               "gaussian": "gaussian"}
 
 CSV_COLUMNS = (
     "g", "gamma", "eta", "j", "n_max", "model", "method",
@@ -150,14 +155,23 @@ def _analytic_row(spec: SweepSpec, concrete: str, p: ModelParams) -> SweepRow:
 
 
 def evaluate_point(spec: SweepSpec, value: float) -> SweepRow:
-    """Evaluate one grid point; never raises, failures come back flagged."""
+    """Evaluate one grid point; never raises, failures come back flagged.
+
+    With no method set, an effective model's row is exact: the Gaussian
+    route of ``families.qgt_components`` runs with no cutoff, and the row's
+    ``n_max`` only echoes the spec.
+    """
+    method = spec.method or ""
     try:
         p = spec.point_params(value)
         concrete = families.resolve_branch(spec.model, p.g)
         if spec.method == "analytic":
             return _analytic_row(spec, concrete, p)
-        trunc = families.default_truncation(concrete, p, spec.n_max, spec.n_max_b,
-                                            sector=spec.sector)
+        if spec.method is None and concrete != "full":
+            method, trunc = "gaussian", None
+        else:
+            trunc = families.default_truncation(concrete, p, spec.n_max, spec.n_max_b,
+                                                sector=spec.sector)
         if spec.method == "fd" and abs(p.g - 1.0) < spec.fd_exclusion:
             return SweepRow(g=p.g, gamma=p.gamma, eta=p.eta, j=p.j, n_max=spec.n_max,
                             model=spec.model, method="fd", converged=False,
@@ -168,9 +182,10 @@ def evaluate_point(spec: SweepSpec, value: float) -> SweepRow:
         fmat = comp.berry()
         i_t = comp.index("theta")
         i_w = comp.index("omega")
-        if concrete == "full":
+        if concrete == "full" or trunc is None:
             gap = comp.gap
         else:
+            # the truncated matrix's gap depends on the cutoff; the form's does not
             modes = bogoliubov_modes(effective_form(concrete, p))
             gap = modes.gap if modes.stable else math.nan
         g_ww = float(gmat[i_w, i_w])
@@ -192,7 +207,7 @@ def evaluate_point(spec: SweepSpec, value: float) -> SweepRow:
             gamma_val, eta_val, j_val = spec.gamma, spec.eta, spec.j
         return SweepRow(g=g_val, gamma=gamma_val, eta=eta_val, j=j_val,
                         n_max=spec.n_max, model=spec.model,
-                        method=spec.method or "", converged=False)
+                        method=method, converged=False)
 
 
 def _evaluate_indexed(args: tuple[SweepSpec, float]) -> SweepRow:
@@ -313,12 +328,11 @@ class RatioRow:
 def ratio_scan(j_list, gamma_list, eta_list, g: float, *, omega: float = 1.0,
                theta: float = 0.0, n_max: int = 60, check_step: int = 20,
                eff_model: str = "co_np", eff_n_max: int = 60,
-               sector: str = "positive", method: str | None = "solve",
-               convergence_rtol: float = 1e-4) -> list[RatioRow]:
+               sector: str = "positive", method: str | None = "solve") -> list[RatioRow]:
     """Full-model QFI against the matching effective limit over (j, gamma, eta).
 
     Each full-model value is recomputed at an enlarged cutoff; the row is
-    flagged unconverged when the relative change exceeds ``convergence_rtol``.
+    flagged unconverged when the relative change exceeds CONVERGENCE_RTOL.
     A row whose effective value is zero (below QFI_ZERO_FLOOR) gets a NaN
     ratio and is flagged as well.
 
@@ -344,7 +358,7 @@ def ratio_scan(j_list, gamma_list, eta_list, g: float, *, omega: float = 1.0,
                                                      sector=sector)
                 lab_check = families.qfi_omega("full", p, bigger, method=method)
                 converged = (abs(lab_check - lab)
-                             <= convergence_rtol * max(abs(lab), QFI_ZERO_FLOOR))
+                             <= CONVERGENCE_RTOL * max(abs(lab), QFI_ZERO_FLOOR))
                 eff = math.nan
                 if bogoliubov_modes(effective_form(eff_model, p)).stable:
                     eff_trunc = families.default_truncation(eff_model, p, eff_n_max)
@@ -391,8 +405,14 @@ class ConvergencePoint:
     converged_at: int | None
 
 
-def convergence_scan(spec: SweepSpec, n_max_list, rtol: float = 1e-4) -> list[ConvergencePoint]:
-    """Relative change of I_omega_omega between successive cutoffs, per point."""
+def convergence_scan(spec: SweepSpec, n_max_list) -> list[ConvergencePoint]:
+    """Relative change of I_omega_omega between successive cutoffs, per point.
+
+    A point converges at the first cutoff whose change is below
+    CONVERGENCE_RTOL.  The rows of an effective model with no method set are
+    exact (``evaluate_point``), so they agree at every cutoff and converge
+    at the second one by construction.
+    """
     cutoffs = sorted(int(n) for n in n_max_list)
     if len(cutoffs) < 2:
         raise ValueError("a convergence scan needs at least two cutoffs")
@@ -414,7 +434,7 @@ def convergence_scan(spec: SweepSpec, n_max_list, rtol: float = 1e-4) -> list[Co
             else:
                 change = math.inf
             changes.append(change)
-            if converged_at is None and change < rtol:
+            if converged_at is None and change < CONVERGENCE_RTOL:
                 converged_at = cutoff
         points.append(ConvergencePoint(value=float(value), cutoffs=tuple(cutoffs),
                                        qfi=tuple(series), rel_changes=tuple(changes),

@@ -188,6 +188,17 @@ def test_c06a_classical_spin_gamma_monotonicity():
     assert report("06a classical-spin gamma monotonicity", ok, detail)
 
 
+def test_cs_np_gaussian_route_matches_the_sylvester_closed_form():
+    # two independent exact routes: the normal-mode pair sum (no cutoff) and
+    # the Sylvester equation for the Gaussian width matrix
+    worst = 0.0
+    for gamma in GAMMA_LADDER:
+        p = ModelParams.from_ratios(0.99, gamma=gamma, eta=1.0, j=10.0)
+        exact = _cs_np_gaussian_qfi_omega(p)
+        worst = max(worst, abs(qfi_omega("cs_np", p) - exact) / exact)
+    assert worst < 1e-10, f"worst rel diff {worst:.1e}"
+
+
 def test_cs_np_gaussian_closed_form_limits():
     # Near g = 1 the exact Fisher information approaches 1/(32 (1-g)^2) at
     # omega = Omega = 1 whatever gamma is.

@@ -179,3 +179,50 @@ def test_coupling_tensor_at_zero_coupling_matches_the_full_model(omega, Omega):
     full = qgt_components("full", p, Truncation.for_spin(6, p.j), labels=labels)
     assert float(np.abs(full.q - want).max()) < 1e-12
     assert float(np.abs(effective.q - full.q).max()) < 1e-10
+    assert float(np.abs(qgt_components("cs_np", p, labels=labels).q - want).max()) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# the exact Gaussian route of the effective models
+
+
+@pytest.mark.parametrize("gamma", [0.5, 2.0])
+@pytest.mark.parametrize("name,g,trunc,method", [
+    ("cs_np", 0.7, FockCutoff(40, 40), "solve"),
+    ("cs_sp", 1.3, FockCutoff(40, 40), "solve"),
+    ("co_np", 0.7, FockCutoff(120), "sum"),
+    ("co_sp", 1.3, FockCutoff(120), "sum"),
+    ("cs_np", 0.5, FockCutoff(15, 15), "sum"),
+    ("cs_sp", 1.5, FockCutoff(15, 15), "sum"),
+])
+def test_gaussian_route_matches_converged_truncations(name, g, trunc, method, gamma):
+    p = ModelParams.from_ratios(g, gamma=gamma, eta=1.2, theta=0.4, j=4.0)
+    exact = qgt_components(name, p, labels=FIVE_LABELS)
+    truncated = qgt_components(name, p, trunc, labels=FIVE_LABELS, method=method)
+    assert exact.method == "gaussian"
+    scale = float(np.abs(truncated.q).max())
+    assert float(np.abs(exact.q - truncated.q).max()) < 1e-9 * scale
+    assert exact.energy == pytest.approx(truncated.energy, abs=1e-10 * abs(truncated.energy))
+    modes = bogoliubov_modes(effective_form(name, p))
+    assert (exact.energy, exact.gap) == pytest.approx((modes.ground_energy, modes.gap),
+                                                      rel=1e-13)
+
+
+@pytest.mark.parametrize("name,g,trunc", [
+    ("cs_np", 0.6, FockCutoff(16, 16)), ("cs_sp", 1.4, FockCutoff(16, 16)),
+    ("co_np", 0.7, FockCutoff(60)), ("co_sp", 1.3, FockCutoff(60)),
+])
+def test_gaussian_route_matches_finite_differences_at_theta(name, g, trunc):
+    # fd differentiates the complex ground states at theta = 0.7 itself
+    p = ModelParams.from_ratios(g, gamma=2.0, eta=1.5, theta=0.7, j=3.0)
+    exact = qgt_components(name, p, labels=FIVE_LABELS).q
+    fd = qgt_components(name, p, trunc, labels=FIVE_LABELS, method="fd").q
+    assert float(np.abs(exact - fd).max()) < 1e-8 * float(np.abs(fd).max())
+
+
+def test_gaussian_route_takes_no_method_and_no_full_model():
+    p = ModelParams.from_ratios(0.5, j=2.0)
+    with pytest.raises(ValueError, match="needs a truncation"):
+        qgt_components("cs_np", p, method="sum")
+    with pytest.raises(TypeError, match="Truncation"):
+        qgt_components("full", p)

@@ -6,13 +6,14 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
-from adicke import (FockCutoff, ModelParams, NormalModes, Truncation,
-                    TruncationError, bogoliubov_modes, dense_eigensystem,
-                    full_hamiltonian, gauge_fix, lowest_k)
+from adicke import (ConvergenceError, DegeneracyError, FockCutoff, ModelParams,
+                    NormalModes, Truncation, TruncationError, bogoliubov_modes,
+                    dense_eigensystem, full_hamiltonian, gauge_fix, lowest_k)
 from adicke.effective import (QuadraticBosonForm, co_normal_form, cs_normal_form,
                               cs_superradiant_form, co_superradiant_form,
                               effective_form, form_matrix)
-from adicke.spectra import DENSE_SOLVE_LIMIT, gershgorin_floor
+from adicke.spectra import (DENSE_SOLVE_LIMIT, check_symplectic, gershgorin_floor,
+                            single_particle_matrix, symplectic_transform)
 
 
 def test_dense_diagonal_matrix():
@@ -251,3 +252,55 @@ def test_bogoliubov_matches_matrix_gap(model, g_range):
         es = lowest_k(form_matrix(form, cut), 2)
         matrix_gap = es.energies[1] - es.energies[0]
         assert matrix_gap == pytest.approx(modes.gap, rel=1e-6)
+
+
+# ---------------------------------------------------------------------------
+# the symplectic transform of a quadratic form
+
+
+@pytest.mark.parametrize("model,g", [("cs_np", 0.7), ("cs_sp", 1.3), ("co_np", 0.7),
+                                     ("co_sp", 1.3)])
+@pytest.mark.parametrize("theta", [0.0, 0.9])
+def test_symplectic_transform_diagonalizes_every_form(model, g, theta):
+    form = effective_form(model, ModelParams.from_ratios(g, gamma=2.0, eta=1.5, theta=theta,
+                                                         j=4.0))
+    eps, t = symplectic_transform(form)
+    check_symplectic(form, eps, t)
+    eta = np.repeat([1.0, -1.0], form.modes)
+    assert np.abs(t.conj().T @ np.diag(eta) @ t - np.diag(eta)).max() < 1e-12
+    diag = t.conj().T @ single_particle_matrix(form) @ t
+    assert np.abs(diag - np.diag(np.r_[eps, eps])).max() < 1e-12
+    # the Bogoliubov (alpha = T beta) structure: the lower columns are the
+    # conjugate swap of the upper ones
+    n = form.modes
+    assert np.abs(t[n:, n:] - t[:n, :n].conj()).max() < 1e-12
+    assert eps == pytest.approx(bogoliubov_modes(form).energies, rel=1e-12)
+
+
+def test_symplectic_transform_refuses_an_unstable_form():
+    form = effective_form("co_np", ModelParams.from_ratios(1.2, gamma=1.0, j=4.0))
+    assert not bogoliubov_modes(form).stable
+    with pytest.raises(ConvergenceError, match="positive definite"):
+        symplectic_transform(form)
+
+
+def test_check_symplectic_refuses_a_perturbed_transform():
+    form = cs_normal_form(ModelParams.from_ratios(0.7, gamma=2.0, j=4.0))
+    eps, t = symplectic_transform(form)
+    with pytest.raises(ConvergenceError, match="defect"):
+        check_symplectic(form, eps, t + 1e-6 * np.abs(t).max())
+    with pytest.raises(ConvergenceError, match="defect"):
+        check_symplectic(form, eps * (1.0 + 1e-6), t)
+
+
+def test_check_symplectic_refuses_a_mode_softer_than_roundoff():
+    # within 1e-9 of the critical point the soft mode (about 3e-5) moves by
+    # more than MODE_RTOL of itself under one unit of roundoff in M
+    for g, resolved in ((1.0 - 1e-6, True), (1.0 - 1e-9, False)):
+        form = cs_normal_form(ModelParams.from_ratios(g, gamma=2.0, j=10.0))
+        eps, t = symplectic_transform(form)
+        if resolved:
+            check_symplectic(form, eps, t)
+        else:
+            with pytest.raises(DegeneracyError, match="gapless"):
+                check_symplectic(form, eps, t)

@@ -110,7 +110,8 @@ def test_failed_points_become_flagged_rows():
 
 @pytest.mark.parametrize("spec,method", [
     (SweepSpec(model="full", gamma=2.0, j=2.0, n_max=20), "sum"),
-    (SweepSpec(model="cs_np", gamma=2.0, j=2.0, n_max=20, n_max_b=20), "solve"),
+    (SweepSpec(model="cs_np", gamma=2.0, j=2.0, n_max=20, n_max_b=20, method="solve"),
+     "solve"),
 ])
 def test_evaluate_point_builds_and_solves_once(spec, method, monkeypatch):
     counts = {"build": 0, "solve": 0}
@@ -151,14 +152,14 @@ def test_solve_points_above_the_limit_factor_once_without_sa(monkeypatch):
     assert comp.method == "linear_solve"
     assert calls == {"splu": 1, "which": ["LM"]}
     calls.update(splu=0, which=[])
-    spec = SweepSpec(model="cs_np", gamma=2.0, j=2.0, n_max=20, n_max_b=20)
+    spec = SweepSpec(model="cs_np", gamma=2.0, j=2.0, n_max=20, n_max_b=20, method="solve")
     row = evaluate_point(spec, 0.7)
     assert row.converged and row.method == "solve"
     assert calls == {"splu": 1, "which": ["LM"]}
 
 
 def test_perturbed_eigenpair_becomes_flagged_row(monkeypatch):
-    spec = small_spec()
+    spec = small_spec(method="sum")
     assert evaluate_point(spec, 0.5).converged
     solve = spectra.dense_eigensystem
 
@@ -170,6 +171,53 @@ def test_perturbed_eigenpair_becomes_flagged_row(monkeypatch):
         return dataclasses.replace(es, states=states)
 
     monkeypatch.setattr(spectra, "dense_eigensystem", perturbed)
+    row = evaluate_point(spec, 0.5)
+    assert not row.converged and math.isnan(row.I_omega_omega)
+
+
+def test_default_effective_point_builds_and_solves_nothing(monkeypatch):
+    calls = []
+
+    def refused(name):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            raise AssertionError(f"{name} called")
+        return wrapper
+
+    monkeypatch.setattr(families, "hamiltonian_matrix", refused("hamiltonian_matrix"))
+    for name in ("dense_eigensystem", "lowest_k"):
+        monkeypatch.setattr(spectra, name, refused(name))
+    for model, value in (("cs_np", 0.7), ("auto_cs", 1.3), ("co_np", 0.7), ("auto_co", 1.3)):
+        spec = SweepSpec(model=model, gamma=2.0, j=2.0, n_max=20, n_max_b=20)
+        row = evaluate_point(spec, value)
+        assert row.converged and row.method == "gaussian" and row.n_max == 20
+    assert calls == []
+
+
+def test_critical_point_of_the_readme_sweep_is_flagged():
+    # the README auto_cs grid holds g = 1 itself, where the form is gapless
+    spec = SweepSpec(model="auto_cs", start=0.5, stop=1.5, points=41, gamma=2.0, eta=1.0,
+                     j=10.0, n_max=40, n_max_b=40)
+    critical = float(spec.grid()[20])
+    assert critical == 1.0
+    row = evaluate_point(spec, critical)
+    assert not row.converged and row.method == "gaussian"
+    assert math.isnan(row.I_omega_omega) and math.isnan(row.energy)
+    assert evaluate_point(spec, float(spec.grid()[19])).converged
+
+
+def test_perturbed_transform_becomes_flagged_row(monkeypatch):
+    spec = small_spec()
+    assert evaluate_point(spec, 0.5).converged
+    transform = spectra.symplectic_transform
+
+    def perturbed(form):
+        eps, t = transform(form)
+        t = t.copy()
+        t[:, 0] += 1e-3 * t[:, 1]
+        return eps, t
+
+    monkeypatch.setattr(spectra, "symplectic_transform", perturbed)
     row = evaluate_point(spec, 0.5)
     assert not row.converged and math.isnan(row.I_omega_omega)
 
