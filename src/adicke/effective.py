@@ -28,8 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .model import (DEFAULT_MAX_DIM, PIECE_CACHE_SIZE, ModelParams, boson_operators,
-                    real_if_exact)
+from .model import (DEFAULT_MAX_DIM, PIECE_CACHE_SIZE, ModelParams, PiecePattern,
+                    boson_operators, real_if_exact)
 from .errors import TruncationError
 
 #: Step of ``form_param_derivative``, relative to the parameter (absolute below 1).
@@ -263,6 +263,16 @@ def _form_pieces(cut: FockCutoff) -> tuple[tuple[sp.csr_array, bool], ...]:
     return pieces
 
 
+@functools.lru_cache(maxsize=PIECE_CACHE_SIZE)
+def _form_pattern(cut: FockCutoff) -> PiecePattern:
+    """The cutoff's monomials, each followed by its adjoint when it carries
+    one, and the identity, on one pattern."""
+    pieces = []
+    for piece, with_adjoint in _form_pieces(cut):
+        pieces += [piece, piece.T] if with_adjoint else [piece]
+    return PiecePattern.of(pieces + [sp.identity(cut.dim, format="csr")])
+
+
 def _coefficients(form: QuadraticBosonForm) -> tuple:
     if form.modes == 1:
         return form.n_a, form.squeeze
@@ -276,14 +286,16 @@ def _assemble(form: QuadraticBosonForm, cut: FockCutoff,
         raise ValueError(f"cutoff has {cut.modes} mode(s) but the form has {form.modes}")
     if cut.dim > max_dim:
         raise TruncationError(f"basis dimension {cut.dim} exceeds the guard {max_dim}")
-    ham = sp.csr_array((cut.dim, cut.dim))
-    for coeff, (piece, with_adjoint) in zip(_coefficients(form), _form_pieces(cut)):
+    pattern = _form_pattern(cut)
+    vectors = iter(pattern.vectors)
+    terms = []
+    for coeff, (_, with_adjoint) in zip(_coefficients(form), _form_pieces(cut)):
         coeff = real_if_exact(coeff)
-        ham = ham + coeff * piece
+        terms.append((coeff, next(vectors)))
         if with_adjoint:
-            ham = ham + np.conj(coeff) * piece.T
-    ham = ham + form.const * sp.identity(cut.dim, format="csr")
-    return ham.tocsr()
+            terms.append((np.conj(coeff), next(vectors)))
+    terms.append((form.const, next(vectors)))
+    return pattern.combine(terms)
 
 
 def form_matrix(form: QuadraticBosonForm, cut: FockCutoff,

@@ -235,10 +235,10 @@ def resolvent_tangent(ham, energy: float, psi: np.ndarray, derivs: Sequence[sp.c
     rhs = rhs - np.outer(psi, psi.conj() @ rhs)
     if factor is None or energy - factor.sigma > gap:
         factor = shift_invert(ham, energy, gap)
-    shifted = (sp.csr_array(ham) - energy * sp.identity(dim, format="csr")).tocsr()
-    dtype = np.result_type(shifted.dtype, psi.dtype, rhs.dtype)
+    shifted = lambda v: ham @ v - energy * v
+    dtype = np.result_type(ham.dtype, psi.dtype, rhs.dtype)
     project = lambda v: v - psi * np.vdot(psi, v)
-    op = spla.LinearOperator((dim, dim), matvec=lambda v: project(shifted @ v), dtype=dtype)
+    op = spla.LinearOperator((dim, dim), matvec=lambda v: project(shifted(v)), dtype=dtype)
     precond = spla.LinearOperator((dim, dim), matvec=lambda v: project(factor.solve(v)),
                                   dtype=dtype)
     bounds = SOLVE_TOL * np.maximum(1.0, np.linalg.norm(rhs, axis=0))
@@ -246,7 +246,7 @@ def resolvent_tangent(ham, energy: float, psi: np.ndarray, derivs: Sequence[sp.c
                           maxiter=CG_MAXITER, M=precond)[0]
                   for k in range(rhs.shape[1])], axis=1)
     x = x - np.outer(psi, psi.conj() @ x)
-    residuals = np.linalg.norm(shifted @ x - rhs, axis=0)
+    residuals = np.linalg.norm(shifted(x) - rhs, axis=0)
     for residual, bound in zip(residuals, bounds):
         # written so that a NaN residual (a breakdown of the iteration) fails too
         if not residual <= bound:

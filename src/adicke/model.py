@@ -17,13 +17,20 @@ so the Hamiltonian splits into two parity blocks even after truncation.
 At fixed truncation H is a linear combination of four parameter-free
 pieces, a'a, Jz, a'J- and a'J+ (with their adjoints).  Their blocks on the
 truncation's sector are cut out of the product basis once and cached per
-truncation; every Hamiltonian and parameter derivative is assembled from
-them.  ``project_parity`` stays as the general sector projection that the
+truncation, together with their union sparsity pattern and each piece's
+entries aligned to it (``PiecePattern``).  Every Hamiltonian and every
+derivative but theta's is then one numpy combination of those vectors on
+that fixed pattern, so a position where the terms cancel holds an explicit
+zero.  ``project_parity`` stays as the general sector projection that the
 tests check the cached blocks against.
 
-Every builder returns a ``scipy.sparse.csr_array``: float64 when every
-coefficient is real (theta = 0) and complex otherwise.  Every consumer
-keeps the dtype it is given.
+In the photon-major order the coupling moves n and m by one each, so the
+sector block is banded with half-bandwidth about j + 1, which the shift-invert
+solver's banded Cholesky factor relies on (``spectra.shift_invert``).
+
+Every builder returns a ``scipy.sparse.csr_array`` that owns its arrays:
+float64 when every coefficient is real (theta = 0) and complex otherwise.
+Every consumer keeps the dtype it is given.
 """
 
 from __future__ import annotations
@@ -152,6 +159,62 @@ def real_if_exact(c: complex) -> complex | float:
 
 
 # ---------------------------------------------------------------------------
+# assembly on a fixed pattern
+
+
+@dataclass(frozen=True, eq=False)
+class PiecePattern:
+    """The union sparsity pattern of a set of pieces, each piece's data aligned to it.
+
+    ``vectors[k]`` holds piece k's entries at the pattern's positions and
+    zeros elsewhere, so a linear combination of the pieces is one numpy
+    combination of the vectors on an unchanged pattern.  Built once per
+    truncation (or cutoff) and read-only.
+    """
+
+    shape: tuple[int, int]
+    indices: np.ndarray
+    indptr: np.ndarray
+    vectors: tuple[np.ndarray, ...]
+
+    @classmethod
+    def of(cls, pieces) -> "PiecePattern":
+        """The pattern of sparse pieces of one shape, each without duplicate entries."""
+        pieces = [sp.csr_array(piece) for piece in pieces]
+        shape = pieces[0].shape
+        union = sum(sp.csr_array((np.ones(piece.nnz), piece.indices, piece.indptr), shape=shape)
+                    for piece in pieces)
+        flat = _flat_positions(union)
+        vectors = []
+        for piece in pieces:
+            vector = np.zeros(union.nnz, dtype=piece.dtype)
+            vector[np.searchsorted(flat, _flat_positions(piece))] = piece.data
+            vectors.append(vector)
+        for arr in (union.indices, union.indptr, *vectors):
+            arr.flags.writeable = False
+        return cls(shape=shape, indices=union.indices, indptr=union.indptr,
+                   vectors=tuple(vectors))
+
+    def combine(self, terms) -> sp.csr_array:
+        """sum_k c_k v_k over (c_k, v_k) terms, left to right, as a matrix of its own.
+
+        Each v_k is aligned to the pattern: one of ``vectors`` or a
+        combination of them.  A position no term reaches holds an explicit
+        zero.  The matrix is float64 when every term is real.
+        """
+        data = None
+        for coeff, vector in terms:
+            term = coeff * vector
+            data = term if data is None else data + term
+        return sp.csr_array((data, self.indices.copy(), self.indptr.copy()), shape=self.shape)
+
+
+def _flat_positions(m: sp.csr_array) -> np.ndarray:
+    """Row-major flat index of every stored entry of a canonical CSR matrix (ascending)."""
+    return np.ravel_multi_index(sp.coo_array(m).coords, m.shape)
+
+
+# ---------------------------------------------------------------------------
 # elementary operators
 
 
@@ -261,11 +324,25 @@ def _sector_pieces(t: Truncation) -> tuple[sp.csr_array, ...]:
     return pieces
 
 
-def _coupling(p: ModelParams, raising) -> sp.csr_array:
-    """(e^{i theta} raising + h.c.)/sqrt(2j): one collective coupling at p's phase."""
+@functools.lru_cache(maxsize=PIECE_CACHE_SIZE)
+def _sector_pattern(t: Truncation) -> PiecePattern:
+    """The sector pieces and the adjoints of the couplings on one pattern.
+
+    Vectors in the order a'a, Jz, a'J-, a J+, a'J+, a J-.
+    """
+    number, jz, up_minus, up_plus = _sector_pieces(t)
+    return PiecePattern.of((number, jz, up_minus, up_minus.T, up_plus, up_plus.T))
+
+
+def _coupling(p: ModelParams, raising: np.ndarray, lowering: np.ndarray) -> np.ndarray:
+    """(e^{i theta} raising + h.c.)/sqrt(2j): one collective coupling at p's phase.
+
+    ``raising`` and ``lowering`` are a piece and its adjoint, aligned to one
+    ``PiecePattern``.
+    """
     phase = real_if_exact(np.exp(1j * p.theta))
     norm = 1.0 / math.sqrt(2 * p.j)
-    return norm * (phase * raising + np.conj(phase) * raising.T)
+    return norm * (phase * raising + np.conj(phase) * lowering)
 
 
 def full_hamiltonian(p: ModelParams, t: Truncation,
@@ -278,10 +355,18 @@ def full_hamiltonian(p: ModelParams, t: Truncation,
     _check_truncation(p, t)
     if t.dim > max_dim:
         raise TruncationError(f"basis dimension {t.dim} exceeds the guard {max_dim}")
-    number, jz, up_minus, up_plus = _sector_pieces(t)
-    ham = (p.omega * number + p.Omega * jz + p.lambda1 * _coupling(p, up_minus)
-           + p.lambda2 * _coupling(p, up_plus))
-    return ham.tocsr()
+    pattern = _sector_pattern(t)
+    return pattern.combine(_terms(p, pattern))
+
+
+def _terms(p: ModelParams, pattern: PiecePattern,
+           labels=("omega", "Omega", "lambda1", "lambda2")) -> list[tuple]:
+    """The (coefficient, vector) terms of H on the pattern that the labels multiply."""
+    number, jz, rw_up, rw_down, cr_up, cr_down = pattern.vectors
+    term = {"omega": lambda: (p.omega, number), "Omega": lambda: (p.Omega, jz),
+            "lambda1": lambda: (p.lambda1, _coupling(p, rw_up, rw_down)),
+            "lambda2": lambda: (p.lambda2, _coupling(p, cr_up, cr_down))}
+    return [term[label]() for label in labels]
 
 
 def param_derivative(p: ModelParams, t: Truncation, which: str) -> sp.csr_array:
@@ -293,19 +378,13 @@ def param_derivative(p: ModelParams, t: Truncation, which: str) -> sp.csr_array:
     _check_truncation(p, t)
     if which not in PARAMETER_LABELS:
         raise ValueError(f"unknown parameter {which!r}; expected one of {PARAMETER_LABELS}")
-    number, jz, up_minus, up_plus = _sector_pieces(t)
-    if which == "omega":
-        deriv = number.copy()
-    elif which == "Omega":
-        deriv = jz.copy()
-    elif which == "lambda1":
-        deriv = _coupling(p, up_minus)
-    elif which == "lambda2":
-        deriv = _coupling(p, up_plus)
-    else:  # theta: i [a'a, H]; only the couplings fail to commute with a'a
-        coupling = p.lambda1 * _coupling(p, up_minus) + p.lambda2 * _coupling(p, up_plus)
-        deriv = 1j * (number @ coupling - coupling @ number)
-    return deriv.tocsr()
+    pattern = _sector_pattern(t)
+    if which == "theta":  # i [a'a, H]; only the couplings fail to commute with a'a
+        number = _sector_pieces(t)[0]
+        coupling = pattern.combine(_terms(p, pattern, ("lambda1", "lambda2")))
+        return (1j * (number @ coupling - coupling @ number)).tocsr()
+    [(_, vector)] = _terms(p, pattern, (which,))
+    return pattern.combine([(1.0, vector)])
 
 
 def photon_number_diagonal(t: Truncation) -> np.ndarray:

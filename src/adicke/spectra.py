@@ -11,6 +11,12 @@ Above the dense limit the lowest pairs come from shift-invert Lanczos
 (Ericsson & Ruhe, Math. Comp. 35, 1251 (1980)) about a shift certified to lie
 below the spectrum; the factor of the shifted matrix is kept on the result,
 so the resolvent solve of the same point needs no second factorization.
+Every matrix here is banded in its basis order: the full model's parity
+sector has half-bandwidth about j + 1, a classical-spin form n_b + 2 and a
+one-mode form 2.  So the factor is LAPACK's banded Cholesky factor
+(``dpbtrf``), and it certifies the shift by existing: H - sigma has a
+Cholesky factor exactly when it is positive definite, i.e. when sigma lies
+below the spectrum.
 
 A quadratic boson form needs no matrix at all: its normal-mode energies come
 from its single-particle matrix, and ``symplectic_transform`` gives the
@@ -36,10 +42,11 @@ from .errors import ConvergenceError, DegeneracyError, TruncationError
 #: matrix gets a dense full-spectrum decomposition and the tensor defaults to
 #: the sum over states; above it the two lowest pairs come from the sparse
 #: shift-invert solver and the tensor defaults to the resolvent solve.  Per
-#: two-label tensor on a 2-core Xeon with OpenBLAS (best of 15), the two
-#: routes tie near dimension 120 (full model, 7.5 ms); the sparse one is
-#: 1.2-2.5x faster at 170-260 and 9x at 644 (15x for cs_np at 676).  The
-#: limit stays at 256, so every row keeps the method it reported before.
+#: two-label tensor on a 2-core Xeon with OpenBLAS at its default 2 threads
+#: (best of 30, banded Cholesky factor), the two routes tie near dimension
+#: 100 (full model, 1.4 ms); the sparse one is 3.4-5.7x faster at 120-260
+#: and 51x at 641 (30x for cs_np at 676).  The limit stays at 256, so every
+#: row keeps the method it reported before.
 DENSE_SOLVE_LIMIT = 256
 
 #: Full-spectrum decompositions are refused above this dimension.
@@ -98,17 +105,27 @@ def gauge_fix(v: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ShiftInvert:
-    """An LU factor of H - sigma, with sigma certified below every eigenvalue of H."""
+    """A banded Cholesky factor of H - sigma; its existence certifies sigma below H.
+
+    ``factor`` is the upper factor U (H - sigma = U^dagger U) in LAPACK's
+    upper band storage (``scipy.linalg.cholesky_banded``).
+    """
 
     sigma: float
-    lu: spla.SuperLU
-    dtype: np.dtype
+    factor: np.ndarray
+
+    @property
+    def dtype(self) -> np.dtype:
+        return self.factor.dtype
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """(H - sigma)^-1 rhs, for one column or several; a real factor takes complex rhs."""
         if np.iscomplexobj(rhs) and self.dtype.kind != "c":
-            return self.lu.solve(rhs.real) + 1j * self.lu.solve(rhs.imag)
-        return self.lu.solve(rhs)
+            return self._solve(rhs.real) + 1j * self._solve(rhs.imag)
+        return self._solve(rhs)
+
+    def _solve(self, rhs: np.ndarray) -> np.ndarray:
+        return la.cho_solve_banded((self.factor, False), rhs, check_finite=False)
 
 
 def gershgorin_floor(op) -> float:
@@ -119,38 +136,45 @@ def gershgorin_floor(op) -> float:
     return float(np.min(diag.real - radius))
 
 
-def _certified_factor(shifted: sp.csc_array) -> spla.SuperLU | None:
-    """LU factor of a Hermitian matrix if it is positive definite, else None.
+def _upper_band(op) -> np.ndarray:
+    """The upper triangle of a Hermitian matrix in LAPACK's upper band storage.
 
-    The pivots are kept on the diagonal and the rows permuted like the
-    columns, so the factor is a congruence P A P' = L D L^dagger with
-    D = diag(U).  By Sylvester's law of inertia A is positive definite
-    exactly when every pivot is positive.
+    Row kd holds the diagonal and row kd - d the d-th superdiagonal, where
+    the half-bandwidth kd is the farthest nonzero entry from the diagonal:
+    explicit zeros, such as a fixed pattern holds where its terms vanish,
+    do not widen the band.  Duplicate entries are summed.  O(nnz) on a
+    sparse matrix.
     """
-    try:
-        lu = spla.splu(shifted, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                       options={"SymmetricMode": True})
-    except RuntimeError:  # an exactly singular factorization
-        return None
-    if np.array_equal(lu.perm_r, lu.perm_c) and bool(np.all(lu.U.diagonal().real > 0.0)):
-        return lu
-    return None
+    h = sp.coo_array(op)
+    rows, cols = h.coords
+    upper = (cols >= rows) & (h.data != 0)
+    rows, cols = rows[upper], cols[upper]
+    kd = int(np.max(cols - rows, initial=0))
+    band = np.zeros((kd + 1, h.shape[0]), dtype=h.dtype)
+    np.add.at(band, (kd + rows - cols, cols), h.data[upper])
+    return band
 
 
 def shift_invert(op, energy: float = math.nan,
                  gap: float = math.nan) -> ShiftInvert:
     """Factor H - sigma for a sigma certified below the lowest eigenvalue of H.
 
+    The certificate is the factor itself: a Cholesky factorization of the
+    Hermitian H - sigma exists exactly when it is positive definite, i.e.
+    when sigma lies below the spectrum.  LAPACK reports a pivot that is not
+    positive; its banded routine lets a NaN pivot through, and a NaN or
+    infinite entry of the band reaches the factor's diagonal, so a factor
+    whose diagonal is not finite is refused too.  The band of H is taken
+    once and each trial shift moves only its diagonal.
+
     ``energy`` estimates the ground energy and ``gap`` the spacing above it.
     The first shift is a tenth of the gap below the estimate, and at least
-    1e-8 of its scale; after each failed certificate (or singular factor)
-    the step below the estimate grows 4x, for at most SHIFT_TRIES shifts.
-    The last resort, and the start when the estimate is missing or not
-    above it, is the Gershgorin floor, which lies below the spectrum by
-    construction.
+    1e-8 of its scale; after each failed factorization the step below the
+    estimate grows 4x, for at most SHIFT_TRIES shifts.  The last resort, and
+    the start when the estimate is missing or not above it, is the
+    Gershgorin floor, which lies below the spectrum by construction.
     """
-    h = sp.csc_array(op)
-    eye = sp.identity(op.shape[0], format="csc")
+    band = _upper_band(op)
     floor = gershgorin_floor(op)
     shifts = []
     if energy > floor:  # False for a NaN estimate
@@ -159,10 +183,15 @@ def shift_invert(op, energy: float = math.nan,
         shifts = [sigma for sigma in shifts if sigma > floor]
     shifts.append(floor - 1e-8 * max(1.0, abs(floor)))
     for sigma in shifts:
-        shifted = (h - sigma * eye).tocsc()
-        lu = _certified_factor(shifted)
-        if lu is not None:
-            return ShiftInvert(sigma=sigma, lu=lu, dtype=shifted.dtype)
+        shifted = band.copy()
+        shifted[-1] -= sigma
+        try:
+            factor = la.cholesky_banded(shifted, lower=False, overwrite_ab=True,
+                                        check_finite=False)
+        except np.linalg.LinAlgError:  # a pivot is not positive: sigma is not below H
+            continue
+        if np.all(np.isfinite(factor[-1])):
+            return ShiftInvert(sigma=sigma, factor=factor)
     raise ConvergenceError(
         f"no shift down to the Gershgorin floor {floor:.6g} factors as positive definite",
         residual=None)

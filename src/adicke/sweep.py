@@ -161,10 +161,11 @@ def evaluate_point(spec: SweepSpec, value: float) -> SweepRow:
     route of ``families.qgt_components`` runs with no cutoff, and the row's
     ``n_max`` only echoes the spec.
     """
-    method = spec.method or ""
+    method, branch = spec.method or "", ""
     try:
         p = spec.point_params(value)
         concrete = families.resolve_branch(spec.model, p.g)
+        branch = _branch_label(concrete)
         if spec.method == "analytic":
             return _analytic_row(spec, concrete, p)
         if spec.method is None and concrete != "full":
@@ -207,7 +208,7 @@ def evaluate_point(spec: SweepSpec, value: float) -> SweepRow:
             gamma_val, eta_val, j_val = spec.gamma, spec.eta, spec.j
         return SweepRow(g=g_val, gamma=gamma_val, eta=eta_val, j=j_val,
                         n_max=spec.n_max, model=spec.model,
-                        method=method, converged=False)
+                        method=method, converged=False, branch=branch)
 
 
 def _evaluate_indexed(args: tuple[SweepSpec, float]) -> SweepRow:

@@ -4,12 +4,13 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg as la
 import scipy.sparse as sp
 
 from adicke import (FockCutoff, ModelParams, Truncation, bogoliubov_modes,
                     dense_eigensystem, effective_form, geometry)
-from adicke.families import (default_truncation, derivative_matrix, ground_pair,
-                             hamiltonian_matrix, qgt_components, resolve_branch)
+from adicke.families import (default_truncation, derivative_matrix, ground_eigensystem,
+                             ground_pair, hamiltonian_matrix, qgt_components, resolve_branch)
 from adicke.geometry import qgt_matrix_sum
 from adicke.spectra import DENSE_SOLVE_LIMIT
 
@@ -150,8 +151,38 @@ def test_solve_just_above_the_limit_matches_sum(name, g, trunc, j):
     assert solved.gap == pytest.approx(summed.gap, rel=1e-9)
 
 
+@pytest.mark.parametrize("name,trunc,theta", [
+    ("full", Truncation.for_spin(6, 40.0, "positive"), 0.0),
+    ("full", Truncation.for_spin(6, 40.0, "positive"), 0.7),
+    ("cs_np", FockCutoff(40, 40), 0.0),
+])
+def test_wide_band_point_matches_the_dense_route(name, trunc, theta):
+    # a half-bandwidth above 32 takes LAPACK's blocked banded Cholesky
+    p = ModelParams.from_ratios(0.9, gamma=2.0, theta=theta, j=40.0)
+    ham = hamiltonian_matrix(name, p, trunc)
+    rows, cols = ham.nonzero()
+    assert ham.shape[0] > DENSE_SOLVE_LIMIT and int(np.max(cols - rows)) > 32
+    assert ham.dtype == (np.complex128 if theta else np.float64)
+    es = ground_eigensystem(name, p, ham)
+    assert es.factor is not None and es.factor.sigma < es.energies[0]
+    dense = dense_eigensystem(ham)
+    assert np.max(np.abs(es.energies - dense.energies[:2])) < 1e-9
+    assert np.max(np.abs(es.states - dense.states[:, :2])) < 1e-9
+    # every derivative as a matrix: theta's is complex, so a real factor
+    # also solves complex right-hand sides here
+    derivs = [derivative_matrix(name, p, trunc, label) for label in FIVE_LABELS]
+    summed = qgt_matrix_sum(dense, derivs, FIVE_LABELS).q
+    solved = geometry.qgt_matrix_solve(ham, float(es.energies[0]), es.states[:, 0], derivs,
+                                       FIVE_LABELS, factor=es.factor, gap=es.gap).q
+    default = qgt_components(name, p, trunc, labels=FIVE_LABELS)
+    assert default.method == "linear_solve"
+    scale = max(1.0, float(np.abs(summed).max()))
+    assert float(np.abs(solved - summed).max()) < 1e-10 * scale
+    assert float(np.abs(default.q - summed).max()) < 1e-10 * scale
+
+
 def test_five_label_solve_point_factors_once(monkeypatch):
-    counts = {"splu": 0, "resolvent_tangent": 0}
+    counts = {"factor": 0, "resolvent_tangent": 0}
 
     def counted(key, func):
         def wrapper(*args, **kwargs):
@@ -159,14 +190,14 @@ def test_five_label_solve_point_factors_once(monkeypatch):
             return func(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(geometry.spla, "splu", counted("splu", geometry.spla.splu))
+    monkeypatch.setattr(la, "cholesky_banded", counted("factor", la.cholesky_banded))
     monkeypatch.setattr(geometry, "resolvent_tangent",
                         counted("resolvent_tangent", geometry.resolvent_tangent))
     p = ModelParams.from_ratios(0.8, gamma=2.0, theta=0.4, j=3.0)
     comp = qgt_components("cs_np", p, FockCutoff(20, 20), labels=FIVE_LABELS,
                           method="solve")
     assert comp.method == "linear_solve"
-    assert counts == {"splu": 1, "resolvent_tangent": 1}
+    assert counts == {"factor": 1, "resolvent_tangent": 1}
 
 
 @pytest.mark.parametrize("omega,Omega", [(1.0, 1.0), (0.8, 1.5)])

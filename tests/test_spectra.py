@@ -4,11 +4,11 @@ import math
 
 import numpy as np
 import pytest
-import scipy.sparse.linalg as spla
+import scipy.linalg as la
 
 from adicke import (ConvergenceError, DegeneracyError, FockCutoff, ModelParams,
                     NormalModes, Truncation, TruncationError, bogoliubov_modes,
-                    dense_eigensystem, full_hamiltonian, gauge_fix, lowest_k)
+                    dense_eigensystem, full_hamiltonian, gauge_fix, lowest_k, spectra)
 from adicke.effective import (QuadraticBosonForm, co_normal_form, cs_normal_form,
                               cs_superradiant_form, co_superradiant_form,
                               effective_form, form_matrix)
@@ -159,8 +159,8 @@ def test_estimate_above_the_ground_energy_is_widened(monkeypatch):
     dense = dense_eigensystem(ham)
     e0, gap = float(dense.energies[0]), dense.gap
     calls = []
-    splu = spla.splu
-    monkeypatch.setattr(spla, "splu", lambda *a, **k: calls.append(1) or splu(*a, **k))
+    factor = la.cholesky_banded
+    monkeypatch.setattr(la, "cholesky_banded", lambda *a, **k: calls.append(1) or factor(*a, **k))
     estimate = NormalModes(energies=np.array([gap]), ground_energy=e0 + 0.2 * gap, stable=True)
     es = lowest_k(ham, 2, estimate=estimate)
     # e0 + 0.1 gap fails the certificate; the next shift, 4x further down, passes
@@ -185,6 +185,25 @@ def test_missing_or_unstable_estimate_starts_at_the_gershgorin_floor(case):
     assert floor < es.energies[0]
     assert es.factor.sigma == floor - 1e-8 * max(1.0, abs(floor))
     _assert_pairs_match_dense(es, ham)
+
+
+@pytest.mark.parametrize("case", ["nan_diagonal", "nan_coupling", "above_without_floor"])
+def test_no_pairs_without_a_certified_shift(case, monkeypatch):
+    _, ham = _above_limit_hamiltonian()
+    dense = dense_eigensystem(ham)
+    e0, gap = float(dense.energies[0]), dense.gap
+    estimate = NormalModes(energies=np.array([gap]), ground_energy=e0 + 0.5 * gap, stable=True)
+    partner = int(ham.indices[ham.indptr[100]:ham.indptr[101]].max())  # coupled to state 100
+    ham = ham.tolil()
+    if case == "nan_diagonal":
+        ham[100, 100] = math.nan
+    elif case == "nan_coupling":
+        ham[100, partner] = ham[partner, 100] = math.nan
+    else:
+        # every shift the ladder tries, the last resort included, is above E0
+        monkeypatch.setattr(spectra, "gershgorin_floor", lambda op: e0 + 0.25 * gap)
+    with pytest.raises(ConvergenceError):
+        lowest_k(ham.tocsr(), 2, estimate=estimate)
 
 
 def test_shift_invert_pairs_of_a_complex_hermitian_matrix():

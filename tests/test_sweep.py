@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg as la
 import scipy.sparse.linalg as spla
 
 from adicke import (FockCutoff, ModelParams, SweepSpec, Truncation, convergence_scan,
@@ -91,6 +92,16 @@ def test_auto_cs_curvature_changes_sign_across_transition():
     assert all(r.branch == "sp" for r in above)
 
 
+def test_flagged_row_keeps_its_branch():
+    # the README auto_cs sweep holds g = 1, where the cs_np form is gapless
+    spec = SweepSpec(model="auto_cs", param="g", start=0.5, stop=1.5, points=41,
+                     gamma=2.0, eta=1.0, j=10.0, n_max=40, n_max_b=40)
+    row = evaluate_point(spec, 1.0)
+    assert not row.converged
+    assert row.branch == "np"
+    assert rows_to_csv([row]).splitlines()[1].split(",")[CSV_COLUMNS.index("branch")] == "np"
+
+
 def test_one_mode_swap_symmetry_in_rows():
     rows_a = run_sweep(small_spec(gamma=2.0, points=3, theta=0.3))
     rows_b = run_sweep(small_spec(gamma=0.5, points=3, theta=0.3))
@@ -132,30 +143,30 @@ def test_evaluate_point_builds_and_solves_once(spec, method, monkeypatch):
 
 
 def test_solve_points_above_the_limit_factor_once_without_sa(monkeypatch):
-    calls = {"splu": 0, "which": []}
-    splu, eigsh = spla.splu, spla.eigsh
+    calls = {"factor": 0, "which": []}
+    factor, eigsh = la.cholesky_banded, spla.eigsh
 
-    def counted_splu(*args, **kwargs):
-        calls["splu"] += 1
-        return splu(*args, **kwargs)
+    def counted_factor(*args, **kwargs):
+        calls["factor"] += 1
+        return factor(*args, **kwargs)
 
     def recorded_eigsh(*args, **kwargs):
         calls["which"].append(kwargs.get("which", "LM"))
         return eigsh(*args, **kwargs)
 
-    monkeypatch.setattr(spla, "splu", counted_splu)
+    monkeypatch.setattr(la, "cholesky_banded", counted_factor)
     monkeypatch.setattr(spla, "eigsh", recorded_eigsh)
     p = ModelParams.from_ratios(0.9, gamma=2.0, eta=1.0, j=5.0)
     trunc = Truncation.for_spin(60, p.j, "positive")
     assert families.hamiltonian_matrix("full", p, trunc).shape[0] > spectra.DENSE_SOLVE_LIMIT
     comp = qgt_components("full", p, trunc, labels=("theta", "omega"))
     assert comp.method == "linear_solve"
-    assert calls == {"splu": 1, "which": ["LM"]}
-    calls.update(splu=0, which=[])
+    assert calls == {"factor": 1, "which": ["LM"]}
+    calls.update(factor=0, which=[])
     spec = SweepSpec(model="cs_np", gamma=2.0, j=2.0, n_max=20, n_max_b=20, method="solve")
     row = evaluate_point(spec, 0.7)
     assert row.converged and row.method == "solve"
-    assert calls == {"splu": 1, "which": ["LM"]}
+    assert calls == {"factor": 1, "which": ["LM"]}
 
 
 def test_perturbed_eigenpair_becomes_flagged_row(monkeypatch):
