@@ -14,6 +14,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import effective, model, spectra
+from ._blas import single_thread
 from .errors import DegeneracyError
 from .geometry import (GaugeGenerator, QGTComponents, qgt_finite_difference,
                        qgt_gaussian, qgt_matrix_solve, qgt_matrix_sum)
@@ -117,6 +118,7 @@ def _gaussian_components(name: str, p: ModelParams, labels: tuple[str, ...]) -> 
                                energy=modes.ground_energy, gap=modes.gap)
 
 
+@single_thread
 def qgt_components(name: str, p: ModelParams, trunc=None,
                    labels=("theta", "omega"), method: str | None = None) -> QGTComponents:
     """Ground-state tensor over a label subset: exact, or on a truncation.

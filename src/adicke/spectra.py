@@ -42,11 +42,12 @@ from .errors import ConvergenceError, DegeneracyError, TruncationError
 #: matrix gets a dense full-spectrum decomposition and the tensor defaults to
 #: the sum over states; above it the two lowest pairs come from the sparse
 #: shift-invert solver and the tensor defaults to the resolvent solve.  Per
-#: two-label tensor on a 2-core Xeon with OpenBLAS at its default 2 threads
-#: (best of 30, banded Cholesky factor), the two routes tie near dimension
-#: 100 (full model, 1.4 ms); the sparse one is 3.4-5.7x faster at 120-260
-#: and 51x at 641 (30x for cs_np at 676).  The limit stays at 256, so every
-#: row keeps the method it reported before.
+#: two-label tensor on a 2-core Xeon with OpenBLAS on one thread, as
+#: ``families.qgt_components`` runs it (best of 30 in each of three runs,
+#: banded Cholesky factor), the two routes tie from dimension 88 to 121
+#: (full model, 2-4 ms); the sparse one is 1.6-2.4x faster at 143-171,
+#: 2.9-7x at 215-259, 22-36x at 641 and 26-41x for cs_np at 676.  The limit
+#: stays at 256, so every row keeps the method it reported before.
 DENSE_SOLVE_LIMIT = 256
 
 #: Full-spectrum decompositions are refused above this dimension.
@@ -229,16 +230,16 @@ class Eigensystem:
         return bool(gaps) and min(gaps) < DEGENERACY_RTOL * scale
 
     def check(self, h) -> None:
-        """Validate residuals and orthonormality against the source matrix."""
+        """Validate residuals and orthonormality against the source matrix; NaN fails."""
         norm = float(spla.norm(h)) if sp.issparse(h) else float(np.linalg.norm(h))
         res = h @ self.states - self.states * self.energies[None, :]
         worst = float(np.max(np.linalg.norm(res, axis=0)))
-        if worst > RESIDUAL_RTOL * max(norm, 1.0):
+        if not worst <= RESIDUAL_RTOL * max(norm, 1.0):
             raise ConvergenceError(f"eigenpair residual {worst:.2e} exceeds tolerance",
                                    residual=worst)
         overlaps = self.states.conj().T @ self.states
         defect = float(np.max(np.abs(overlaps - np.eye(self.count))))
-        if defect > ORTHO_TOL:
+        if not defect <= ORTHO_TOL:
             raise ConvergenceError(f"orthonormality defect {defect:.2e}", residual=defect)
 
 

@@ -1,14 +1,16 @@
 """Tests for the model-variant dispatch layer."""
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 import scipy.linalg as la
 import scipy.sparse as sp
 
-from adicke import (FockCutoff, ModelParams, Truncation, bogoliubov_modes,
-                    dense_eigensystem, effective_form, geometry)
+from adicke import (FockCutoff, ModelParams, Truncation, _blas, bogoliubov_modes,
+                    dense_eigensystem, effective_form, geometry, spectra)
 from adicke.families import (default_truncation, derivative_matrix, ground_eigensystem,
                              ground_pair, hamiltonian_matrix, qgt_components, resolve_branch)
 from adicke.geometry import qgt_matrix_sum
@@ -257,3 +259,112 @@ def test_gaussian_route_takes_no_method_and_no_full_model():
         qgt_components("cs_np", p, method="sum")
     with pytest.raises(TypeError, match="Truncation"):
         qgt_components("full", p)
+
+
+# ---------------------------------------------------------------------------
+# one BLAS thread per tensor evaluation
+
+needs_openblas = pytest.mark.skipif(not _blas.libraries(),
+                                    reason="no OpenBLAS bundled with numpy or scipy")
+
+
+def blas_threads() -> list[int]:
+    return [get() for get, _ in _blas.libraries()]
+
+
+@pytest.fixture
+def two_threads():
+    """Every bundled OpenBLAS at 2 threads: a count other than the scope's own 1."""
+    saved = blas_threads()
+    for _, put in _blas.libraries():
+        put(2)
+    yield [2] * len(saved)
+    for (_, put), count in zip(_blas.libraries(), saved):
+        put(count)
+
+
+@needs_openblas
+def test_solve_point_runs_blas_on_one_thread(two_threads, monkeypatch):
+    seen = []
+    shift_invert = spectra.shift_invert
+
+    def spy(*args, **kwargs):
+        seen.append(blas_threads())
+        return shift_invert(*args, **kwargs)
+
+    monkeypatch.setattr(spectra, "shift_invert", spy)
+    p = ModelParams.from_ratios(0.9, gamma=2.0, j=5.0)
+    comp = qgt_components("full", p, Truncation.for_spin(60, p.j, "positive"))
+    assert comp.method == "linear_solve"
+    assert seen and all(counts == [1] * len(two_threads) for counts in seen)
+    assert blas_threads() == two_threads
+
+
+@needs_openblas
+def test_evaluation_gives_the_caller_its_thread_count_back(two_threads):
+    p = ModelParams.from_ratios(0.5, j=2.0)
+    trunc = Truncation.for_spin(10, p.j, "positive")
+    qgt_components("full", p, trunc)
+    assert blas_threads() == two_threads
+    with pytest.raises(ValueError, match="unknown method"):
+        qgt_components("full", p, trunc, method="exact")
+    assert blas_threads() == two_threads
+
+
+@needs_openblas
+def test_nested_scopes_restore_once(two_threads, monkeypatch):
+    calls = []
+
+    def recorded(put):
+        def wrapper(count):
+            calls.append(count)
+            put(count)
+        return wrapper
+
+    handles = tuple((get, recorded(put)) for get, put in _blas.libraries())
+    monkeypatch.setattr(_blas, "libraries", lambda: handles)
+    ones = [1] * len(two_threads)
+    with _blas.single_thread:
+        with _blas.single_thread:
+            assert blas_threads() == ones
+        assert blas_threads() == ones
+    assert blas_threads() == two_threads
+    assert calls == ones + two_threads
+
+
+@needs_openblas
+def test_scope_without_openblas_does_nothing(two_threads, monkeypatch):
+    handles = _blas.libraries()
+    monkeypatch.setattr(_blas, "libraries", lambda: ())
+    with _blas.single_thread:
+        assert [get() for get, _ in handles] == two_threads
+    p = ModelParams.from_ratios(0.5, j=2.0)
+    qgt_components("full", p, Truncation.for_spin(10, p.j, "positive"))
+    assert [get() for get, _ in handles] == two_threads
+
+
+@needs_openblas
+def test_concurrent_scopes_hold_one_thread_until_the_last_exits(two_threads):
+    ones = [1] * len(two_threads)
+    wrong = []
+
+    def enter_and_read():
+        for _ in range(300):
+            with _blas.single_thread:
+                counts = blas_threads()
+                if counts != ones:
+                    wrong.append(counts)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=enter_and_read) for _ in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert not wrong
+    assert blas_threads() == two_threads

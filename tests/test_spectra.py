@@ -39,6 +39,16 @@ def test_dense_random_hermitian_reconstruction():
     es.check(herm)  # residuals and orthonormality
 
 
+@pytest.mark.parametrize("energies,states", [
+    ([math.nan, 2.0], np.full((3, 2), math.nan)),
+    ([1.0, math.nan], np.eye(3)[:, :2]),
+])
+def test_check_refuses_nan_pairs(energies, states):
+    es = spectra.Eigensystem(energies=np.array(energies), states=states)
+    with pytest.raises(ConvergenceError, match="residual"):
+        es.check(np.diag([1.0, 2.0, 3.0]))
+
+
 def test_dense_limit_error():
     big = np.eye(10)
     with pytest.raises(TruncationError, match="lowest_k"):

@@ -278,6 +278,17 @@ def test_parallel_serial_equivalence():
     assert parallel == serial
 
 
+@pytest.mark.parametrize("n_max,method", [(30, "sum"), (60, "solve")])
+def test_matrix_route_bytes_do_not_depend_on_workers(n_max, method):
+    # j = 5 puts the sector dimension below DENSE_SOLVE_LIMIT at n_max 30 and
+    # above it at 60: the routes whose sums run through BLAS
+    spec = SweepSpec(model="full", param="g", start=0.5, stop=0.9, points=4, gamma=2.0,
+                     eta=1.0, j=5.0, n_max=n_max, workers=2)
+    parallel = run_sweep(spec)
+    assert all(row.converged and row.method == method for row in parallel)
+    assert rows_to_csv(parallel) == rows_to_csv(run_sweep(dataclasses.replace(spec, workers=1)))
+
+
 def test_rerun_is_byte_identical(tmp_path):
     spec = small_spec(points=4)
     path_a = tmp_path / "a.csv"
