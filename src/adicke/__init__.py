@@ -1,8 +1,8 @@
 """Quantum geometry and Fisher information of the anisotropic Dicke model."""
 
 from .effective import (DisplacementSolution, FockCutoff, QuadraticBosonForm,
-                        RescaledParams, displacement_solution, effective_form,
-                        form_matrix, quadratic_form, rescaled_params)
+                        displacement_solution, effective_form, form_matrix,
+                        quadratic_form)
 from .errors import ConvergenceError, DegeneracyError, StencilError, TruncationError
 from .families import MODEL_CHOICES, qfi_omega, qgt_components, resolve_branch
 from .geometry import (QFIValue, QGTComponents, berry, metric, qfi,
@@ -22,9 +22,8 @@ __all__ = [
     "ModelParams", "Truncation",
     "boson_operators", "spin_operators", "full_hamiltonian", "parity_operator",
     "project_parity", "param_derivative",
-    "FockCutoff", "QuadraticBosonForm", "DisplacementSolution", "RescaledParams",
-    "displacement_solution", "rescaled_params", "effective_form", "form_matrix",
-    "quadratic_form",
+    "FockCutoff", "QuadraticBosonForm", "DisplacementSolution",
+    "displacement_solution", "effective_form", "form_matrix", "quadratic_form",
     "Eigensystem", "NormalModes", "dense_eigensystem", "lowest_k", "gauge_fix",
     "bogoliubov_modes",
     "QGTComponents", "QFIValue", "qgt_finite_difference", "metric", "berry", "qfi",

@@ -1,12 +1,13 @@
 """Command-line front end: sweeps, ratio scans and convergence studies.
 
-Exit codes: 0 on success, 1 for an invalid specification, 2 when the run
-finished but some grid points are flagged.
+Exit codes: 0 on success, 1 for an invalid specification or command line,
+2 when the run finished but some grid points are flagged.
 """
 
 from __future__ import annotations
 
 import configparser
+import contextlib
 import math
 import sys
 
@@ -81,7 +82,29 @@ def _fail(message: str):
     sys.exit(1)
 
 
-@click.group()
+@contextlib.contextmanager
+def _usage_error_exits_one():
+    # click exits 2 on a usage error, the code that means "flagged points" here
+    try:
+        yield
+    except click.UsageError as exc:
+        exc.exit_code = 1
+        raise
+
+
+class _Group(click.Group):
+    """Command group whose usage errors, its own or a subcommand's, exit 1."""
+
+    def make_context(self, *args, **kwargs):
+        with _usage_error_exits_one():
+            return super().make_context(*args, **kwargs)
+
+    def invoke(self, ctx):
+        with _usage_error_exits_one():
+            return super().invoke(ctx)
+
+
+@click.group(cls=_Group)
 def main():
     """Ground-state quantum geometry of the anisotropic Dicke model."""
 
@@ -90,7 +113,7 @@ _shared = [
     click.option("--config", type=click.Path(exists=True, dir_okay=False), default=None,
                  help="INI file with [sweep]/[parameters]/[truncation]/[output] sections."),
     click.option("--model", type=click.Choice(families.MODEL_CHOICES), default=None),
-    click.option("--method", type=click.Choice(("sum", "solve", "fd", "analytic")),
+    click.option("--method", type=click.Choice(("sum", "solve", "fd")),
                  default=None),
     click.option("--gamma", type=str, default=None, help="Coupling ratio (accepts 1/3)."),
     click.option("--eta", type=float, default=None, help="Frequency ratio Omega/omega."),

@@ -6,8 +6,14 @@ Four models are provided, each exact in its limit and phase:
   fixed frequency ratio), obtained by bosonizing the collective spin; two
   coupled modes ``a`` (field) and ``b`` (spin fluctuations).
 * ``co_normal`` / ``co_superradiant`` -- classical-oscillator limit
-  (Omega/omega -> inf at finite j), obtained by projecting onto the lowest
-  spin state; a single quadratic mode.
+  (Omega/omega -> inf at finite j): the classical-spin form of the same
+  phase with its spin mode ``b`` eliminated (``_eliminate_b``); a single
+  quadratic mode.
+
+Every coefficient is a closed-form function of the parameters, and so is
+every derivative form (``form_param_derivative``): term by term for the
+classical-spin forms, by the chain rule through the elimination of ``b``
+for the classical-oscillator ones.
 
 All four are bilinear in ladder operators, so their ground states are
 Gaussian and need no Fock cutoff: the normal modes come from the form's
@@ -32,8 +38,8 @@ from .model import (DEFAULT_MAX_DIM, PIECE_CACHE_SIZE, ModelParams, PiecePattern
                     boson_operators, real_if_exact)
 from .errors import TruncationError
 
-#: Step of ``form_param_derivative``, relative to the parameter (absolute below 1).
-FORM_STEP = 2e-4
+#: Parameters other than theta along which ``form_param_derivative`` differentiates.
+_SCALAR_LABELS = ("omega", "Omega", "lambda1", "lambda2")
 
 #: Largest rebuild defect, relative to the matrix scale, that
 #: ``quadratic_form`` accepts.
@@ -95,33 +101,6 @@ def displacement_solution(p: ModelParams) -> DisplacementSolution:
 
 
 @dataclass(frozen=True)
-class RescaledParams:
-    """Displaced-frame spin frequency and coupling amplitudes (superradiant side).
-
-    ``Omega_tilde = Omega g^2``; the primed couplings satisfy
-    lambda1' + lambda2' = sqrt(omega Omega)/(g sqrt(2j)) and
-    lambda1' - lambda2' = (lambda1 - lambda2)/sqrt(2j).
-    """
-
-    Omega_tilde: float
-    lambda1_prime: float
-    lambda2_prime: float
-
-
-def rescaled_params(p: ModelParams) -> RescaledParams:
-    """Rescaled parameters of the displaced frame; defined for g > 1 only."""
-    g = p.g
-    if g <= 1.0:
-        raise ValueError(f"rescaled parameters need g > 1, got g = {g}")
-    root = math.sqrt(p.omega * p.Omega)
-    diff = p.lambda1 - p.lambda2
-    norm = 2 * math.sqrt(2 * p.j)
-    return RescaledParams(Omega_tilde=p.Omega * g * g,
-                          lambda1_prime=(root / g + diff) / norm,
-                          lambda2_prime=(root / g - diff) / norm)
-
-
-@dataclass(frozen=True)
 class QuadraticBosonForm:
     """Coefficient table of a quadratic boson Hamiltonian.
 
@@ -176,42 +155,37 @@ def cs_superradiant_form(p: ModelParams) -> QuadraticBosonForm:
                               const=const)
 
 
+def _eliminate_b(form: QuadraticBosonForm) -> QuadraticBosonForm:
+    """One-mode form left by eliminating the stiff mode b of a two-mode form.
+
+    The form couples b to a through b'X + X'b, X = hop* a + pair a'.  Removing
+    b at second order in the coupling over its frequency n_b leaves -X'X/n_b:
+    n_a - (|hop|^2 + |pair|^2)/n_b, a squeeze -hop pair/n_b and a constant
+    -|pair|^2/n_b.
+    """
+    hop2, pair2 = abs(form.hop) ** 2, abs(form.pair) ** 2
+    return QuadraticBosonForm(modes=1, n_a=form.n_a - (hop2 + pair2) / form.n_b,
+                              squeeze=-form.hop * form.pair / form.n_b,
+                              const=form.const - pair2 / form.n_b)
+
+
 def co_normal_form(p: ModelParams) -> QuadraticBosonForm:
     """Classical-oscillator limit, normal phase: a single quadratic mode.
 
-    Expanding the projected coupling product gives
+    The classical-spin form with its spin mode eliminated:
     [w - (l1^2 + l2^2)/W] a'a - (l1 l2 / W)(e^{2it} a'^2 + h.c.) - l2^2/W - jW.
     """
-    phase2 = cmath.exp(2j * p.theta)
-    return QuadraticBosonForm(
-        modes=1,
-        n_a=p.omega - (p.lambda1**2 + p.lambda2**2) / p.Omega,
-        squeeze=-(p.lambda1 * p.lambda2 / p.Omega) * phase2,
-        const=-p.lambda2**2 / p.Omega - p.j * p.Omega,
-    )
+    return _eliminate_b(cs_normal_form(p))
 
 
 def co_superradiant_form(p: ModelParams) -> QuadraticBosonForm:
     """Classical-oscillator limit, superradiant phase (g > 1).
 
-    Same structure as the normal phase with the displaced-frame couplings.
-    The primed amplitudes are used at the collective normalization (i.e. the
-    1/sqrt(2j) they carry is undone before forming the projected quadratic
-    model), which keeps the model j-independent apart from its constant and
-    closes the gap at exactly g = 1.
+    The displaced-frame classical-spin form with its spin mode eliminated;
+    it stays j-independent apart from its constant, and its gap closes at
+    exactly g = 1.
     """
-    g = p.g
-    rp = rescaled_params(p)  # raises for g <= 1
-    scale = math.sqrt(2 * p.j)
-    lt1 = rp.lambda1_prime * scale
-    lt2 = rp.lambda2_prime * scale
-    phase2 = cmath.exp(2j * p.theta)
-    return QuadraticBosonForm(
-        modes=1,
-        n_a=p.omega - (lt1**2 + lt2**2) / rp.Omega_tilde,
-        squeeze=-(lt1 * lt2 / rp.Omega_tilde) * phase2,
-        const=-lt2**2 / rp.Omega_tilde - 0.5 * p.j * p.Omega * (g**2 + g**-2),
-    )
+    return _eliminate_b(cs_superradiant_form(p))
 
 
 _FORMS = {
@@ -385,59 +359,65 @@ def theta_derivative_matrix(ham: sp.csr_array, cut: FockCutoff) -> sp.csr_array:
     return (1j * (n_op @ mat - mat @ n_op)).tocsr()
 
 
-def _form_vector(form: QuadraticBosonForm) -> np.ndarray:
-    return np.array([form.n_a, form.n_b, form.hop, form.pair, form.squeeze, form.const],
-                    dtype=complex)
+def _cs_derivative(model: str, p: ModelParams, which: str) -> QuadraticBosonForm:
+    """Derivative of a classical-spin form along one of omega, Omega, lambda1, lambda2.
+
+    ``cs_np`` is linear in the parameters.  ``cs_sp`` is rational in omega,
+    Omega, L = lambda1 + lambda2 and lambda1 - lambda2, through
+    n_b = L^2/w, hop/pair = (w W/(2L) +- (lambda1 - lambda2)/2) e^{it} and
+    const = -j (L^2/(2w) + w W^2/(2L^2)).
+    """
+    if which not in _SCALAR_LABELS:
+        raise ValueError(f"unknown parameter {which!r}; expected theta or one of {_SCALAR_LABELS}")
+    dw, dW, dl1, dl2 = (float(which == label) for label in _SCALAR_LABELS)
+    phase = cmath.exp(1j * p.theta)
+    if model == "cs_np":
+        return QuadraticBosonForm(modes=2, n_a=dw, n_b=dW, hop=dl1 * phase, pair=dl2 * phase,
+                                  const=-p.j * dW)
+    w, W, L = p.omega, p.Omega, p.lambda1 + p.lambda2
+    dL, d_minus = dl1 + dl2, (dl1 - dl2) / 2
+    d_plus = (dw * W + w * dW - w * W * dL / L) / (2 * L)
+    return QuadraticBosonForm(
+        modes=2, n_a=dw, n_b=(2 * L * dL - L**2 * dw / w) / w,
+        hop=(d_plus + d_minus) * phase, pair=(d_plus - d_minus) * phase,
+        const=-p.j * (L * dL / w - L**2 * dw / (2 * w**2)
+                      + W * (dw * W + 2 * w * dW) / (2 * L**2) - w * W**2 * dL / L**3))
 
 
-def _vector_form(vec: np.ndarray, modes: int) -> QuadraticBosonForm:
-    return QuadraticBosonForm(modes=modes, n_a=vec[0].real, n_b=vec[1].real if modes == 2 else 0.0,
-                              hop=vec[2] if modes == 2 else 0j,
-                              pair=vec[3] if modes == 2 else 0j,
-                              squeeze=vec[4], const=vec[5].real)
+def _eliminate_b_derivative(form: QuadraticBosonForm,
+                            dform: QuadraticBosonForm) -> QuadraticBosonForm:
+    """Derivative of ``_eliminate_b(form)`` given the derivative ``dform`` of form."""
+    hop, pair, n_b = form.hop, form.pair, form.n_b
+    hop2, pair2 = abs(hop) ** 2, abs(pair) ** 2
+    d_hop2 = 2 * (hop.conjugate() * dform.hop).real
+    d_pair2 = 2 * (pair.conjugate() * dform.pair).real
+    return QuadraticBosonForm(
+        modes=1,
+        n_a=dform.n_a - (d_hop2 + d_pair2) / n_b + (hop2 + pair2) * dform.n_b / n_b**2,
+        squeeze=-(dform.hop * pair + hop * dform.pair) / n_b + hop * pair * dform.n_b / n_b**2,
+        const=dform.const - d_pair2 / n_b + pair2 * dform.n_b / n_b**2)
 
 
 def form_param_derivative(model: str, p: ModelParams, which: str) -> QuadraticBosonForm:
-    """Coefficient-wise derivative of an effective model's form.
+    """Coefficient-wise derivative of an effective model's form, in closed form.
 
-    The theta derivative is exact: theta enters every form only as the phase
-    e^{i theta} of each a' (``theta_derivative_matrix``), so it multiplies
-    hop and pair by i and squeeze by 2i and removes the rest.  Any other
-    label uses a five-point fourth-order stencil on the (analytic)
-    coefficient functions, of step FORM_STEP relative to the parameter:
-    central, or one-sided forward where the backward points would leave the
-    parameter domain (a coupling within two steps of zero).  For the
-    superradiant forms the step is shrunk so the stencil never leaves the
-    g > 1 domain.
+    theta enters every form only as the phase e^{i theta} of each a'
+    (``theta_derivative_matrix``), so its derivative multiplies hop and pair
+    by i and squeeze by 2i and removes the rest.  Along omega, Omega,
+    lambda1 or lambda2 the classical-spin forms are differentiated term by
+    term (``_cs_derivative``) and the classical-oscillator forms by the
+    chain rule through the elimination of b.  A superradiant form raises
+    ValueError at g <= 1, as its builder does.
     """
-    build = _FORMS[model]
+    form = effective_form(model, p)
     if which == "theta":
-        form = build(p)
         return QuadraticBosonForm(modes=form.modes, n_a=0.0, const=0.0, hop=1j * form.hop,
                                   pair=1j * form.pair, squeeze=2j * form.squeeze)
-    h = FORM_STEP * max(1.0, abs(getattr(p, which)))
-    try:
-        p.shifted(which, -2 * h)
-        central = True
-    except ValueError:
-        central = False
-    if model.endswith("_sp"):
-        for _ in range(60):
-            try:
-                if all(p.shifted(which, k * h).g > 1.0 for k in ((-2, 2) if central else (0, 4))):
-                    break
-            except ValueError:
-                pass
-            h /= 2
-        else:
-            raise ValueError("cannot differentiate this close to the critical point")
-    if central:
-        f = [_form_vector(build(p.shifted(which, k * h))) for k in (-2, -1, 1, 2)]
-        vec = (f[0] - 8 * f[1] + 8 * f[2] - f[3]) / (12 * h)
-    else:
-        f = [_form_vector(build(p.shifted(which, k * h))) for k in range(5)]
-        vec = (-25 * f[0] + 48 * f[1] - 36 * f[2] + 16 * f[3] - 3 * f[4]) / (12 * h)
-    return _vector_form(vec, build(p).modes)
+    cs_model = "cs" + model[2:]
+    dform = _cs_derivative(cs_model, p, which)
+    if model == cs_model:
+        return dform
+    return _eliminate_b_derivative(_FORMS[cs_model](p), dform)
 
 
 def effective_param_derivative(model: str, p: ModelParams, cut: FockCutoff,

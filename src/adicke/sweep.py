@@ -24,7 +24,7 @@ from .effective import effective_form
 from .model import PARAMETER_LABELS, ModelParams
 from .spectra import bogoliubov_modes
 
-_METHODS = ("sum", "solve", "fd", "analytic")
+_METHODS = ("sum", "solve", "fd")
 _SPACINGS = ("linear", "log")
 
 #: Grid points this close to g = 1 are skipped (flagged) by the fd method.
@@ -87,11 +87,6 @@ class SweepSpec:
             raise ValueError("log spacing needs positive endpoints")
         if self.method is not None and self.method not in _METHODS:
             raise ValueError(f"method must be one of {_METHODS}")
-        if self.method == "analytic":
-            if self.model not in ("co_np", "co_sp", "auto_co"):
-                raise ValueError("the analytic method covers the one-mode limits only")
-            if not math.isclose(self.gamma, 1.0, rel_tol=1e-9):
-                raise ValueError("the analytic closed forms hold at gamma = 1")
         if self.workers < 1:
             raise ValueError("workers must be at least 1")
         if not set(self.labels) <= set(PARAMETER_LABELS):
@@ -142,18 +137,6 @@ def _branch_label(concrete: str) -> str:
     return concrete.split("_")[1] if "_" in concrete else ""
 
 
-def _analytic_row(spec: SweepSpec, concrete: str, p: ModelParams) -> SweepRow:
-    from .squeezed import berry_curvature_np, berry_curvature_sp
-
-    if concrete == "co_np":
-        f_val = berry_curvature_np(p.g, p.omega)
-    else:
-        f_val = berry_curvature_sp(p.g, p.omega, first_term_only=True)
-    return SweepRow(g=p.g, gamma=p.gamma, eta=p.eta, j=p.j, n_max=spec.n_max,
-                    model=spec.model, method="analytic", F_theta_omega=f_val,
-                    branch=_branch_label(concrete))
-
-
 def evaluate_point(spec: SweepSpec, value: float) -> SweepRow:
     """Evaluate one grid point; never raises, failures come back flagged.
 
@@ -166,8 +149,6 @@ def evaluate_point(spec: SweepSpec, value: float) -> SweepRow:
         p = spec.point_params(value)
         concrete = families.resolve_branch(spec.model, p.g)
         branch = _branch_label(concrete)
-        if spec.method == "analytic":
-            return _analytic_row(spec, concrete, p)
         if spec.method is None and concrete != "full":
             method, trunc = "gaussian", None
         else:
@@ -292,14 +273,21 @@ def gamma_comparison(g: float, gammas, model: str, *, eta: float = 1.0,
                      omega: float = 1.0, theta: float = 0.0, j: float = 5.0,
                      n_max: int = 40, n_max_b: int | None = None,
                      sector: str = "positive", method: str | None = None) -> GammaComparison:
-    """I_omega_omega per coupling ratio; the coupling sum is pinned by g."""
+    """I_omega_omega per coupling ratio; the coupling sum is pinned by g.
+
+    As in ``evaluate_point``, an effective model with no method set is
+    evaluated exactly, with no cutoff; ``n_max`` and ``n_max_b`` then apply
+    only to the full model or to an explicit method.
+    """
     gammas = [float(x) for x in gammas]
     values = []
     for gamma in gammas:
         p = ModelParams.from_ratios(g, gamma=gamma, eta=eta, omega=omega,
                                     theta=theta, j=j)
         concrete = families.resolve_branch(model, p.g)
-        trunc = families.default_truncation(concrete, p, n_max, n_max_b, sector=sector)
+        trunc = None
+        if method is not None or concrete == "full":
+            trunc = families.default_truncation(concrete, p, n_max, n_max_b, sector=sector)
         values.append(families.qfi_omega(concrete, p, trunc, method=method))
     increasing = all(b > a for a, b in zip(values, values[1:]))
     asym = 0.0

@@ -148,10 +148,14 @@ def test_converge_command(runner):
     assert lines[0].startswith("value,I_nmax_15,I_nmax_25")
 
 
-def test_analytic_method_through_cli(runner):
-    result = runner.invoke(main, [
-        "sweep", "--model", "auto_co", "--method", "analytic", "--param", "g",
-        "--from", "0.5", "--to", "0.9", "--points", "3", "--gamma", "1",
-        "--j", "2", "--nmax", "20"])
-    assert result.exit_code == 0, result.output
-    assert "analytic" in result.output
+@pytest.mark.parametrize("args", [
+    ["sweep", "--model", "foo"],
+    ["ratio-scan", "--j-list", "2", "--gamma-list", "1", "--eta-list", "2", "--g", "abc"],
+    ["sweep", "--method", "analytic", "--model", "co_np"],
+    ["no-such-command"],
+], ids=["unknown-model", "bad-number", "retired-method", "unknown-command"])
+def test_usage_errors_exit_one(runner, args):
+    # exit code 2 means a finished run with flagged points
+    result = runner.invoke(main, args)
+    assert result.exit_code == 1, result.output
+    assert "Usage:" in result.output

@@ -9,7 +9,7 @@ import scipy.sparse as sp
 
 from adicke import (FockCutoff, ModelParams, TruncationError, bogoliubov_modes,
                     dense_eigensystem, displacement_solution, effective, form_matrix,
-                    qgt_components, quadratic_form, rescaled_params)
+                    qgt_components, quadratic_form)
 from adicke.effective import (QuadraticBosonForm, boson_parity_labels,
                               co_normal_form, co_superradiant_form,
                               cs_normal_form, cs_superradiant_form,
@@ -24,7 +24,7 @@ def from_g(g, gamma=1.0, eta=1.0, theta=0.0, j=10.0, omega=1.0):
 
 
 # ---------------------------------------------------------------------------
-# displacement and rescaled parameters
+# displacement
 
 
 def test_displacement_at_critical_point():
@@ -58,28 +58,6 @@ def test_displacement_cancels_linear_terms():
     res_a = p.omega * abs(sol.alpha) - math.sqrt(p.j / 2) * lam * sin_delta
     res_b = lam * abs(sol.alpha) * sol.cos_delta - p.Omega * math.sqrt(p.j / 2) * sin_delta
     assert abs(res_a) < 1e-12 and abs(res_b) < 1e-12
-
-
-def test_rescaled_params_identities():
-    p = from_g(math.sqrt(2.0), gamma=1.0, j=3.0)
-    rp = rescaled_params(p)
-    assert rp.Omega_tilde == pytest.approx(2.0, rel=1e-14)
-    assert rp.lambda1_prime == pytest.approx(rp.lambda2_prime, rel=1e-14)
-    assert rp.lambda1_prime + rp.lambda2_prime == pytest.approx(
-        1.0 / (math.sqrt(2.0) * math.sqrt(2 * p.j)), rel=1e-13)
-
-
-def test_rescaled_params_difference_invariant():
-    p = from_g(1.0 + 1e-12, gamma=3.0, j=2.0)
-    rp = rescaled_params(p)
-    assert rp.Omega_tilde == pytest.approx(p.Omega, rel=1e-9)
-    assert rp.lambda1_prime - rp.lambda2_prime == pytest.approx(
-        (p.lambda1 - p.lambda2) / math.sqrt(2 * p.j), rel=1e-12)
-
-
-def test_rescaled_params_rejects_normal_phase():
-    with pytest.raises(ValueError):
-        rescaled_params(from_g(0.9))
 
 
 # ---------------------------------------------------------------------------
@@ -179,21 +157,21 @@ def test_co_superradiant_structure_and_gap():
 
 def test_co_superradiant_matches_normal_form_substitution():
     # quadratic coefficients equal the normal-phase expansion evaluated at the
-    # displaced-frame parameters (collective normalization restored)
+    # displaced-frame parameters: spin frequency Omega g^2 and couplings
+    # (sqrt(omega Omega)/g +- (lambda1 - lambda2))/2
     for gamma in (1.0, 2.7):
         p = from_g(1.35, gamma=gamma, eta=2.0, theta=0.6, j=4.0)
-        rp = rescaled_params(p)
-        scale = math.sqrt(2 * p.j)
-        sub = ModelParams(omega=p.omega, Omega=rp.Omega_tilde,
-                          lambda1=rp.lambda1_prime * scale,
-                          lambda2=rp.lambda2_prime * scale,
+        g = p.g
+        root = math.sqrt(p.omega * p.Omega) / g
+        diff = p.lambda1 - p.lambda2
+        sub = ModelParams(omega=p.omega, Omega=p.Omega * g**2,
+                          lambda1=(root + diff) / 2, lambda2=(root - diff) / 2,
                           theta=p.theta, j=p.j)
         direct = co_superradiant_form(p)
         oracle = co_normal_form(sub)
         assert direct.n_a == pytest.approx(oracle.n_a, rel=1e-13)
         assert direct.squeeze == pytest.approx(oracle.squeeze, rel=1e-13)
         # the scalar offsets differ exactly by the displaced-frame energy shift
-        g = p.g
         expected_shift = p.j * sub.Omega - 0.5 * p.j * p.Omega * (g**2 + g**-2)
         assert direct.const - oracle.const == pytest.approx(expected_shift, rel=1e-12)
 
@@ -316,8 +294,39 @@ def test_scalar_derivatives_match_matrix_stencil(model, g, which):
 def test_cs_normal_omega_derivative_is_mode_a_number():
     p = from_g(0.6, gamma=2.0, theta=0.4, j=2.0)
     dform = form_param_derivative("cs_np", p, "omega")
-    assert dform.n_a == pytest.approx(1.0, abs=1e-11)
-    assert abs(dform.n_b) < 1e-11 and abs(dform.hop) < 1e-11 and abs(dform.pair) < 1e-11
+    assert dform.n_a == 1.0
+    assert dform.n_b == 0.0 and dform.hop == 0j and dform.pair == 0j
+    assert dform.squeeze == 0j and dform.const == 0.0
+
+
+@pytest.mark.parametrize("which", ["omega", "Omega", "lambda1", "lambda2"])
+@pytest.mark.parametrize("model", ["cs_sp", "co_sp"])
+def test_superradiant_derivatives_just_above_the_critical_point(model, which):
+    # one-sided second-order difference in the direction that raises g, so
+    # every point stays in the superradiant domain
+    p = from_g(1.0 + 1e-6, gamma=2.0, eta=1.5, theta=0.35, j=3.0)
+    cut = FockCutoff(8, 8) if model.startswith("cs") else FockCutoff(10)
+    sign = 1.0 if which.startswith("lambda") else -1.0
+    h = 1e-5
+    f0, f1, f2 = (form_matrix(effective_form(model, p.shifted(which, sign * k * h)),
+                              cut).toarray() for k in range(3))
+    want = sign * (-3 * f0 + 4 * f1 - f2) / (2 * h)
+    got = effective_param_derivative(model, p, cut, which).toarray()
+    assert np.max(np.abs(got - want)) < 1e-7 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("model", ["cs_sp", "co_sp"])
+def test_superradiant_derivative_rejects_the_normal_phase(model):
+    for g in (0.9, 1.0):
+        with pytest.raises(ValueError, match="g > 1"):
+            form_param_derivative(model, from_g(g), "omega")
+
+
+@pytest.mark.parametrize("model", ["cs_np", "co_np", "cs_sp"])
+def test_derivative_rejects_an_unknown_label(model):
+    for which in ("j", "g", "bogus"):
+        with pytest.raises(ValueError, match="unknown parameter"):
+            form_param_derivative(model, from_g(1.2 if model == "cs_sp" else 0.5), which)
 
 
 # ---------------------------------------------------------------------------
@@ -436,7 +445,7 @@ def test_tensor_evaluation_leaves_the_cached_form_pieces_unchanged(model, g, cut
 
 @pytest.mark.parametrize("g", [0.3, 0.9])
 def test_co_normal_counterrotating_derivative_at_infinite_gamma(g):
-    # lambda2 = 0 here, so the stencil steps forward only
+    # lambda2 = 0 here, the edge of the coupling domain
     p = from_g(g, gamma=math.inf, eta=1.5, j=3.0)
     dform = form_param_derivative("co_np", p, "lambda2")
     assert dform.squeeze == pytest.approx(-p.lambda1 / p.Omega, abs=1e-8)

@@ -14,6 +14,7 @@ from adicke import (FockCutoff, ModelParams, SweepSpec, Truncation, convergence_
                     ratio_scan, rows_to_csv, run_sweep, spectra, write_csv, write_json)
 from adicke.effective import effective_form
 from adicke.spectra import bogoliubov_modes
+from adicke.squeezed import berry_curvature_np, berry_curvature_sp
 from adicke.sweep import CSV_COLUMNS, SweepRow, continuity_report, evaluate_point
 
 
@@ -39,10 +40,8 @@ def test_validation_rejects_bad_specs():
         small_spec(spacing="log", start=0.0).validate()
     with pytest.raises(ValueError, match="labels"):
         small_spec(labels=("omega",)).validate()
-    with pytest.raises(ValueError, match="one-mode"):
-        small_spec(model="cs_np", method="analytic").validate()
-    with pytest.raises(ValueError, match="gamma = 1"):
-        small_spec(method="analytic", gamma=2.0).validate()
+    with pytest.raises(ValueError, match="method"):
+        small_spec(method="analytic").validate()
     with pytest.raises(ValueError, match="workers"):
         small_spec(workers=0).validate()
 
@@ -240,14 +239,19 @@ def test_fd_exclusion_zone_flags_rows():
     assert rows[1].converged
 
 
-def test_analytic_method_rows():
-    spec = SweepSpec(model="auto_co", param="g", start=0.5, stop=0.9, points=3,
-                     gamma=1.0, method="analytic", n_max=30, j=2.0)
+@pytest.mark.parametrize("start,stop,curvature", [
+    (0.3, 0.99, berry_curvature_np),
+    (1.01, 3.0, lambda g, omega: berry_curvature_sp(g, omega, first_term_only=True)),
+], ids=["normal", "superradiant"])
+def test_auto_co_gaussian_rows_match_the_closed_form_curvature(start, stop, curvature):
+    # at gamma = 1 the one-mode limit is a pure squeezed state, whose Berry
+    # curvature the closed forms of adicke.squeezed give without a displacement
+    spec = SweepSpec(model="auto_co", param="g", start=start, stop=stop, points=8,
+                     gamma=1.0, theta=0.3, j=2.0)
     rows = run_sweep(spec)
     for row in rows:
-        assert row.F_theta_omega > 0
-        assert math.isnan(row.I_omega_omega)
-        assert row.method == "analytic"
+        assert row.method == "gaussian" and row.converged
+        assert row.F_theta_omega == pytest.approx(curvature(row.g, 1.0), rel=1e-10)
 
 
 def test_continuity_report_mentions_both_sides():
@@ -342,6 +346,24 @@ def test_gamma_comparison_symmetric_limit_and_reduction_oracle():
     lam = 0.9 / 2  # symmetric couplings at g = 0.9 on resonance
     oracle = _independent_dicke_qfi(lam, 2.0, 24)
     assert full.entries[0][1] == pytest.approx(oracle, rel=1e-9)
+
+
+def test_gamma_comparison_effective_model_is_exact():
+    # with no method the effective values carry no cutoff: a truncated cs_np
+    # ladder at n_max = 40 read 7691, 11857, 21088 here, increasing
+    gammas = [1 / 3, 1.0, 3.0]
+    result = gamma_comparison(0.999, gammas, "cs_np", j=10.0)
+    exact = [31212.439656923765, 31189.981237051707, 31126.66717414357]
+    for (gamma, value), want in zip(result.entries, exact):
+        p = ModelParams.from_ratios(0.999, gamma=gamma, j=10.0)
+        assert value == pytest.approx(want, rel=1e-9)
+        assert value == pytest.approx(qfi_omega("cs_np", p), rel=1e-9)
+    assert not result.strictly_increasing
+    # an explicit method keeps the cutoff
+    truncated = gamma_comparison(0.999, gammas, "cs_np", j=10.0, method="sum", n_max=12)
+    assert truncated.entries[0][1] == pytest.approx(
+        qfi_omega("cs_np", ModelParams.from_ratios(0.999, gamma=1 / 3, j=10.0),
+                  FockCutoff(12, 12), method="sum"), rel=1e-12)
 
 
 def test_gamma_comparison_full_model_monotone():
