@@ -65,16 +65,17 @@ def _read_config(path: str) -> dict:
     return values
 
 
-def _build_spec(config: str | None, overrides: dict) -> SweepSpec:
-    values: dict = {}
-    if config:
-        values.update(_read_config(config))
-    for key, val in overrides.items():
-        if val is not None:
-            values[key] = val
+def _settings(config: str | None, overrides: dict) -> dict:
+    """The config file's values, if one is given, under every flag that is set."""
+    values = _read_config(config) if config else {}
+    values.update((key, val) for key, val in overrides.items() if val is not None)
     if "model" not in values:
         raise ValueError("a model is required (flag --model or config key model)")
-    return SweepSpec(**values)
+    return values
+
+
+def _build_spec(config: str | None, overrides: dict) -> SweepSpec:
+    return SweepSpec(**_settings(config, overrides))
 
 
 def _fail(message: str):
@@ -115,7 +116,6 @@ _shared = [
     click.option("--model", type=click.Choice(families.MODEL_CHOICES), default=None),
     click.option("--method", type=click.Choice(("sum", "solve", "fd")),
                  default=None),
-    click.option("--gamma", type=str, default=None, help="Coupling ratio (accepts 1/3)."),
     click.option("--eta", type=float, default=None, help="Frequency ratio Omega/omega."),
     click.option("--j", type=float, default=None, help="Spin length (half-integer)."),
     click.option("--omega", type=float, default=None),
@@ -136,6 +136,7 @@ def _with_shared(func):
 
 @main.command("sweep")
 @_with_shared
+@click.option("--gamma", type=str, default=None, help="Coupling ratio (accepts 1/3).")
 @click.option("--param", type=str, default=None, help="Swept parameter (g or a primary).")
 @click.option("--from", "start", type=float, default=None)
 @click.option("--to", "stop", type=float, default=None)
@@ -173,30 +174,38 @@ def sweep_cmd(config, json_out, tensor, gamma, **overrides):
 
 @main.command("gamma-compare")
 @_with_shared
-@click.option("--g", type=float, required=True)
+@click.option("--g", type=float, default=None, help="Fixed g (or config key g).")
 @click.option("--gammas", type=str, required=True, help="Comma list, e.g. 1/3,1/2,1,2,3.")
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
-def gamma_compare_cmd(config, g, gammas, gamma, **overrides):
-    """Fisher information of omega per coupling ratio at fixed g."""
-    del config, gamma
-    kwargs = {k: v for k, v in overrides.items()
-              if v is not None and k in ("eta", "omega", "theta", "j", "n_max",
-                                         "n_max_b", "sector", "method")}
-    model = overrides.get("model")
-    if model is None:
-        _fail("a model is required")
+def gamma_compare_cmd(config, gammas, **overrides):
+    """Fisher information of omega per coupling ratio at fixed g.
+
+    The model, g, the fixed parameters, the truncation, the method and the
+    output file are read from --config as ``sweep`` reads them, and flags
+    override the file.  The ratios come from --gammas alone, so a config
+    key gamma is refused.  Keys that only shape a sweep (its grid, tensor
+    labels, workers) are not used.
+    """
     try:
-        result = gamma_comparison(g, _number_list(gammas), model, **kwargs)
-    except (ValueError, TypeError) as exc:
+        values = _settings(config, overrides)
+        if "gamma" in values:
+            raise ValueError("gamma-compare takes its coupling ratios from --gammas, "
+                             "not from the config key gamma")
+        if "g" not in values:
+            raise ValueError("a coupling is required (flag --g or config key g)")
+        kwargs = {k: values[k] for k in ("eta", "omega", "theta", "j", "n_max", "n_max_b",
+                                         "sector", "method") if k in values}
+        result = gamma_comparison(values["g"], _number_list(gammas), values["model"],
+                                  **kwargs)
+    except (ValueError, TypeError, KeyError, OSError) as exc:
         _fail(str(exc))
     lines = ["gamma,I_omega_omega"]
     lines += [f"{format(gv, '.17e')},{format(iv, '.17e')}" for gv, iv in result.entries]
     lines.append(f"# strictly_increasing={str(result.strictly_increasing).lower()}"
                  f" reciprocal_asymmetry={format(result.reciprocal_asymmetry, '.3e')}")
     text = "\n".join(lines) + "\n"
-    out = overrides.get("out")
-    if out:
-        with open(out, "w", encoding="utf-8") as handle:
+    if values.get("out"):
+        with open(values["out"], "w", encoding="utf-8") as handle:
             handle.write(text)
     else:
         click.echo(text, nl=False)
@@ -237,6 +246,7 @@ def ratio_scan_cmd(j_list, gamma_list, eta_list, g, omega, theta, n_max, out):
 
 @main.command("converge")
 @_with_shared
+@click.option("--gamma", type=str, default=None, help="Coupling ratio (accepts 1/3).")
 @click.option("--param", type=str, default=None)
 @click.option("--from", "start", type=float, default=None)
 @click.option("--to", "stop", type=float, default=None)

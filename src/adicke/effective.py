@@ -32,7 +32,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .model import (DEFAULT_MAX_DIM, PIECE_CACHE_SIZE, ModelParams, PiecePattern,
                     boson_operators, real_if_exact)
@@ -217,6 +216,7 @@ def _form_pieces(cut: FockCutoff) -> tuple[tuple[sp.csr_array, bool], ...]:
     adjoint term uses the transposed view of its piece, so only the pieces
     are held.
     """
+    import scipy.sparse as sp
     _, adag, n_op = boson_operators(cut.n_a)
     kron = lambda x, y: sp.kron(x, y, format="csr")
     if cut.modes == 1:
@@ -241,6 +241,7 @@ def _form_pieces(cut: FockCutoff) -> tuple[tuple[sp.csr_array, bool], ...]:
 def _form_pattern(cut: FockCutoff) -> PiecePattern:
     """The cutoff's monomials, each followed by its adjoint when it carries
     one, and the identity, on one pattern."""
+    import scipy.sparse as sp
     pieces = []
     for piece, with_adjoint in _form_pieces(cut):
         pieces += [piece, piece.T] if with_adjoint else [piece]
@@ -311,6 +312,7 @@ def quadratic_form(m, cut: FockCutoff) -> QuadraticBosonForm:
     QUADRATIC_FORM_TOL of its scale; anything else -- linear terms, cubic
     terms, a foreign basis -- is rejected.
     """
+    import scipy.sparse as sp
     mat = m.toarray() if sp.issparse(m) else np.asarray(m)
     if mat.shape[0] != cut.dim:
         raise ValueError(f"matrix dimension {mat.shape[0]} does not match cutoff dim {cut.dim}")
@@ -354,6 +356,7 @@ def theta_derivative_matrix(ham: sp.csr_array, cut: FockCutoff) -> sp.csr_array:
     All theta dependence enters through phases of mode-a raising operators,
     so the commutator with the mode-a number operator generates it.
     """
+    import scipy.sparse as sp
     n_op = sp.diags_array(mode_a_number_diagonal(cut), format="csr")
     mat = sp.csr_array(ham)
     return (1j * (n_op @ mat - mat @ n_op)).tocsr()

@@ -11,7 +11,6 @@ from __future__ import annotations
 import dataclasses
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import effective, model, spectra
 from ._blas import single_thread

@@ -30,11 +30,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Sequence, TypeAlias
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .errors import ConvergenceError, DegeneracyError, StencilError
 from .model import ModelParams
@@ -154,7 +152,7 @@ class GaugeGenerator:
         return -1j * (self.diag - np.vdot(psi, self.diag * psi).real) * psi
 
 
-Derivative = sp.csr_array | GaugeGenerator
+Derivative: TypeAlias = "sp.csr_array | GaugeGenerator"
 
 
 def qgt_from_tangents(tangents: np.ndarray, labels: Sequence[str],
@@ -230,6 +228,7 @@ def resolvent_tangent(ham, energy: float, psi: np.ndarray, derivs: Sequence[sp.c
     holds one tangent per column, in the dtype the inputs need, and every
     column's residual is checked against H - E0.
     """
+    import scipy.sparse.linalg as spla
     dim = ham.shape[0]
     rhs = _derivative_columns(derivs, psi)
     rhs = rhs - np.outer(psi, psi.conj() @ rhs)

@@ -40,7 +40,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import TruncationError
 
@@ -180,6 +179,7 @@ class PiecePattern:
     @classmethod
     def of(cls, pieces) -> "PiecePattern":
         """The pattern of sparse pieces of one shape, each without duplicate entries."""
+        import scipy.sparse as sp
         pieces = [sp.csr_array(piece) for piece in pieces]
         shape = pieces[0].shape
         union = sum(sp.csr_array((np.ones(piece.nnz), piece.indices, piece.indptr), shape=shape)
@@ -202,6 +202,7 @@ class PiecePattern:
         combination of them.  A position no term reaches holds an explicit
         zero.  The matrix is float64 when every term is real.
         """
+        import scipy.sparse as sp
         data = None
         for coeff, vector in terms:
             term = coeff * vector
@@ -211,7 +212,7 @@ class PiecePattern:
 
 def _flat_positions(m: sp.csr_array) -> np.ndarray:
     """Row-major flat index of every stored entry of a canonical CSR matrix (ascending)."""
-    return np.ravel_multi_index(sp.coo_array(m).coords, m.shape)
+    return np.ravel_multi_index(m.tocoo().coords, m.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -225,6 +226,7 @@ def boson_operators(n_max: int) -> tuple[sp.csr_array, sp.csr_array, sp.csr_arra
     entry (n_max, n_max); that truncation defect is accepted and controlled by
     convergence checks rather than patched.
     """
+    import scipy.sparse as sp
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
     dim = n_max + 1
@@ -236,6 +238,7 @@ def boson_operators(n_max: int) -> tuple[sp.csr_array, sp.csr_array, sp.csr_arra
 
 def spin_operators(j: float) -> tuple[sp.csr_array, sp.csr_array, sp.csr_array]:
     """Collective spin matrices (J+, J-, Jz) on |j, m>, m = -j..j ascending."""
+    import scipy.sparse as sp
     two_j = 2 * j
     if j <= 0 or abs(two_j - round(two_j)) > 1e-9:
         raise ValueError(f"j must be a positive half-integer, got {j}")
@@ -266,6 +269,7 @@ def parity_labels(t: Truncation) -> np.ndarray:
 
 def parity_operator(t: Truncation) -> sp.csr_array:
     """The Z2 parity, diagonal with entries +-1; squares to the identity."""
+    import scipy.sparse as sp
     return sp.diags_array(parity_labels(t), format="csr")
 
 
@@ -289,6 +293,7 @@ def project_parity(m, t: Truncation, sector: str) -> tuple[sp.csr_array, np.ndar
     do not call it (they cut their pieces once per truncation); it is the
     general projection the tests check them against.
     """
+    import scipy.sparse as sp
     idx = parity_indices(t, sector)
     comp = np.setdiff1d(np.arange(t.dim), idx, assume_unique=True)
     rows = sp.csr_array(m)[idx]
@@ -308,6 +313,7 @@ def _sector_pieces(t: Truncation) -> tuple[sp.csr_array, ...]:
     and derivative on this truncation is a combination of the cached blocks.
     The blocks are read-only; j = (spin_dim - 1)/2 follows from the key.
     """
+    import scipy.sparse as sp
     _, adag, n_op = boson_operators(t.n_max)
     jp, jm, jz = spin_operators((t.spin_dim - 1) / 2)
     eye_b = sp.identity(t.n_max + 1, format="csr")

@@ -22,6 +22,15 @@ A quadratic boson form needs no matrix at all: its normal-mode energies come
 from its single-particle matrix, and ``symplectic_transform`` gives the
 transform to the normal modes (Colpa, Physica A 93, 327 (1978)), certified
 by ``check_symplectic``.
+
+Only numpy is imported at module level, so the Gaussian route and the dense
+decomposition of a real matrix load no scipy submodule: ``dense_eigensystem``
+is numpy's ``eigh`` there and ``symplectic_transform`` solves its 4x4 system
+with numpy.  A complex matrix is decomposed by scipy's MRRR driver, which is
+the faster one for complex Hermitian matrices.
+A function that takes a sparse matrix apart imports ``scipy.sparse`` when it
+runs, and the shift-invert route imports ``scipy.linalg`` (the banded
+Cholesky factor) and ``scipy.sparse.linalg`` (ARPACK) when it runs.
 """
 
 from __future__ import annotations
@@ -30,9 +39,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg as la
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .effective import QuadraticBosonForm
 from .errors import ConvergenceError, DegeneracyError, TruncationError
@@ -43,11 +49,12 @@ from .errors import ConvergenceError, DegeneracyError, TruncationError
 #: the sum over states; above it the two lowest pairs come from the sparse
 #: shift-invert solver and the tensor defaults to the resolvent solve.  Per
 #: two-label tensor on a 2-core Xeon with OpenBLAS on one thread, as
-#: ``families.qgt_components`` runs it (best of 30 in each of three runs,
-#: banded Cholesky factor), the two routes tie from dimension 88 to 121
-#: (full model, 2-4 ms); the sparse one is 1.6-2.4x faster at 143-171,
-#: 2.9-7x at 215-259, 22-36x at 641 and 26-41x for cs_np at 676.  The limit
-#: stays at 256, so every row keeps the method it reported before.
+#: ``families.qgt_components`` runs it (best of 30 in each of five runs,
+#: numpy's ``eigh`` for the sum, banded Cholesky factor for the solve), the
+#: dense sum is 1.6-2.4x faster at dimension 88 (full model, 1.4-2.2 ms) and
+#: the two tie at 121; the sparse one is 1.2-2.1x faster at 143-171,
+#: 2.3-4.3x at 215-259, 19-28x at 641 and 20-29x for cs_np at 676.  The
+#: limit stays at 256, so every row keeps the method it reported before.
 DENSE_SOLVE_LIMIT = 256
 
 #: Full-spectrum decompositions are refused above this dimension.
@@ -126,11 +133,13 @@ class ShiftInvert:
         return self._solve(rhs)
 
     def _solve(self, rhs: np.ndarray) -> np.ndarray:
+        import scipy.linalg as la
         return la.cho_solve_banded((self.factor, False), rhs, check_finite=False)
 
 
 def gershgorin_floor(op) -> float:
     """min_i (H_ii - sum_{j != i} |H_ij|): no eigenvalue of H lies below it."""
+    import scipy.sparse as sp
     h = sp.csr_array(op)
     diag = h.diagonal()
     radius = np.asarray(abs(h).sum(axis=1)).ravel() - np.abs(diag)
@@ -146,6 +155,7 @@ def _upper_band(op) -> np.ndarray:
     do not widen the band.  Duplicate entries are summed.  O(nnz) on a
     sparse matrix.
     """
+    import scipy.sparse as sp
     h = sp.coo_array(op)
     rows, cols = h.coords
     upper = (cols >= rows) & (h.data != 0)
@@ -175,6 +185,7 @@ def shift_invert(op, energy: float = math.nan,
     the start when the estimate is missing or not above it, is the
     Gershgorin floor, which lies below the spectrum by construction.
     """
+    import scipy.linalg as la
     band = _upper_band(op)
     floor = gershgorin_floor(op)
     shifts = []
@@ -231,7 +242,9 @@ class Eigensystem:
 
     def check(self, h) -> None:
         """Validate residuals and orthonormality against the source matrix; NaN fails."""
-        norm = float(spla.norm(h)) if sp.issparse(h) else float(np.linalg.norm(h))
+        import scipy.sparse as sp
+        # the Frobenius norm; a sparse matrix's stored entries hold all of it
+        norm = float(np.linalg.norm(h.data if sp.issparse(h) else h))
         res = h @ self.states - self.states * self.energies[None, :]
         worst = float(np.max(np.linalg.norm(res, axis=0)))
         if not worst <= RESIDUAL_RTOL * max(norm, 1.0):
@@ -245,11 +258,21 @@ class Eigensystem:
 
 def dense_eigensystem(op, dense_limit: int = DENSE_EIG_LIMIT) -> Eigensystem:
     """Full spectrum of a Hermitian matrix, sparse or dense, ascending, gauge-fixed."""
+    import scipy.sparse as sp
     dim = op.shape[0]
     if dim > dense_limit:
         raise TruncationError(
             f"dimension {dim} exceeds the dense limit {dense_limit}; use lowest_k instead")
-    energies, states = la.eigh(op.toarray() if sp.issparse(op) else np.asarray(op))
+    mat = op.toarray() if sp.issparse(op) else np.asarray(op)
+    if np.iscomplexobj(mat):
+        # numpy's divide and conquer (zheevd) is 1.8-2.7x slower than scipy's
+        # MRRR driver (zheevr) on complex matrices of dimension 1000-3000 and
+        # needs O(n^2) more workspace; on real ones it is the faster of the two
+        import scipy.linalg as la
+        energies, states = la.eigh(mat)
+    else:
+        energies, states = np.linalg.eigh(mat)
+    del mat  # the dense copy is not kept through gauge_fix's temporaries
     return Eigensystem(energies=energies, states=gauge_fix(states))
 
 
@@ -266,6 +289,7 @@ def lowest_k(op, k: int, estimate: NormalModes | None = None) -> Eigensystem:
     ``shift_invert``), placed by the ground energy and gap of ``estimate``
     when it is stable; the factor is kept on the result.
     """
+    import scipy.sparse.linalg as spla
     dim = op.shape[0]
     if k >= dim - 1:
         # ARPACK needs k < dim - 1; below that just take the dense route.
@@ -388,7 +412,7 @@ def symplectic_transform(form: QuadraticBosonForm) -> tuple[np.ndarray, np.ndarr
                                "the form has no Gaussian ground state") from exc
     lam, u = np.linalg.eigh(k @ (_eta(n)[:, None] * k.conj().T))
     eps = lam[n:]
-    x = la.solve_triangular(k, u[:, n:] * np.sqrt(eps))
+    x = np.linalg.solve(k, u[:, n:] * np.sqrt(eps))
     t = np.block([[x[:n], x[n:].conj()], [x[n:], x[:n].conj()]])
     return eps, t
 

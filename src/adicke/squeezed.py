@@ -29,7 +29,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as la
 
 from .errors import TruncationError
 
@@ -106,6 +105,7 @@ def squeezed_state_vector(sq: SqueezeParams, n_max: int) -> np.ndarray:
                 f"cutoff n_max={n_max} keeps only 1-{tail:.2e} of the squeezed state; "
                 "increase the cutoff")
     if sq.alpha != 0j:
+        import scipy.linalg as la
         ladder = np.zeros((dim, dim))
         ladder[np.arange(n_max), np.arange(1, dim)] = np.sqrt(np.arange(1, dim))
         gen = sq.alpha * ladder.T - np.conj(sq.alpha) * ladder

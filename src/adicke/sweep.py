@@ -14,7 +14,6 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -202,6 +201,7 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
     values = [float(v) for v in spec.grid()]
     if spec.workers == 1:
         return [evaluate_point(spec, v) for v in values]
+    from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=spec.workers) as pool:
         return list(pool.map(_evaluate_indexed, [(spec, v) for v in values]))
 

@@ -106,6 +106,74 @@ def test_gamma_compare_command(runner):
     assert len(lines) == 5 and lines[-1].startswith("#")
 
 
+GAMMA_COMPARE_ARGS = ["gamma-compare", "--model", "cs_np", "--g", "0.9", "--gammas", "1"]
+
+
+def _gamma_compare_value(result) -> float:
+    assert result.exit_code == 0, result.output
+    return float(result.output.strip().split("\n")[1].split(",")[1])
+
+
+def test_gamma_compare_reads_the_config_under_the_flags(runner, tmp_path):
+    config = tmp_path / "eta.ini"
+    config.write_text("[parameters]\neta = 3\n")
+    from_file = _gamma_compare_value(
+        runner.invoke(main, GAMMA_COMPARE_ARGS + ["--config", str(config)]))
+    from_flag = _gamma_compare_value(runner.invoke(main, GAMMA_COMPARE_ARGS + ["--eta", "3"]))
+    flag_wins = _gamma_compare_value(
+        runner.invoke(main, GAMMA_COMPARE_ARGS + ["--config", str(config), "--eta", "1"]))
+    default = _gamma_compare_value(runner.invoke(main, GAMMA_COMPARE_ARGS))
+    assert from_file == from_flag
+    assert flag_wins == default != from_file
+
+
+def test_gamma_compare_model_from_the_config(runner, tmp_path):
+    config = tmp_path / "model.ini"
+    config.write_text("[sweep]\nmodel = cs_np\n")
+    args = [a for a in GAMMA_COMPARE_ARGS if a not in ("--model", "cs_np")]
+    assert _gamma_compare_value(runner.invoke(main, args + ["--config", str(config)])) \
+        == _gamma_compare_value(runner.invoke(main, GAMMA_COMPARE_ARGS))
+
+
+def test_gamma_compare_rejects_gamma(runner):
+    result = runner.invoke(main, GAMMA_COMPARE_ARGS + ["--gamma", "2"])
+    assert result.exit_code == 1, result.output
+    assert "Usage:" in result.output and "--gammas" in result.output
+
+
+def test_gamma_compare_refuses_a_config_gamma(runner, tmp_path):
+    config = tmp_path / "gamma.ini"
+    config.write_text("[parameters]\ngamma = 2\n")
+    result = runner.invoke(main, GAMMA_COMPARE_ARGS + ["--config", str(config)])
+    assert result.exit_code == 1, result.output
+    assert "--gammas" in result.output
+
+
+def test_gamma_compare_reads_g_and_out_from_the_config(runner, tmp_path):
+    out = tmp_path / "from_config.csv"
+    config = tmp_path / "g_out.ini"
+    config.write_text(f"[parameters]\ng = 0.5\n[output]\nout = {out}\n")
+    args = [a for a in GAMMA_COMPARE_ARGS if a not in ("--g", "0.9")]
+    result = runner.invoke(main, args + ["--config", str(config)])
+    assert result.exit_code == 0, result.output
+    assert result.output == ""
+    at_half = _gamma_compare_value(runner.invoke(main, args + ["--g", "0.5"]))
+    assert float(out.read_text().split("\n")[1].split(",")[1]) == at_half
+    flag_out = tmp_path / "from_flag.csv"
+    result = runner.invoke(main, GAMMA_COMPARE_ARGS + ["--config", str(config),
+                                                       "--out", str(flag_out)])
+    assert result.exit_code == 0, result.output
+    at_flag = _gamma_compare_value(runner.invoke(main, GAMMA_COMPARE_ARGS))
+    assert float(flag_out.read_text().split("\n")[1].split(",")[1]) == at_flag != at_half
+
+
+def test_gamma_compare_needs_a_coupling(runner):
+    args = [a for a in GAMMA_COMPARE_ARGS if a not in ("--g", "0.9")]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 1
+    assert "--g" in result.output
+
+
 def test_ratio_scan_command(runner):
     result = runner.invoke(main, [
         "ratio-scan", "--j-list", "2", "--gamma-list", "1", "--eta-list", "2,5",

@@ -414,7 +414,7 @@ def test_points_on_one_cutoff_build_the_kronecker_products_once(monkeypatch):
         calls.append(1)
         return kron(*args, **kwargs)
 
-    monkeypatch.setattr(effective.sp, "kron", counting_kron)
+    monkeypatch.setattr(sp, "kron", counting_kron)
     effective._form_pieces.cache_clear()
     cut = FockCutoff(8, 8)
     for k, g in enumerate(np.linspace(0.2, 0.9, 8)):

@@ -450,7 +450,7 @@ def test_points_on_one_truncation_build_the_kronecker_products_once(monkeypatch)
         calls.append(args[0].shape)
         return kron(*args, **kwargs)
 
-    monkeypatch.setattr(model.sp, "kron", counting_kron)
+    monkeypatch.setattr(sp, "kron", counting_kron)
     model._sector_pieces.cache_clear()
     t = Truncation.for_spin(10, 3.0, "full")
     for k, g in enumerate(np.linspace(0.2, 0.9, 8)):
