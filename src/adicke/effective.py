@@ -33,8 +33,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (DEFAULT_MAX_DIM, PIECE_CACHE_SIZE, ModelParams, PiecePattern,
-                    boson_operators, real_if_exact)
+from .model import (DEFAULT_MAX_DIM, PIECE_CACHE_SIZE, Matrix, ModelParams, Piece,
+                    PiecePattern, as_dense, ladder_pieces, real_if_exact)
 from .errors import TruncationError
 
 #: Parameters other than theta along which ``form_param_derivative`` differentiates.
@@ -208,44 +208,39 @@ def effective_form(model: str, p: ModelParams) -> QuadraticBosonForm:
 
 
 @functools.lru_cache(maxsize=PIECE_CACHE_SIZE)
-def _form_pieces(cut: FockCutoff) -> tuple[tuple[sp.csr_array, bool], ...]:
+def _form_pieces(cut: FockCutoff) -> tuple[tuple[Piece, bool], ...]:
     """Parameter-free monomials of every quadratic form on one cutoff.
 
     One (monomial, carries its adjoint) pair per coefficient, in the order
-    of :func:`_coefficients`; built once per cutoff and read-only.  An
-    adjoint term uses the transposed view of its piece, so only the pieces
-    are held.
+    of :func:`_coefficients`, as numpy triplets; built once per cutoff and
+    read-only.  An adjoint term uses the transposed piece, so only the
+    pieces are held.
     """
-    import scipy.sparse as sp
-    _, adag, n_op = boson_operators(cut.n_a)
-    kron = lambda x, y: sp.kron(x, y, format="csr")
+    adag, n_op = ladder_pieces(cut.n_a)
+    # a'^2 |k> = sqrt(k+1) sqrt(k+2) |k+2>, the product a' a' forms
+    squared = Piece(adag.shape, adag.rows[1:], adag.cols[:-1], adag.vals[1:] * adag.vals[:-1])
     if cut.modes == 1:
-        pieces = ((n_op, False), (adag @ adag, True))
+        pieces = ((n_op, False), (squared, True))
     else:
-        b, bdag, nb_op = boson_operators(cut.n_b)
-        eye_a = sp.identity(cut.n_a + 1, format="csr")
-        eye_b = sp.identity(cut.n_b + 1, format="csr")
-        pieces = ((kron(n_op, eye_b), False),
-                  (kron(eye_a, nb_op), False),
-                  (kron(adag, b), True),       # a'b
-                  (kron(adag, bdag), True),    # a'b'
-                  (kron(adag @ adag, eye_b), True))
-    for piece, _ in pieces:
-        piece.sum_duplicates()  # canonical, so no later operation sorts in place
-        for arr in (piece.data, piece.indices, piece.indptr):
-            arr.flags.writeable = False
-    return pieces
+        bdag, nb_op = ladder_pieces(cut.n_b)
+        eye_a = Piece.diagonal(np.ones(cut.n_a + 1))
+        eye_b = Piece.diagonal(np.ones(cut.n_b + 1))
+        pieces = ((n_op.kron(eye_b), False),
+                  (eye_a.kron(nb_op), False),
+                  (adag.kron(bdag.T), True),  # a'b
+                  (adag.kron(bdag), True),    # a'b'
+                  (squared.kron(eye_b), True))
+    return tuple((piece.frozen(), with_adjoint) for piece, with_adjoint in pieces)
 
 
 @functools.lru_cache(maxsize=PIECE_CACHE_SIZE)
 def _form_pattern(cut: FockCutoff) -> PiecePattern:
     """The cutoff's monomials, each followed by its adjoint when it carries
     one, and the identity, on one pattern."""
-    import scipy.sparse as sp
     pieces = []
     for piece, with_adjoint in _form_pieces(cut):
         pieces += [piece, piece.T] if with_adjoint else [piece]
-    return PiecePattern.of(pieces + [sp.identity(cut.dim, format="csr")])
+    return PiecePattern.of(pieces + [Piece.diagonal(np.ones(cut.dim))])
 
 
 def _coefficients(form: QuadraticBosonForm) -> tuple:
@@ -255,8 +250,9 @@ def _coefficients(form: QuadraticBosonForm) -> tuple:
 
 
 def _assemble(form: QuadraticBosonForm, cut: FockCutoff,
-              max_dim: int = DEFAULT_MAX_DIM) -> sp.csr_array:
-    """The form's coefficients times the cached pieces of the cutoff."""
+              max_dim: int = DEFAULT_MAX_DIM) -> tuple[PiecePattern, np.ndarray]:
+    """The form's coefficients times the cached pieces of the cutoff: the
+    cutoff's pattern and the form's data on it."""
     if cut.modes != form.modes:
         raise ValueError(f"cutoff has {cut.modes} mode(s) but the form has {form.modes}")
     if cut.dim > max_dim:
@@ -270,17 +266,19 @@ def _assemble(form: QuadraticBosonForm, cut: FockCutoff,
         if with_adjoint:
             terms.append((np.conj(coeff), next(vectors)))
     terms.append((form.const, next(vectors)))
-    return pattern.combine(terms)
+    return pattern, pattern.combine(terms)
 
 
 def form_matrix(form: QuadraticBosonForm, cut: FockCutoff,
-                max_dim: int = DEFAULT_MAX_DIM) -> sp.csr_array:
+                max_dim: int = DEFAULT_MAX_DIM) -> Matrix:
     """Matrix of a quadratic form on the truncated Fock basis.
 
     Two-mode basis ordering is |n_a> x |n_b> with n_a outer.  The matrix is
-    float64 when every coefficient is real and complex otherwise.
+    float64 when every coefficient is real and complex otherwise; it is
+    dense or CSR by its size, as every builder's (``model.PiecePattern.matrix``).
     """
-    return _assemble(form, cut, max_dim)
+    pattern, data = _assemble(form, cut, max_dim)
+    return pattern.matrix(data)
 
 
 def boson_parity_labels(cut: FockCutoff) -> np.ndarray:
@@ -312,8 +310,7 @@ def quadratic_form(m, cut: FockCutoff) -> QuadraticBosonForm:
     QUADRATIC_FORM_TOL of its scale; anything else -- linear terms, cubic
     terms, a foreign basis -- is rejected.
     """
-    import scipy.sparse as sp
-    mat = m.toarray() if sp.issparse(m) else np.asarray(m)
+    mat = as_dense(m)
     if mat.shape[0] != cut.dim:
         raise ValueError(f"matrix dimension {mat.shape[0]} does not match cutoff dim {cut.dim}")
     if cut.modes == 1:
@@ -337,7 +334,7 @@ def quadratic_form(m, cut: FockCutoff) -> QuadraticBosonForm:
             squeeze=complex(mat[idx(2, 0), idx(0, 0)]) / math.sqrt(2),
             const=const,
         )
-    rebuilt = form_matrix(form, cut).toarray()
+    rebuilt = as_dense(form_matrix(form, cut))
     scale = max(1.0, float(np.max(np.abs(mat))))
     defect = float(np.max(np.abs(rebuilt - mat)))
     if defect > QUADRATIC_FORM_TOL * scale:
@@ -350,16 +347,15 @@ def quadratic_form(m, cut: FockCutoff) -> QuadraticBosonForm:
 # parameter derivatives of the effective models
 
 
-def theta_derivative_matrix(ham: sp.csr_array, cut: FockCutoff) -> sp.csr_array:
-    """d H / d theta = i [n_a, H], exact for every effective model.
+def theta_derivative_matrix(form: QuadraticBosonForm, cut: FockCutoff) -> Matrix:
+    """d H / d theta = i [n_a, H] of the form's matrix H, exact for every effective model.
 
     All theta dependence enters through phases of mode-a raising operators,
-    so the commutator with the mode-a number operator generates it.
+    so the commutator with the mode-a number operator generates it: entry
+    (r, c) is i (n_a(r) - n_a(c)) H_rc on the cutoff's pattern.
     """
-    import scipy.sparse as sp
-    n_op = sp.diags_array(mode_a_number_diagonal(cut), format="csr")
-    mat = sp.csr_array(ham)
-    return (1j * (n_op @ mat - mat @ n_op)).tocsr()
+    pattern, data = _assemble(form, cut)
+    return pattern.matrix(pattern.commutator(mode_a_number_diagonal(cut), data))
 
 
 def _cs_derivative(model: str, p: ModelParams, which: str) -> QuadraticBosonForm:
@@ -424,12 +420,13 @@ def form_param_derivative(model: str, p: ModelParams, which: str) -> QuadraticBo
 
 
 def effective_param_derivative(model: str, p: ModelParams, cut: FockCutoff,
-                               which: str) -> sp.csr_array:
+                               which: str) -> Matrix:
     """Matrix of d H_eff / d(which) on the truncated basis.
 
     Assembled from the cutoff's cached pieces like the Hamiltonian, but not
     through :func:`form_matrix`, which counts Hamiltonian builds.
     """
     if which == "theta":
-        return theta_derivative_matrix(_assemble(effective_form(model, p), cut), cut)
-    return _assemble(form_param_derivative(model, p, which), cut)
+        return theta_derivative_matrix(effective_form(model, p), cut)
+    pattern, data = _assemble(form_param_derivative(model, p, which), cut)
+    return pattern.matrix(data)

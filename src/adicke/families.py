@@ -17,7 +17,7 @@ from ._blas import single_thread
 from .errors import DegeneracyError
 from .geometry import (GaugeGenerator, QGTComponents, qgt_finite_difference,
                        qgt_gaussian, qgt_matrix_solve, qgt_matrix_sum)
-from .model import ModelParams, Truncation
+from .model import Matrix, ModelParams, Truncation
 from .effective import FockCutoff
 
 CONCRETE_MODELS = ("full", "cs_np", "cs_sp", "co_np", "co_sp")
@@ -48,21 +48,21 @@ def _check_trunc(name: str, trunc) -> None:
             raise ValueError(f"{name} needs a {want}-mode cutoff")
 
 
-def hamiltonian_matrix(name: str, p: ModelParams, trunc) -> sp.csr_array:
+def hamiltonian_matrix(name: str, p: ModelParams, trunc) -> Matrix:
     _check_trunc(name, trunc)
     if name == "full":
         return model.full_hamiltonian(p, trunc)
     return effective.form_matrix(effective.effective_form(name, p), trunc)
 
 
-def derivative_matrix(name: str, p: ModelParams, trunc, which: str) -> sp.csr_array:
+def derivative_matrix(name: str, p: ModelParams, trunc, which: str) -> Matrix:
     _check_trunc(name, trunc)
     if name == "full":
         return model.param_derivative(p, trunc, which)
     return effective.effective_param_derivative(name, p, trunc, which)
 
 
-def ground_eigensystem(name: str, p: ModelParams, ham: sp.csr_array) -> spectra.Eigensystem:
+def ground_eigensystem(name: str, p: ModelParams, ham: Matrix) -> spectra.Eigensystem:
     """Ground state and the level above it, by the DENSE_SOLVE_LIMIT policy.
 
     At or below the limit this is the full dense spectrum, so the sum over

@@ -35,7 +35,7 @@ from typing import Callable, Sequence, TypeAlias
 import numpy as np
 
 from .errors import ConvergenceError, DegeneracyError, StencilError
-from .model import ModelParams
+from .model import Matrix, ModelParams
 from .spectra import Eigensystem, ShiftInvert, gauge_fix, shift_invert
 
 #: Relative finite-difference step.
@@ -152,7 +152,7 @@ class GaugeGenerator:
         return -1j * (self.diag - np.vdot(psi, self.diag * psi).real) * psi
 
 
-Derivative: TypeAlias = "sp.csr_array | GaugeGenerator"
+Derivative: TypeAlias = "Matrix | GaugeGenerator"
 
 
 def qgt_from_tangents(tangents: np.ndarray, labels: Sequence[str],
@@ -168,7 +168,7 @@ def qgt_from_tangents(tangents: np.ndarray, labels: Sequence[str],
 
 
 def _tangents(derivs: Sequence[Derivative], psi: np.ndarray,
-              solve: Callable[[list[sp.csr_array]], np.ndarray]) -> np.ndarray:
+              solve: Callable[[list[Matrix]], np.ndarray]) -> np.ndarray:
     """One tangent column per derivative, in order.
 
     Generators give theirs directly; every derivative matrix goes through one
@@ -180,7 +180,7 @@ def _tangents(derivs: Sequence[Derivative], psi: np.ndarray,
                      for d in derivs], axis=1)
 
 
-def _derivative_columns(derivs: Sequence[sp.csr_array], psi: np.ndarray) -> np.ndarray:
+def _derivative_columns(derivs: Sequence[Matrix], psi: np.ndarray) -> np.ndarray:
     """dH_mu |psi>, one column per derivative."""
     return np.stack([d @ psi for d in derivs], axis=1)
 
@@ -215,7 +215,7 @@ def qgt_matrix_sum(es: Eigensystem, derivs: Sequence[Derivative],
 # method 2: resolvent linear solve
 
 
-def resolvent_tangent(ham, energy: float, psi: np.ndarray, derivs: Sequence[sp.csr_array],
+def resolvent_tangent(ham, energy: float, psi: np.ndarray, derivs: Sequence[Matrix],
                       factor: ShiftInvert | None = None, gap: float = math.nan) -> np.ndarray:
     """Solve P (H - E0) P |x_mu> = P dH_mu |psi0>, P = 1 - |psi0><psi0|.
 

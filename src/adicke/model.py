@@ -16,21 +16,26 @@ so the Hamiltonian splits into two parity blocks even after truncation.
 
 At fixed truncation H is a linear combination of four parameter-free
 pieces, a'a, Jz, a'J- and a'J+ (with their adjoints).  Their blocks on the
-truncation's sector are cut out of the product basis once and cached per
-truncation, together with their union sparsity pattern and each piece's
-entries aligned to it (``PiecePattern``).  Every Hamiltonian and every
-derivative but theta's is then one numpy combination of those vectors on
-that fixed pattern, so a position where the terms cancel holds an explicit
-zero.  ``project_parity`` stays as the general sector projection that the
-tests check the cached blocks against.
+truncation's sector are built once per truncation as numpy COO triplets
+(``Piece``): a Kronecker product of triplets, then an index map that cuts the
+sector out.  They are cached with their union sparsity pattern and each
+piece's entries aligned to it (``PiecePattern``).  Every Hamiltonian and
+every derivative is then one numpy combination of those vectors on that
+fixed pattern, so a position where the terms cancel holds an explicit zero;
+the theta derivative i [a'a, H] is the pattern vector i (n_row - n_col) times
+the couplings' entries.  ``project_parity`` stays as the general sector
+projection that the tests check the cached blocks against.
 
 In the photon-major order the coupling moves n and m by one each, so the
 sector block is banded with half-bandwidth about j + 1, which the shift-invert
 solver's banded Cholesky factor relies on (``spectra.shift_invert``).
 
-Every builder returns a ``scipy.sparse.csr_array`` that owns its arrays:
-float64 when every coefficient is real (theta = 0) and complex otherwise.
-Every consumer keeps the dtype it is given.
+Every builder returns a matrix that owns its arrays, in the representation
+the solver of its size takes (``PiecePattern.matrix``): a dense ndarray at or
+below ``spectra.DENSE_SOLVE_LIMIT`` rows, so a small problem loads no
+``scipy.sparse``, and a ``scipy.sparse.csr_array`` above it.  It is float64
+when every coefficient is real (theta = 0) and complex otherwise.  Every
+consumer keeps the dtype it is given.
 """
 
 from __future__ import annotations
@@ -38,6 +43,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple, TypeAlias
 
 import numpy as np
 
@@ -50,6 +56,10 @@ PARAMETER_LABELS = ("omega", "Omega", "lambda1", "lambda2", "theta")
 DEFAULT_MAX_DIM = 250_000
 
 _SECTORS = ("positive", "negative", "full")
+
+#: What every builder returns: an ndarray at or below ``spectra.DENSE_SOLVE_LIMIT``
+#: rows and a ``scipy.sparse.csr_array`` above it (``PiecePattern.matrix``).
+Matrix: TypeAlias = "np.ndarray | sp.csr_array"
 
 #: Truncations whose parameter-free sector pieces stay cached; a sweep or a
 #: convergence scan touches a handful.
@@ -158,6 +168,56 @@ def real_if_exact(c: complex) -> complex | float:
 
 
 # ---------------------------------------------------------------------------
+# sparse pieces as numpy triplets
+
+
+class Piece(NamedTuple):
+    """A sparse matrix as numpy COO triplets: each position once, no zero stored."""
+
+    shape: tuple[int, int]
+    rows: np.ndarray
+    cols: np.ndarray
+    vals: np.ndarray
+
+    @classmethod
+    def diagonal(cls, values: np.ndarray) -> "Piece":
+        """diag(values), its zeros not stored."""
+        at = np.flatnonzero(values)
+        return cls((values.size, values.size), at, at, values[at])
+
+    @property
+    def T(self) -> "Piece":
+        return Piece(self.shape[::-1], self.cols, self.rows, self.vals)
+
+    def kron(self, other: "Piece") -> "Piece":
+        """The Kronecker product self (x) other: every entry x_ik y_jl, as
+        ``scipy.sparse.kron`` forms it."""
+        (rows, cols), (other_rows, other_cols) = self.shape, other.shape
+        return Piece((rows * other_rows, cols * other_cols),
+                     (self.rows[:, None] * other_rows + other.rows).ravel(),
+                     (self.cols[:, None] * other_cols + other.cols).ravel(),
+                     (self.vals[:, None] * other.vals).ravel())
+
+    def restrict(self, idx: np.ndarray) -> "Piece":
+        """The block on the basis states ``idx`` (ascending), by an index map."""
+        new = np.full(self.shape[0], -1)
+        new[idx] = np.arange(idx.size)
+        rows, cols = new[self.rows], new[self.cols]
+        keep = (rows >= 0) & (cols >= 0)
+        return Piece((idx.size, idx.size), rows[keep], cols[keep], self.vals[keep])
+
+    def frozen(self) -> "Piece":
+        """This piece, its arrays made read-only."""
+        _read_only(self.rows, self.cols, self.vals)
+        return self
+
+
+def _read_only(*arrays: np.ndarray) -> None:
+    for arr in arrays:
+        arr.flags.writeable = False
+
+
+# ---------------------------------------------------------------------------
 # assembly on a fixed pattern
 
 
@@ -165,90 +225,123 @@ def real_if_exact(c: complex) -> complex | float:
 class PiecePattern:
     """The union sparsity pattern of a set of pieces, each piece's data aligned to it.
 
-    ``vectors[k]`` holds piece k's entries at the pattern's positions and
-    zeros elsewhere, so a linear combination of the pieces is one numpy
-    combination of the vectors on an unchanged pattern.  Built once per
-    truncation (or cutoff) and read-only.
+    The pattern's positions are stored row-major (``rows``, ``cols``, and the
+    CSR row pointer ``indptr``).  ``vectors[k]`` holds piece k's entries at
+    those positions and zeros elsewhere, so a linear combination of the
+    pieces is one numpy combination of the vectors on an unchanged pattern.
+    Built once per truncation (or cutoff) and read-only.
     """
 
     shape: tuple[int, int]
-    indices: np.ndarray
+    rows: np.ndarray
+    cols: np.ndarray
     indptr: np.ndarray
     vectors: tuple[np.ndarray, ...]
 
     @classmethod
     def of(cls, pieces) -> "PiecePattern":
-        """The pattern of sparse pieces of one shape, each without duplicate entries."""
-        import scipy.sparse as sp
-        pieces = [sp.csr_array(piece) for piece in pieces]
+        """The pattern of pieces of one shape, each a ``Piece``."""
         shape = pieces[0].shape
-        union = sum(sp.csr_array((np.ones(piece.nnz), piece.indices, piece.indptr), shape=shape)
-                    for piece in pieces)
-        flat = _flat_positions(union)
+        flats = [piece.rows.astype(np.int64) * shape[1] + piece.cols for piece in pieces]
+        flat = np.unique(np.concatenate(flats))
         vectors = []
-        for piece in pieces:
-            vector = np.zeros(union.nnz, dtype=piece.dtype)
-            vector[np.searchsorted(flat, _flat_positions(piece))] = piece.data
+        for piece, positions in zip(pieces, flats):
+            vector = np.zeros(flat.size, dtype=piece.vals.dtype)
+            vector[np.searchsorted(flat, positions)] = piece.vals
             vectors.append(vector)
-        for arr in (union.indices, union.indptr, *vectors):
-            arr.flags.writeable = False
-        return cls(shape=shape, indices=union.indices, indptr=union.indptr,
-                   vectors=tuple(vectors))
+        index = np.int32 if max(flat.size, *shape) < 2**31 else np.int64
+        rows, cols = (arr.astype(index) for arr in np.divmod(flat, shape[1]))
+        indptr = np.searchsorted(rows, np.arange(shape[0] + 1)).astype(index)
+        _read_only(rows, cols, indptr, *vectors)
+        return cls(shape=shape, rows=rows, cols=cols, indptr=indptr, vectors=tuple(vectors))
 
-    def combine(self, terms) -> sp.csr_array:
-        """sum_k c_k v_k over (c_k, v_k) terms, left to right, as a matrix of its own.
+    def combine(self, terms) -> np.ndarray:
+        """sum_k c_k v_k over (c_k, v_k) terms, left to right: data on the pattern.
 
         Each v_k is aligned to the pattern: one of ``vectors`` or a
-        combination of them.  A position no term reaches holds an explicit
-        zero.  The matrix is float64 when every term is real.
+        combination of them.  The data is float64 when every term is real.
         """
-        import scipy.sparse as sp
         data = None
         for coeff, vector in terms:
             term = coeff * vector
             data = term if data is None else data + term
-        return sp.csr_array((data, self.indices.copy(), self.indptr.copy()), shape=self.shape)
+        return data
+
+    def commutator(self, diagonal: np.ndarray, data: np.ndarray) -> np.ndarray:
+        """i [D, M] for D = diag(diagonal) and M given by its data on the pattern.
+
+        Entry (r, c) is i (D_r - D_c) M_rc, exactly, with no matrix product.
+        """
+        return 1j * (diagonal[self.rows] - diagonal[self.cols]) * data
+
+    def matrix(self, data: np.ndarray) -> Matrix:
+        """The matrix holding ``data`` on the pattern, as a matrix of its own.
+
+        A dense ndarray at or below ``spectra.DENSE_SOLVE_LIMIT`` rows, where
+        the dense solver takes it, and a ``scipy.sparse.csr_array`` above it,
+        where the sparse solver does: the one size policy picks the
+        representation as well as the solver.  A position no term reaches
+        holds an explicit zero in the sparse matrix.
+        """
+        from .spectra import DENSE_SOLVE_LIMIT
+        if self.shape[0] <= DENSE_SOLVE_LIMIT:
+            out = np.zeros(self.shape, dtype=data.dtype)
+            out[self.rows, self.cols] = data
+            return out
+        import scipy.sparse as sp
+        return sp.csr_array((data, self.cols.copy(), self.indptr.copy()), shape=self.shape)
 
 
-def _flat_positions(m: sp.csr_array) -> np.ndarray:
-    """Row-major flat index of every stored entry of a canonical CSR matrix (ascending)."""
-    return np.ravel_multi_index(m.tocoo().coords, m.shape)
+def as_dense(m: Matrix) -> np.ndarray:
+    """A matrix as an ndarray, whichever representation its size gave it."""
+    return m.toarray() if hasattr(m, "toarray") else np.asarray(m)
 
 
 # ---------------------------------------------------------------------------
 # elementary operators
 
 
-def boson_operators(n_max: int) -> tuple[sp.csr_array, sp.csr_array, sp.csr_array]:
-    """Truncated ladder matrices (a, a_dag, n) on Fock states |0..n_max>.
-
-    The commutator [a, a_dag] equals the identity except for the single corner
-    entry (n_max, n_max); that truncation defect is accepted and controlled by
-    convergence checks rather than patched.
-    """
-    import scipy.sparse as sp
+def ladder_pieces(n_max: int) -> tuple[Piece, Piece]:
+    """Truncated creation operator a' and number operator a'a on Fock states |0..n_max>."""
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
-    dim = n_max + 1
-    a = np.zeros((dim, dim))
-    a[np.arange(n_max), np.arange(1, dim)] = np.sqrt(np.arange(1, dim))
-    n_op = np.diag(np.arange(dim, dtype=float))
-    return sp.csr_array(a), sp.csr_array(a.T), sp.csr_array(n_op)
+    up = np.arange(n_max)
+    return (Piece((n_max + 1, n_max + 1), up + 1, up, np.sqrt(np.arange(1, n_max + 1))),
+            Piece.diagonal(np.arange(n_max + 1, dtype=float)))
 
 
-def spin_operators(j: float) -> tuple[sp.csr_array, sp.csr_array, sp.csr_array]:
-    """Collective spin matrices (J+, J-, Jz) on |j, m>, m = -j..j ascending."""
-    import scipy.sparse as sp
+def spin_pieces(j: float) -> tuple[Piece, Piece]:
+    """Collective spin raising J+ and Jz on |j, m>, m = -j..j ascending."""
     two_j = 2 * j
     if j <= 0 or abs(two_j - round(two_j)) > 1e-9:
         raise ValueError(f"j must be a positive half-integer, got {j}")
     dim = int(round(two_j)) + 1
     m = -j + np.arange(dim)
-    jz = np.diag(m)
+    up = np.arange(dim - 1)
     amp = np.sqrt(j * (j + 1) - m[:-1] * (m[:-1] + 1))  # <m+1|J+|m>
-    jp = np.zeros((dim, dim))
-    jp[np.arange(1, dim), np.arange(dim - 1)] = amp
-    return sp.csr_array(jp), sp.csr_array(jp.T), sp.csr_array(jz)
+    return Piece((dim, dim), up + 1, up, amp), Piece.diagonal(m)
+
+
+def _csr(piece: Piece) -> sp.csr_array:
+    import scipy.sparse as sp
+    return sp.csr_array((piece.vals, (piece.rows, piece.cols)), shape=piece.shape)
+
+
+def boson_operators(n_max: int) -> tuple[sp.csr_array, sp.csr_array, sp.csr_array]:
+    """Truncated ladder matrices (a, a_dag, n) on Fock states |0..n_max>, as CSR.
+
+    The commutator [a, a_dag] equals the identity except for the single corner
+    entry (n_max, n_max); that truncation defect is accepted and controlled by
+    convergence checks rather than patched.
+    """
+    adag, number = ladder_pieces(n_max)
+    return _csr(adag.T), _csr(adag), _csr(number)
+
+
+def spin_operators(j: float) -> tuple[sp.csr_array, sp.csr_array, sp.csr_array]:
+    """Collective spin matrices (J+, J-, Jz) on |j, m>, m = -j..j ascending, as CSR."""
+    jp, jz = spin_pieces(j)
+    return _csr(jp), _csr(jp.T), _csr(jz)
 
 
 # ---------------------------------------------------------------------------
@@ -305,7 +398,7 @@ def project_parity(m, t: Truncation, sector: str) -> tuple[sp.csr_array, np.ndar
 
 
 @functools.lru_cache(maxsize=PIECE_CACHE_SIZE)
-def _sector_pieces(t: Truncation) -> tuple[sp.csr_array, ...]:
+def _sector_pieces(t: Truncation) -> tuple[Piece, ...]:
     """Parameter-free pieces (a'a, Jz, a'J-, a'J+) on the truncation's sector.
 
     Each piece commutes with the parity, so its sector block is cut out of
@@ -313,21 +406,15 @@ def _sector_pieces(t: Truncation) -> tuple[sp.csr_array, ...]:
     and derivative on this truncation is a combination of the cached blocks.
     The blocks are read-only; j = (spin_dim - 1)/2 follows from the key.
     """
-    import scipy.sparse as sp
-    _, adag, n_op = boson_operators(t.n_max)
-    jp, jm, jz = spin_operators((t.spin_dim - 1) / 2)
-    eye_b = sp.identity(t.n_max + 1, format="csr")
-    eye_s = sp.identity(t.spin_dim, format="csr")
-    pieces = (sp.kron(n_op, eye_s, format="csr"), sp.kron(eye_b, jz, format="csr"),
-              sp.kron(adag, jm, format="csr"), sp.kron(adag, jp, format="csr"))
+    adag, number = ladder_pieces(t.n_max)
+    jp, jz = spin_pieces((t.spin_dim - 1) / 2)
+    eye_b = Piece.diagonal(np.ones(t.n_max + 1))
+    eye_s = Piece.diagonal(np.ones(t.spin_dim))
+    pieces = (number.kron(eye_s), eye_b.kron(jz), adag.kron(jp.T), adag.kron(jp))
     if t.parity_sector != "full":
         idx = parity_indices(t, t.parity_sector)
-        pieces = tuple(piece[idx][:, idx].tocsr() for piece in pieces)
-    for piece in pieces:
-        piece.sum_duplicates()  # canonical, so no later operation sorts in place
-        for arr in (piece.data, piece.indices, piece.indptr):
-            arr.flags.writeable = False
-    return pieces
+        pieces = tuple(piece.restrict(idx) for piece in pieces)
+    return tuple(piece.frozen() for piece in pieces)
 
 
 @functools.lru_cache(maxsize=PIECE_CACHE_SIZE)
@@ -352,7 +439,7 @@ def _coupling(p: ModelParams, raising: np.ndarray, lowering: np.ndarray) -> np.n
 
 
 def full_hamiltonian(p: ModelParams, t: Truncation,
-                     max_dim: int = DEFAULT_MAX_DIM) -> sp.csr_array:
+                     max_dim: int = DEFAULT_MAX_DIM) -> Matrix:
     """Hamiltonian matrix on the photon-major product basis.
 
     With ``t.parity_sector`` set to 'positive' or 'negative' the sector
@@ -362,7 +449,7 @@ def full_hamiltonian(p: ModelParams, t: Truncation,
     if t.dim > max_dim:
         raise TruncationError(f"basis dimension {t.dim} exceeds the guard {max_dim}")
     pattern = _sector_pattern(t)
-    return pattern.combine(_terms(p, pattern))
+    return pattern.matrix(pattern.combine(_terms(p, pattern)))
 
 
 def _terms(p: ModelParams, pattern: PiecePattern,
@@ -375,7 +462,7 @@ def _terms(p: ModelParams, pattern: PiecePattern,
     return [term[label]() for label in labels]
 
 
-def param_derivative(p: ModelParams, t: Truncation, which: str) -> sp.csr_array:
+def param_derivative(p: ModelParams, t: Truncation, which: str) -> Matrix:
     """Exact derivative of the Hamiltonian with respect to one primary parameter.
 
     Every derivative commutes with the parity, so it lives on the same
@@ -386,11 +473,10 @@ def param_derivative(p: ModelParams, t: Truncation, which: str) -> sp.csr_array:
         raise ValueError(f"unknown parameter {which!r}; expected one of {PARAMETER_LABELS}")
     pattern = _sector_pattern(t)
     if which == "theta":  # i [a'a, H]; only the couplings fail to commute with a'a
-        number = _sector_pieces(t)[0]
         coupling = pattern.combine(_terms(p, pattern, ("lambda1", "lambda2")))
-        return (1j * (number @ coupling - coupling @ number)).tocsr()
+        return pattern.matrix(pattern.commutator(photon_number_diagonal(t), coupling))
     [(_, vector)] = _terms(p, pattern, (which,))
-    return pattern.combine([(1.0, vector)])
+    return pattern.matrix(pattern.combine([(1.0, vector)]))
 
 
 def photon_number_diagonal(t: Truncation) -> np.ndarray:

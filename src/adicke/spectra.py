@@ -24,13 +24,15 @@ transform to the normal modes (Colpa, Physica A 93, 327 (1978)), certified
 by ``check_symplectic``.
 
 Only numpy is imported at module level, so the Gaussian route and the dense
-decomposition of a real matrix load no scipy submodule: ``dense_eigensystem``
-is numpy's ``eigh`` there and ``symplectic_transform`` solves its 4x4 system
-with numpy.  A complex matrix is decomposed by scipy's MRRR driver, which is
-the faster one for complex Hermitian matrices.
-A function that takes a sparse matrix apart imports ``scipy.sparse`` when it
-runs, and the shift-invert route imports ``scipy.linalg`` (the banded
-Cholesky factor) and ``scipy.sparse.linalg`` (ARPACK) when it runs.
+route load no part of scipy: the builders hand a matrix at or below
+DENSE_SOLVE_LIMIT over as an ndarray (``model.PiecePattern.matrix``),
+``dense_eigensystem`` is numpy's ``eigh`` on a real one and
+``symplectic_transform`` solves its 4x4 system with numpy.  A complex matrix
+is decomposed by scipy's MRRR driver, which is the faster one for complex
+Hermitian matrices.  The shift-invert route imports ``scipy.sparse`` (to take
+the matrix apart into its band), ``scipy.linalg`` (the banded Cholesky
+factor) and ``scipy.sparse.linalg`` (ARPACK) when it runs, and runs scipy's
+OpenBLAS on one thread (``_blas.single_thread``).
 """
 
 from __future__ import annotations
@@ -40,14 +42,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._blas import single_thread
 from .effective import QuadraticBosonForm
 from .errors import ConvergenceError, DegeneracyError, TruncationError
+from .model import as_dense
 
 #: The one dense/sparse policy, keyed on the dimension of the matrix that is
 #: solved (the parity-sector block for the full model).  At or below it a
-#: matrix gets a dense full-spectrum decomposition and the tensor defaults to
-#: the sum over states; above it the two lowest pairs come from the sparse
-#: shift-invert solver and the tensor defaults to the resolvent solve.  Per
+#: matrix is built as an ndarray, gets a dense full-spectrum decomposition
+#: and the tensor defaults to the sum over states; above it the matrix is
+#: built as CSR, the two lowest pairs come from the sparse shift-invert
+#: solver and the tensor defaults to the resolvent solve.  Per
 #: two-label tensor on a 2-core Xeon with OpenBLAS on one thread, as
 #: ``families.qgt_components`` runs it (best of 30 in each of five runs,
 #: numpy's ``eigh`` for the sum, banded Cholesky factor for the solve), the
@@ -194,16 +199,17 @@ def shift_invert(op, energy: float = math.nan,
         shifts = [energy - step * 4.0**k for k in range(SHIFT_TRIES)]
         shifts = [sigma for sigma in shifts if sigma > floor]
     shifts.append(floor - 1e-8 * max(1.0, abs(floor)))
-    for sigma in shifts:
-        shifted = band.copy()
-        shifted[-1] -= sigma
-        try:
-            factor = la.cholesky_banded(shifted, lower=False, overwrite_ab=True,
-                                        check_finite=False)
-        except np.linalg.LinAlgError:  # a pivot is not positive: sigma is not below H
-            continue
-        if np.all(np.isfinite(factor[-1])):
-            return ShiftInvert(sigma=sigma, factor=factor)
+    with single_thread:  # takes in scipy's OpenBLAS when this solve loaded it
+        for sigma in shifts:
+            shifted = band.copy()
+            shifted[-1] -= sigma
+            try:
+                factor = la.cholesky_banded(shifted, lower=False, overwrite_ab=True,
+                                            check_finite=False)
+            except np.linalg.LinAlgError:  # a pivot is not positive: sigma is not below H
+                continue
+            if np.all(np.isfinite(factor[-1])):
+                return ShiftInvert(sigma=sigma, factor=factor)
     raise ConvergenceError(
         f"no shift down to the Gershgorin floor {floor:.6g} factors as positive definite",
         residual=None)
@@ -242,9 +248,8 @@ class Eigensystem:
 
     def check(self, h) -> None:
         """Validate residuals and orthonormality against the source matrix; NaN fails."""
-        import scipy.sparse as sp
         # the Frobenius norm; a sparse matrix's stored entries hold all of it
-        norm = float(np.linalg.norm(h.data if sp.issparse(h) else h))
+        norm = float(np.linalg.norm(h if isinstance(h, np.ndarray) else h.data))
         res = h @ self.states - self.states * self.energies[None, :]
         worst = float(np.max(np.linalg.norm(res, axis=0)))
         if not worst <= RESIDUAL_RTOL * max(norm, 1.0):
@@ -258,18 +263,18 @@ class Eigensystem:
 
 def dense_eigensystem(op, dense_limit: int = DENSE_EIG_LIMIT) -> Eigensystem:
     """Full spectrum of a Hermitian matrix, sparse or dense, ascending, gauge-fixed."""
-    import scipy.sparse as sp
     dim = op.shape[0]
     if dim > dense_limit:
         raise TruncationError(
             f"dimension {dim} exceeds the dense limit {dense_limit}; use lowest_k instead")
-    mat = op.toarray() if sp.issparse(op) else np.asarray(op)
+    mat = as_dense(op)
     if np.iscomplexobj(mat):
         # numpy's divide and conquer (zheevd) is 1.8-2.7x slower than scipy's
         # MRRR driver (zheevr) on complex matrices of dimension 1000-3000 and
         # needs O(n^2) more workspace; on real ones it is the faster of the two
         import scipy.linalg as la
-        energies, states = la.eigh(mat)
+        with single_thread:  # takes in scipy's OpenBLAS when this call loaded it
+            energies, states = la.eigh(mat)
     else:
         energies, states = np.linalg.eigh(mat)
     del mat  # the dense copy is not kept through gauge_fix's temporaries

@@ -23,6 +23,7 @@ from adicke import (FockCutoff, ModelParams, SweepSpec, Truncation,
                     rows_to_csv, run_sweep)
 from adicke.effective import cs_normal_form
 from adicke.families import ground_pair, photon_number_diagonal
+from adicke.model import as_dense
 from adicke.squeezed import squeezed_family_builder
 
 
@@ -87,13 +88,13 @@ def test_c03_parity_and_theta_spectrum():
         p = ModelParams.from_ratios(rng.uniform(0.2, 1.4), gamma=rng.uniform(0.5, 3),
                                     eta=rng.uniform(0.5, 2), theta=rng.uniform(0, 6),
                                     j=3.0)
-        h = full_hamiltonian(p, trunc).toarray()
+        h = as_dense(full_hamiltonian(p, trunc))
         pi = parity_operator(trunc).toarray()
         worst_comm = max(worst_comm, float(np.max(np.abs(h @ pi - pi @ h))))
     spectra = []
     for theta in (0.0, 1.1):
         p = ModelParams.from_ratios(0.8, gamma=2.0, eta=1.0, theta=theta, j=3.0)
-        spectra.append(np.linalg.eigvalsh(full_hamiltonian(p, trunc).toarray()))
+        spectra.append(np.linalg.eigvalsh(as_dense(full_hamiltonian(p, trunc))))
     drift = float(np.max(np.abs(spectra[0] - spectra[1])))
     ok = worst_comm < 1e-12 and drift < 1e-9
     assert report("03 parity + theta-spectrum invariance", ok,

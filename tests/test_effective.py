@@ -5,7 +5,6 @@ import math
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 from adicke import (FockCutoff, ModelParams, TruncationError, bogoliubov_modes,
                     dense_eigensystem, displacement_solution, effective, form_matrix,
@@ -16,6 +15,7 @@ from adicke.effective import (QuadraticBosonForm, boson_parity_labels,
                               effective_form, effective_param_derivative,
                               form_param_derivative, theta_derivative_matrix)
 from adicke.families import ground_state
+from adicke.model import Piece, as_dense
 
 
 def from_g(g, gamma=1.0, eta=1.0, theta=0.0, j=10.0, omega=1.0):
@@ -206,7 +206,7 @@ def test_hermiticity_and_parity(model):
         ham = form_matrix(effective_form(model, p), cut)
         assert abs(ham - ham.conj().T).max() < 1e-12
         labels = boson_parity_labels(cut)
-        mat = ham.toarray()
+        mat = as_dense(ham)
         comm = labels[:, None] * mat - mat * labels[None, :]
         assert np.max(np.abs(comm)) < 1e-12
 
@@ -253,7 +253,7 @@ def test_quadratic_form_decoupled_keeps_only_numbers():
 def test_quadratic_form_rejects_cubic_perturbation():
     p = from_g(0.5, j=1.0)
     cut = FockCutoff(8)
-    mat = form_matrix(effective_form("co_np", p), cut).toarray()
+    mat = as_dense(form_matrix(effective_form("co_np", p), cut))
     a = np.zeros((9, 9))
     a[np.arange(8), np.arange(1, 9)] = np.sqrt(np.arange(1, 9))
     cubic = a.T @ a.T @ a.T
@@ -271,10 +271,10 @@ def test_quadratic_form_rejects_cubic_perturbation():
 def test_theta_derivative_is_commutator(model, g):
     p = from_g(g, gamma=2.0, eta=1.5, theta=0.35, j=3.0)
     cut = FockCutoff(10, 10) if model.startswith("cs") else FockCutoff(14)
-    d = effective_param_derivative(model, p, cut, "theta").toarray()
+    d = as_dense(effective_param_derivative(model, p, cut, "theta"))
     h = 1e-5
-    plus = form_matrix(effective_form(model, p.shifted("theta", h)), cut).toarray()
-    minus = form_matrix(effective_form(model, p.shifted("theta", -h)), cut).toarray()
+    plus = as_dense(form_matrix(effective_form(model, p.shifted("theta", h)), cut))
+    minus = as_dense(form_matrix(effective_form(model, p.shifted("theta", -h)), cut))
     assert np.max(np.abs((plus - minus) / (2 * h) - d)) < 1e-8
 
 
@@ -284,10 +284,10 @@ def test_theta_derivative_is_commutator(model, g):
 def test_scalar_derivatives_match_matrix_stencil(model, g, which):
     p = from_g(g, gamma=2.0, eta=1.5, theta=0.35, j=3.0)
     cut = FockCutoff(8, 8) if model.startswith("cs") else FockCutoff(10)
-    d = effective_param_derivative(model, p, cut, which).toarray()
+    d = as_dense(effective_param_derivative(model, p, cut, which))
     h = 1e-5
-    plus = form_matrix(effective_form(model, p.shifted(which, h)), cut).toarray()
-    minus = form_matrix(effective_form(model, p.shifted(which, -h)), cut).toarray()
+    plus = as_dense(form_matrix(effective_form(model, p.shifted(which, h)), cut))
+    minus = as_dense(form_matrix(effective_form(model, p.shifted(which, -h)), cut))
     assert np.max(np.abs((plus - minus) / (2 * h) - d)) < 5e-7
 
 
@@ -308,10 +308,10 @@ def test_superradiant_derivatives_just_above_the_critical_point(model, which):
     cut = FockCutoff(8, 8) if model.startswith("cs") else FockCutoff(10)
     sign = 1.0 if which.startswith("lambda") else -1.0
     h = 1e-5
-    f0, f1, f2 = (form_matrix(effective_form(model, p.shifted(which, sign * k * h)),
-                              cut).toarray() for k in range(3))
+    f0, f1, f2 = (as_dense(form_matrix(effective_form(model, p.shifted(which, sign * k * h)),
+                                       cut)) for k in range(3))
     want = sign * (-3 * f0 + 4 * f1 - f2) / (2 * h)
-    got = effective_param_derivative(model, p, cut, which).toarray()
+    got = as_dense(effective_param_derivative(model, p, cut, which))
     assert np.max(np.abs(got - want)) < 1e-7 * np.max(np.abs(want))
 
 
@@ -367,7 +367,7 @@ def test_form_matrix_from_cached_pieces_matches_dense_products(model, g, cut, th
         if theta == 0.0:
             assert built.dtype == np.float64
         want = _dense_form_matrix(form, cut)
-        assert np.max(np.abs(built.toarray() - want)) <= 1e-14 * np.max(np.abs(want))
+        assert np.max(np.abs(as_dense(built) - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 def test_cutoffs_differing_in_one_field_get_their_own_pieces():
@@ -395,26 +395,25 @@ def test_effective_guards_run_before_the_piece_cache():
 def test_derivative_matrices_do_not_rebuild_the_hamiltonian(model, g, monkeypatch):
     p = from_g(g, gamma=2.0, eta=1.5, theta=0.35, j=3.0)
     cut = FockCutoff(6, 6) if model.startswith("cs") else FockCutoff(10)
-    expected = {which: form_matrix(form_param_derivative(model, p, which), cut).toarray()
+    expected = {which: as_dense(form_matrix(form_param_derivative(model, p, which), cut))
                 for which in ("omega", "Omega", "lambda1", "lambda2")}
-    expected["theta"] = theta_derivative_matrix(
-        form_matrix(effective_form(model, p), cut), cut).toarray()
+    expected["theta"] = as_dense(theta_derivative_matrix(effective_form(model, p), cut))
     builds = []
     monkeypatch.setattr(effective, "form_matrix", lambda *a, **k: builds.append(a))
     for which, want in expected.items():
-        assert np.array_equal(effective_param_derivative(model, p, cut, which).toarray(), want)
+        assert np.array_equal(as_dense(effective_param_derivative(model, p, cut, which)), want)
     assert builds == []
 
 
 def test_points_on_one_cutoff_build_the_kronecker_products_once(monkeypatch):
     calls = []
-    kron = sp.kron
+    kron = Piece.kron
 
     def counting_kron(*args, **kwargs):
         calls.append(1)
         return kron(*args, **kwargs)
 
-    monkeypatch.setattr(sp, "kron", counting_kron)
+    monkeypatch.setattr(Piece, "kron", counting_kron)
     effective._form_pieces.cache_clear()
     cut = FockCutoff(8, 8)
     for k, g in enumerate(np.linspace(0.2, 0.9, 8)):
@@ -431,16 +430,16 @@ def test_tensor_evaluation_leaves_the_cached_form_pieces_unchanged(model, g, cut
     p = from_g(g, gamma=2.0, eta=1.5, theta=0.7, j=3.0)
     pieces = effective._form_pieces(cut)
     cached = [piece for piece, _ in pieces]
-    before = [m.copy() for m in cached]
+    before = [[arr.copy() for arr in (m.rows, m.cols, m.vals)] for m in cached]
     labels = ("theta", "omega", "Omega", "lambda1", "lambda2")
     for method in ("sum", "solve", "fd"):
         qgt_components(model, p, cut, labels=labels, method=method)
     assert effective._form_pieces(cut) is pieces
     for mat, copy in zip(cached, before):
-        for name in ("data", "indices", "indptr"):
-            assert np.array_equal(getattr(mat, name), getattr(copy, name))
+        for arr, saved in zip((mat.rows, mat.cols, mat.vals), copy):
+            assert np.array_equal(arr, saved)
     with pytest.raises(ValueError):
-        cached[0].data[0] = 1.0
+        cached[0].vals[0] = 1.0
 
 
 @pytest.mark.parametrize("g", [0.3, 0.9])
@@ -458,9 +457,9 @@ def test_co_normal_counterrotating_derivative_at_infinite_gamma(g):
 def test_coupling_derivatives_exist_at_zero_coupling(model, cut, which):
     p = from_g(0.0, eta=1.5, j=3.0)
     h = 1e-3
-    f0, f1, f2 = (form_matrix(effective_form(model, p.shifted(which, k * h)), cut).toarray()
+    f0, f1, f2 = (as_dense(form_matrix(effective_form(model, p.shifted(which, k * h)), cut))
                   for k in range(3))
     # both forms are at most quadratic in a coupling, where this stencil is exact
     want = (-3 * f0 + 4 * f1 - f2) / (2 * h)
-    got = effective_param_derivative(model, p, cut, which).toarray()
+    got = as_dense(effective_param_derivative(model, p, cut, which))
     assert np.max(np.abs(got - want)) < 1e-8

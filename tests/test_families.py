@@ -62,6 +62,27 @@ def test_default_method_switches_with_dimension():
     assert sector.method == "sum_over_states"
 
 
+@pytest.mark.parametrize("name,j,small,large", [
+    # j = 1/2 splits the product basis evenly: a parity sector holds n_max + 1 states
+    ("full", 0.5, Truncation.for_spin(DENSE_SOLVE_LIMIT - 1, 0.5),
+     Truncation.for_spin(DENSE_SOLVE_LIMIT, 0.5)),
+    ("co_np", 3.0, FockCutoff(DENSE_SOLVE_LIMIT - 1), FockCutoff(DENSE_SOLVE_LIMIT)),
+])
+def test_builders_pick_the_representation_by_the_solver_limit(name, j, small, large):
+    p = ModelParams.from_ratios(0.8, gamma=2.0, theta=0.3, j=j)
+    built = {}
+    for trunc, kind in ((small, np.ndarray), (large, sp.csr_array)):
+        mats = [hamiltonian_matrix(name, p, trunc)]
+        mats += [derivative_matrix(name, p, trunc, label) for label in FIVE_LABELS]
+        assert mats[0].shape[0] == DENSE_SOLVE_LIMIT + (kind is sp.csr_array)
+        assert all(type(mat) is kind for mat in mats)
+        built[kind] = mats
+    # the smaller basis is a prefix of the larger one: the shared block is the same
+    # bytes, whichever representation holds it
+    for dense, sparse in zip(built[np.ndarray], built[sp.csr_array]):
+        assert np.array_equal(sparse.toarray()[:DENSE_SOLVE_LIMIT, :DENSE_SOLVE_LIMIT], dense)
+
+
 def test_model_gap_sources():
     p = ModelParams.from_ratios(0.5, gamma=1.0, eta=1.0, j=4.0)
     eff = bogoliubov_modes(effective_form("cs_np", p)).gap
@@ -110,7 +131,7 @@ def test_builders_are_real_exactly_at_theta_zero(name, g, trunc, j):
         d_lambda1 = derivative_matrix(name, p, trunc, "lambda1")
         d_theta = derivative_matrix(name, p, trunc, "theta")
         for mat in (ham, d_lambda1, d_theta):
-            assert isinstance(mat, sp.csr_array)
+            assert isinstance(mat, np.ndarray)  # at most DENSE_SOLVE_LIMIT rows
         assert ham.dtype == dtype
         assert d_lambda1.dtype == dtype
         # i [n_a, H] is imaginary even where H is real

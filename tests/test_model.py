@@ -4,17 +4,22 @@ import math
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 from adicke import (ModelParams, Truncation, TruncationError,
                     boson_operators, full_hamiltonian, model,
                     param_derivative, parity_operator, project_parity,
                     qgt_components, spin_operators)
-from adicke.model import PARAMETER_LABELS, parity_indices, photon_number_diagonal
+from adicke.model import (PARAMETER_LABELS, Piece, as_dense, parity_indices,
+                          photon_number_diagonal)
 
 
 def dense(op):
-    return op.toarray()
+    """An operator as an ndarray: a matrix, dense or CSR, or a cached piece's triplets."""
+    if isinstance(op, Piece):
+        out = np.zeros(op.shape)
+        out[op.rows, op.cols] = op.vals
+        return out
+    return as_dense(op)
 
 
 # ---------------------------------------------------------------------------
@@ -361,9 +366,10 @@ def _product_operators(p: ModelParams, t: Truncation) -> dict:
     rw = norm * (phase * up_minus + np.conj(phase) * up_minus.T)
     cr = norm * (phase * up_plus + np.conj(phase) * up_plus.T)
     coupling = p.lambda1 * rw + p.lambda2 * cr
+    n = np.diag(number)  # i [a'a, C] has entries i (n_row - n_col) C, exactly
     return {"H": p.omega * number + p.Omega * jz + coupling,
             "omega": number, "Omega": jz, "lambda1": rw, "lambda2": cr,
-            "theta": 1j * (number @ coupling - coupling @ number)}
+            "theta": 1j * (n[:, None] - n[None, :]) * coupling}
 
 
 @pytest.mark.parametrize("sector", ["positive", "negative", "full"])
@@ -373,7 +379,7 @@ def test_cached_sector_pieces_are_projected_product_pieces(sector, j):
     cached = model._sector_pieces(t)
     for block, product in zip(cached, _product_pieces(t)):
         assert block.shape == (len(photon_number_diagonal(t)),) * 2
-        assert np.array_equal(block.toarray(), _on_sector(product, t))
+        assert np.array_equal(dense(block), _on_sector(product, t))
 
 
 @pytest.mark.parametrize("sector", ["positive", "negative", "full"])
@@ -404,9 +410,8 @@ def test_truncations_differing_in_one_field_get_their_own_pieces():
         theirs = model._sector_pieces(other)
         assert theirs is not pieces
         for their, product in zip(theirs, _product_pieces(other)):
-            assert np.array_equal(their.toarray(), _on_sector(product, other))
-        assert any(mine.shape != their.shape or not np.array_equal(mine.toarray(),
-                                                                   their.toarray())
+            assert np.array_equal(dense(their), _on_sector(product, other))
+        assert any(mine.shape != their.shape or not np.array_equal(dense(mine), dense(their))
                    for mine, their in zip(pieces, theirs))
 
 
@@ -427,30 +432,30 @@ def test_tensor_evaluation_leaves_the_cached_pieces_unchanged():
     p = ModelParams.from_ratios(0.9, gamma=2.0, eta=1.0, theta=0.7, j=2.0)
     t = Truncation.for_spin(12, p.j, "positive")
     pieces = model._sector_pieces(t)
-    before = [piece.copy() for piece in pieces]
+    before = [Piece(piece.shape, *(arr.copy() for arr in piece[1:])) for piece in pieces]
     for method in ("sum", "solve", "fd"):
         qgt_components("full", p, t, labels=PARAMETER_LABELS, method=method)
     assert model._sector_pieces(t) is pieces
     for piece, copy in zip(pieces, before):
-        assert piece.dtype == copy.dtype
-        for name in ("data", "indices", "indptr"):
+        assert piece.vals.dtype == copy.vals.dtype
+        for name in ("rows", "cols", "vals"):
             assert np.array_equal(getattr(piece, name), getattr(copy, name))
     with pytest.raises(ValueError):
-        pieces[0].data[0] = 1.0
+        pieces[0].vals[0] = 1.0
     derivative = param_derivative(p, t, "omega")
-    derivative.data[:] = 0.0  # a returned matrix is the caller's own
-    assert np.array_equal(pieces[0].toarray(), before[0].toarray())
+    derivative[...] = 0.0  # a returned matrix is the caller's own
+    assert np.array_equal(dense(pieces[0]), dense(before[0]))
 
 
 def test_points_on_one_truncation_build_the_kronecker_products_once(monkeypatch):
     calls = []
-    kron = sp.kron
+    kron = Piece.kron
 
     def counting_kron(*args, **kwargs):
         calls.append(args[0].shape)
         return kron(*args, **kwargs)
 
-    monkeypatch.setattr(sp, "kron", counting_kron)
+    monkeypatch.setattr(Piece, "kron", counting_kron)
     model._sector_pieces.cache_clear()
     t = Truncation.for_spin(10, 3.0, "full")
     for k, g in enumerate(np.linspace(0.2, 0.9, 8)):

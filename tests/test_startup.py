@@ -1,10 +1,14 @@
-"""Which parts of scipy a fresh process loads on each route.
+"""Which parts of scipy, and which BLAS libraries, a fresh process loads on each route.
 
-The exact Gaussian route and the command-line front end need numpy and
-click only; ``scipy.sparse`` comes in with the first truncated matrix and
-``scipy.linalg`` / ``scipy.sparse.linalg`` with the first shift-invert
-solve.  Each test runs in a fresh interpreter, since this process has long
-loaded everything.
+The exact Gaussian route, the command-line front end and every matrix at
+or below ``spectra.DENSE_SOLVE_LIMIT`` need numpy and click, and no part of
+scipy: the builders hand such a matrix over as an ndarray, and the dense
+route decomposes a real one with numpy.  ``scipy.sparse``, ``scipy.linalg`` and
+``scipy.sparse.linalg`` come in with the first shift-invert solve, which
+the sparse route above the limit and an explicit ``method="solve"`` take.
+Until then only numpy's OpenBLAS is mapped, and once scipy's is in use a
+tensor evaluation holds it to one thread too.  Each test runs in a fresh
+interpreter, since this process has long loaded everything.
 """
 
 import json
@@ -12,23 +16,29 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 import adicke
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(adicke.__file__)))
 
-HEAVY = ("scipy.sparse", "scipy.linalg", "scipy.sparse.linalg", "concurrent.futures")
+HEAVY = ("scipy", "scipy.sparse", "scipy.linalg", "scipy.sparse.linalg", "concurrent.futures")
+
+
+def _last_json(code: str, **env):
+    """The JSON object on the last line a fresh interpreter prints after running ``code``."""
+    env = dict(os.environ, **env, PYTHONPATH=os.pathsep.join(
+        filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    return json.loads(out.stdout.strip().splitlines()[-1])
 
 
 def _loaded_after(code: str) -> set[str]:
     """The HEAVY modules in sys.modules after a fresh interpreter runs ``code``."""
-    script = (code + "\nimport json, sys\n"
-              f"print(json.dumps([m for m in {HEAVY!r} if m in sys.modules]))\n")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [SRC, os.environ.get("PYTHONPATH")])))
-    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
-                         text=True, timeout=120)
-    assert out.returncode == 0, out.stderr
-    return set(json.loads(out.stdout.strip().splitlines()[-1]))
+    return set(_last_json(code + "\nimport json, sys\n"
+                          f"print(json.dumps([m for m in {HEAVY!r} if m in sys.modules]))\n"))
 
 
 def test_cli_and_the_gaussian_route_load_no_scipy_submodule():
@@ -43,14 +53,24 @@ assert [row.method for row in rows] == ["gaussian", "gaussian"]
 """) == set()
 
 
-def test_small_dense_matrix_loads_sparse_but_no_solver():
+def test_small_dense_matrices_load_no_scipy_submodule():
+    assert _loaded_after("""
+from adicke import FockCutoff, ModelParams, Truncation, qgt_components, qfi_omega
+p = ModelParams.from_ratios(0.5, gamma=2.0, eta=1.0, j=10.0)
+assert qfi_omega("co_np", p, FockCutoff(8)) > 0
+p = ModelParams.from_ratios(0.8, gamma=2.0, j=2.0)
+comp = qgt_components("full", p, Truncation.for_spin(20, 2.0))
+assert comp.method == "sum_over_states" and comp.qfi("omega").value > 0
+""") == set()
+
+
+def test_explicit_solve_on_a_small_matrix_loads_the_solvers():
     loaded = _loaded_after("""
 from adicke import FockCutoff, ModelParams, qfi_omega
 p = ModelParams.from_ratios(0.5, gamma=2.0, eta=1.0, j=10.0)
-assert qfi_omega("co_np", p, FockCutoff(8)) > 0
+assert qfi_omega("co_np", p, FockCutoff(8), method="solve") > 0
 """)
-    assert "scipy.sparse" in loaded
-    assert loaded.isdisjoint({"scipy.linalg", "scipy.sparse.linalg"})
+    assert {"scipy.sparse", "scipy.linalg", "scipy.sparse.linalg"} <= loaded
 
 
 def test_full_model_solve_loads_the_solvers():
@@ -60,3 +80,37 @@ p = ModelParams.from_ratios(0.8, gamma=2.0, j=3.0)
 assert qfi_omega("full", p, Truncation.for_spin(20, 3.0), method="solve") > 0
 """)
     assert {"scipy.sparse", "scipy.linalg", "scipy.sparse.linalg"} <= loaded
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/maps")
+@pytest.mark.skipif(not adicke._blas.libraries(), reason="numpy bundles no OpenBLAS")
+def test_scipy_openblas_is_bound_only_once_used_and_then_on_one_thread():
+    # OPENBLAS_NUM_THREADS=2 starts each library at a count other than the scope's 1
+    result = _last_json("""
+import json
+from adicke import FockCutoff, ModelParams, Truncation, _blas, qfi_omega, spectra
+
+def openblas_paths():
+    with open("/proc/self/maps") as maps:
+        return sorted({line.split()[-1] for line in maps
+                       if len(line.split()) >= 6 and "openblas" in line.split()[-1]})
+
+p = ModelParams.from_ratios(0.5, gamma=2.0, eta=1.0, j=10.0)
+assert qfi_omega("co_np", p, FockCutoff(8)) > 0
+dense = openblas_paths()
+seen = []
+solve = spectra.ShiftInvert.solve
+
+def spy(self, rhs):
+    seen.append([get() for get, _ in _blas.libraries()])
+    return solve(self, rhs)
+
+spectra.ShiftInvert.solve = spy
+p = ModelParams.from_ratios(0.9, gamma=2.0, j=5.0)
+assert qfi_omega("full", p, Truncation.for_spin(60, 5.0)) > 0
+print(json.dumps({"dense": dense, "seen": seen,
+                  "bundled": [len(_blas._bundled(name)) for name in ("numpy", "scipy")]}))
+""", OPENBLAS_NUM_THREADS="2")
+    assert len(result["dense"]) == 1
+    assert result["seen"]
+    assert all(counts == [1] * sum(result["bundled"]) for counts in result["seen"])
