@@ -1,13 +1,21 @@
-"""One BLAS thread for the length of a tensor evaluation.
+"""numpy's bundled OpenBLAS: one thread per tensor evaluation, and its banded routines.
 
 numpy and scipy each bundle an OpenBLAS, which by default starts one thread
 per core.  The kernels of one evaluation are too small to share: the
-banded Cholesky factor, ARPACK's Lanczos basis and the resolvent's
+banded Cholesky factor, the Lanczos basis and the resolvent's
 matrix-vector products leave the second thread spinning, which doubles the
 CPU time of a point and, at half-bandwidths of 21 and more, slows the
 factor 3-7x on a 2-core machine.  ``single_thread`` sets every bundled
 OpenBLAS in use to one thread and gives each its saved count back on exit.
 With no bundled OpenBLAS found (another BLAS build) it does nothing.
+
+The shift-invert route needs three banded routines of a Hermitian matrix
+held in LAPACK's upper band storage: the Cholesky factor (``pbtrf``), the
+solve with it (``pbtrs``) and the product with a vector (``hbmv``).  They
+are bound by ctypes from numpy's own OpenBLAS, whose LAPACKE and CBLAS
+entry points take column-major arrays, so that route loads no scipy.  Only
+where numpy bundles no OpenBLAS with those entry points do the same
+routines come from ``scipy.linalg.lapack`` and ``scipy.linalg.blas``.
 """
 
 from __future__ import annotations
@@ -20,20 +28,30 @@ import importlib
 import os
 import sys
 import threading
+from typing import Callable, NamedTuple
+
+import numpy as np
+
+#: LAPACK_COL_MAJOR / CblasColMajor, and CblasUpper; LAPACKE takes the triangle as a char.
+_COL_MAJOR, _CBLAS_UPPER, _UPPER = 102, 121, b"U"
+
+
+@functools.cache
+def _openblas(name: str) -> tuple[ctypes.CDLL, ...]:
+    """Each OpenBLAS bundled with one package, found in the ``<package>.libs``
+    folder beside it.  ``ctypes.CDLL`` of a library the package already
+    loaded returns that same library."""
+    package = importlib.import_module(name)
+    libdir = os.path.join(os.path.dirname(package.__file__), os.pardir, name + ".libs")
+    return tuple(ctypes.CDLL(path)
+                 for path in sorted(glob.glob(os.path.join(libdir, "*openblas*"))))
 
 
 @functools.cache
 def _bundled(name: str) -> tuple[tuple, ...]:
-    """``(get_num_threads, set_num_threads)`` of each OpenBLAS bundled with one package.
-
-    Found in the ``<package>.libs`` folder beside the package.  ``ctypes.CDLL``
-    of a library the package already loaded returns that same library.
-    """
-    package = importlib.import_module(name)
-    libdir = os.path.join(os.path.dirname(package.__file__), os.pardir, name + ".libs")
+    """``(get_num_threads, set_num_threads)`` of each OpenBLAS bundled with one package."""
     found = []
-    for path in sorted(glob.glob(os.path.join(libdir, "*openblas*"))):
-        lib = ctypes.CDLL(path)
+    for lib in _openblas(name):
         for prefix in ("scipy_openblas_", "openblas_"):
             for suffix in ("64_", ""):
                 get = getattr(lib, f"{prefix}get_num_threads{suffix}", None)
@@ -50,9 +68,9 @@ def libraries() -> tuple[tuple, ...]:
     """``(get_num_threads, set_num_threads)`` of each bundled OpenBLAS in use.
 
     numpy's always; scipy's once ``scipy.linalg`` is imported, since every
-    scipy routine that calls it (LAPACK, ARPACK, the iterative solvers)
-    imports that package first.  Binding scipy's library earlier would map
-    a second OpenBLAS into a process that never calls it.
+    scipy routine that calls it (LAPACK, BLAS) imports that package first.
+    Binding scipy's library earlier would map a second OpenBLAS into a
+    process that never calls it.
     """
     if "scipy.linalg" in sys.modules:
         return _bundled("numpy") + _bundled("scipy")
@@ -66,8 +84,8 @@ class _SingleThread(contextlib.ContextDecorator):
     the counts and the last one to exit restores them, also when the body
     raises: the thread count is a setting of the whole process.  Every
     entry, nested ones included, also takes in a library that came into use
-    since the scope opened (scipy's, at the first shift-invert solve), so
-    that library too runs on one thread until the outermost exit.
+    since the scope opened (scipy's, at the first complex dense spectrum),
+    so that library too runs on one thread until the outermost exit.
     """
 
     def __init__(self):
@@ -95,3 +113,137 @@ class _SingleThread(contextlib.ContextDecorator):
 
 
 single_thread = _SingleThread()
+
+
+# ---------------------------------------------------------------------------
+# banded routines of a Hermitian matrix in LAPACK's upper band storage
+
+
+class _Banded(NamedTuple):
+    """The banded routines of one precision: ``d`` (float64) or ``z`` (complex128)."""
+
+    pbtrf: Callable  # ab -> (upper Cholesky factor, info); factors ab in place
+    pbtrs: Callable  # (factor, b) -> x with (U^dagger U) x = b, for one column or several
+    hbmv: Callable   # (ab, x) -> H x, for one vector
+
+
+def _bind(lib: ctypes.CDLL, kind: str) -> _Banded | None:
+    """The routines of one precision from a bundled OpenBLAS's LAPACKE and
+    CBLAS symbols, or None when it exports none of them.
+
+    numpy's OpenBLAS prefixes its symbols ``scipy_`` and, built with 64-bit
+    integers (ILP64), suffixes them ``64_``; every size is then an int64.
+    """
+    product = "dsbmv" if kind == "d" else "zhbmv"
+    for prefix in ("scipy_", ""):
+        for suffix, size in (("64_", ctypes.c_int64), ("", ctypes.c_int)):
+            names = (f"{prefix}LAPACKE_{kind}pbtrf_work{suffix}",
+                     f"{prefix}LAPACKE_{kind}pbtrs_work{suffix}",
+                     f"{prefix}cblas_{product}{suffix}")
+            if all(hasattr(lib, name) for name in names):
+                return _wrap(kind, size, *(getattr(lib, name) for name in names))
+    return None
+
+
+def _wrap(kind: str, size, factor, solve, product) -> _Banded:
+    """Typed Python callables around the bound LAPACKE and CBLAS functions."""
+    ptr, layout, uplo = ctypes.c_void_p, ctypes.c_int, ctypes.c_char
+    factor.argtypes, factor.restype = [layout, uplo, size, size, ptr, size], size
+    solve.argtypes = [layout, uplo, size, size, size, ptr, size, ptr, size]
+    solve.restype = size
+    dtype = np.float64 if kind == "d" else np.complex128
+    if kind == "d":
+        scalar, one, zero = ctypes.c_double, 1.0, 0.0
+    else:  # zhbmv takes its complex scalars by pointer
+        scalar, one, zero = ptr, (ctypes.c_double * 2)(1.0, 0.0), (ctypes.c_double * 2)()
+    product.argtypes = [layout, layout, size, size, scalar, ptr, size, ptr, size,
+                        scalar, ptr, size]
+    product.restype = None
+
+    # every array is made column-major in the routine's dtype, and every
+    # length checked, before a pointer to it goes to the library
+    def pbtrf(ab):
+        ab = np.asfortranarray(ab, dtype=dtype)
+        info = factor(_COL_MAJOR, _UPPER, ab.shape[1], ab.shape[0] - 1, ab.ctypes.data,
+                      ab.shape[0])
+        return ab, int(info)
+
+    def pbtrs(c, b):
+        c, x = np.asfortranarray(c, dtype=dtype), np.array(b, dtype=dtype, order="F")
+        _check_length(x, c)
+        solve(_COL_MAJOR, _UPPER, c.shape[1], c.shape[0] - 1, 1 if x.ndim == 1 else x.shape[1],
+              c.ctypes.data, c.shape[0], x.ctypes.data, c.shape[1])
+        return x
+
+    def hbmv(ab, x):
+        ab, x = np.asfortranarray(ab, dtype=dtype), np.ascontiguousarray(x, dtype=dtype)
+        _check_length(x, ab, ndim=1)
+        y = np.empty_like(x)
+        product(_COL_MAJOR, _CBLAS_UPPER, ab.shape[1], ab.shape[0] - 1, one, ab.ctypes.data,
+                ab.shape[0], x.ctypes.data, 1, zero, y.ctypes.data, 1)
+        return y
+
+    return _Banded(pbtrf, pbtrs, hbmv)
+
+
+def _check_length(x: np.ndarray, band: np.ndarray, ndim: int = 2) -> None:
+    if not (1 <= x.ndim <= ndim and band.ndim == 2 and x.shape[0] == band.shape[1]):
+        raise ValueError(f"operand of shape {x.shape} does not fit a band of shape {band.shape}")
+
+
+def _scipy_banded(kind: str) -> _Banded:
+    """The same routines from scipy's LAPACK and BLAS wrappers.
+
+    Each call runs in a scope of its own, whose entry takes in scipy's
+    OpenBLAS, loaded here after the scope of the evaluation opened.
+    """
+    from scipy.linalg import blas, lapack
+    factor, solve = getattr(lapack, kind + "pbtrf"), getattr(lapack, kind + "pbtrs")
+    product = blas.dsbmv if kind == "d" else blas.zhbmv
+
+    def pbtrf(ab):
+        c, info = factor(ab, lower=0, overwrite_ab=1)
+        return c, int(info)
+
+    def pbtrs(c, b):
+        x = solve(c, b.reshape(b.shape[0], -1), lower=0)[0]
+        return x.reshape(b.shape)
+
+    def hbmv(ab, x):
+        return product(ab.shape[0] - 1, 1.0, ab, x, lower=0)
+
+    return _Banded(*map(single_thread, (pbtrf, pbtrs, hbmv)))
+
+
+@functools.cache
+def _banded(kind: str) -> _Banded:
+    for lib in _openblas("numpy"):
+        bound = _bind(lib, kind)
+        if bound is not None:
+            return bound
+    return _scipy_banded(kind)
+
+
+def _kind(a: np.ndarray) -> str:
+    return "z" if np.iscomplexobj(a) else "d"
+
+
+def pbtrf(ab: np.ndarray) -> tuple[np.ndarray, int]:
+    """The upper Cholesky factor U (H = U^dagger U) of a Hermitian band, and LAPACK's info.
+
+    ``ab`` is H's upper band, row kd holding the diagonal; a column-major
+    array of the band's dtype is overwritten by the factor.  info is 0 on
+    success and k > 0 when the leading minor of order k is not positive
+    definite.
+    """
+    return _banded(_kind(ab)).pbtrf(ab)
+
+
+def pbtrs(c: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """x = (U^dagger U)^-1 b for a factor from ``pbtrf``; ``b`` is one column or several."""
+    return _banded(_kind(c)).pbtrs(c, b)
+
+
+def hbmv(ab: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """H x for a Hermitian H given by its upper band and a vector x of the band's dtype."""
+    return _banded(_kind(ab)).hbmv(ab, x)

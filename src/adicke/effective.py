@@ -275,7 +275,8 @@ def form_matrix(form: QuadraticBosonForm, cut: FockCutoff,
 
     Two-mode basis ordering is |n_a> x |n_b> with n_a outer.  The matrix is
     float64 when every coefficient is real and complex otherwise; it is
-    dense or CSR by its size, as every builder's (``model.PiecePattern.matrix``).
+    an ndarray or its upper band by its size, as every builder's
+    (``model.PiecePattern.matrix``).
     """
     pattern, data = _assemble(form, cut, max_dim)
     return pattern.matrix(data)
@@ -304,7 +305,7 @@ def mode_a_number_diagonal(cut: FockCutoff) -> np.ndarray:
 
 
 def quadratic_form(m, cut: FockCutoff) -> QuadraticBosonForm:
-    """Read the coefficient table back off a matrix, sparse or dense.
+    """Read the coefficient table back off a matrix in any representation.
 
     The extracted coefficients must rebuild the matrix entrywise, within
     QUADRATIC_FORM_TOL of its scale; anything else -- linear terms, cubic

@@ -3,10 +3,10 @@ for a Gaussian ground state.
 
 * sum over states   -- perturbative sum over the full spectrum,
 * linear solve      -- resolvent tangents |x_mu> = (H - E0)^+ P dH_mu |psi0>,
-  so no excited states are needed: conjugate gradients on the complement of
-  the state, preconditioned with the certified shift-invert factor that the
-  ground-pair solve already made (``spectra.shift_invert``), so a point is
-  factored once,
+  so no excited states are needed: conjugate gradients in numpy on the
+  complement of the state, preconditioned with the certified shift-invert
+  factor that the ground-pair solve already made (``spectra.shift_invert``),
+  so a point is factored once and no part of scipy is loaded,
 * finite difference -- central differences of gauge-fixed ground states.
 
 Each method produces a matrix T of projected tangents, one column per label,
@@ -215,21 +215,45 @@ def qgt_matrix_sum(es: Eigensystem, derivs: Sequence[Derivative],
 # method 2: resolvent linear solve
 
 
+def _pcg(apply: Callable, precondition: Callable, rhs: np.ndarray,
+         atol: float) -> np.ndarray:
+    """Preconditioned conjugate gradients for one column, from x = 0.
+
+    Stops once the residual norm falls below ``atol``, or after CG_MAXITER
+    steps; the caller checks the result.
+    """
+    x = np.zeros_like(rhs)
+    r = rhs.copy()
+    direction, rho_prev = None, None
+    for _ in range(CG_MAXITER):
+        if np.linalg.norm(r) < atol:
+            break
+        z = precondition(r)
+        rho = np.vdot(r, z)
+        direction = z if direction is None else z + (rho / rho_prev) * direction
+        q = apply(direction)
+        step = rho / np.vdot(direction, q)
+        x += step * direction
+        r -= step * q
+        rho_prev = rho
+    return x
+
+
 def resolvent_tangent(ham, energy: float, psi: np.ndarray, derivs: Sequence[Matrix],
                       factor: ShiftInvert | None = None, gap: float = math.nan) -> np.ndarray:
     """Solve P (H - E0) P |x_mu> = P dH_mu |psi0>, P = 1 - |psi0><psi0|.
 
-    Conjugate gradients on the orthogonal complement of the state, where
-    H - E0 is positive definite, preconditioned with P (H - sigma)^-1 P from
-    a shift-invert factor: the ground-pair solve's, when it lies within one
-    ``gap`` of E0, or else one factored here at E0 - gap/10 (see
-    ``spectra.shift_invert``).  The preconditioned spectrum lies in
-    [gap / (gap + E0 - sigma), 1), so a few iterations suffice.  The result
-    holds one tangent per column, in the dtype the inputs need, and every
-    column's residual is checked against H - E0.
+    Conjugate gradients (``_pcg``) on the orthogonal complement of the
+    state, where H - E0 is positive definite, preconditioned with
+    P (H - sigma)^-1 P from a shift-invert factor: the ground-pair solve's,
+    when it lies within one ``gap`` of E0, or else one factored here at
+    E0 - gap/10 (see ``spectra.shift_invert``).  The preconditioned spectrum
+    lies in [gap / (gap + E0 - sigma), 1), so a few iterations suffice.
+    ``ham`` and the derivatives are Hermitian: ndarrays, ``model.HermitianBand``
+    or scipy sparse matrices.  The result holds one tangent per column, in the
+    dtype the inputs need, and every column's residual is checked against
+    H - E0.
     """
-    import scipy.sparse.linalg as spla
-    dim = ham.shape[0]
     rhs = _derivative_columns(derivs, psi)
     rhs = rhs - np.outer(psi, psi.conj() @ rhs)
     if factor is None or energy - factor.sigma > gap:
@@ -237,12 +261,9 @@ def resolvent_tangent(ham, energy: float, psi: np.ndarray, derivs: Sequence[Matr
     shifted = lambda v: ham @ v - energy * v
     dtype = np.result_type(ham.dtype, psi.dtype, rhs.dtype)
     project = lambda v: v - psi * np.vdot(psi, v)
-    op = spla.LinearOperator((dim, dim), matvec=lambda v: project(shifted(v)), dtype=dtype)
-    precond = spla.LinearOperator((dim, dim), matvec=lambda v: project(factor.solve(v)),
-                                  dtype=dtype)
     bounds = SOLVE_TOL * np.maximum(1.0, np.linalg.norm(rhs, axis=0))
-    x = np.stack([spla.cg(op, rhs[:, k].astype(dtype), rtol=0.0, atol=1e-3 * bounds[k],
-                          maxiter=CG_MAXITER, M=precond)[0]
+    x = np.stack([_pcg(lambda v: project(shifted(v)), lambda v: project(factor.solve(v)),
+                       rhs[:, k].astype(dtype), atol=1e-3 * bounds[k])
                   for k in range(rhs.shape[1])], axis=1)
     x = x - np.outer(psi, psi.conj() @ x)
     residuals = np.linalg.norm(shifted(x) - rhs, axis=0)

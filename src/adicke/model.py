@@ -32,9 +32,11 @@ solver's banded Cholesky factor relies on (``spectra.shift_invert``).
 
 Every builder returns a matrix that owns its arrays, in the representation
 the solver of its size takes (``PiecePattern.matrix``): a dense ndarray at or
-below ``spectra.DENSE_SOLVE_LIMIT`` rows, so a small problem loads no
-``scipy.sparse``, and a ``scipy.sparse.csr_array`` above it.  It is float64
-when every coefficient is real (theta = 0) and complex otherwise.  Every
+below ``spectra.DENSE_SOLVE_LIMIT`` rows, and above it a ``HermitianBand``,
+the upper band that the banded Cholesky factor and the band product of
+``_blas`` take, scattered from the pattern through an index computed once
+per truncation.  Neither loads any part of scipy.  A matrix is float64 when
+every coefficient is real (theta = 0) and complex otherwise.  Every
 consumer keeps the dtype it is given.
 """
 
@@ -47,6 +49,7 @@ from typing import NamedTuple, TypeAlias
 
 import numpy as np
 
+from . import _blas
 from .errors import TruncationError
 
 #: Parameters with respect to which the Hamiltonian can be differentiated.
@@ -58,8 +61,8 @@ DEFAULT_MAX_DIM = 250_000
 _SECTORS = ("positive", "negative", "full")
 
 #: What every builder returns: an ndarray at or below ``spectra.DENSE_SOLVE_LIMIT``
-#: rows and a ``scipy.sparse.csr_array`` above it (``PiecePattern.matrix``).
-Matrix: TypeAlias = "np.ndarray | sp.csr_array"
+#: rows and a ``HermitianBand`` above it (``PiecePattern.matrix``).
+Matrix: TypeAlias = "np.ndarray | HermitianBand"
 
 #: Truncations whose parameter-free sector pieces stay cached; a sweep or a
 #: convergence scan touches a handful.
@@ -222,21 +225,100 @@ def _read_only(*arrays: np.ndarray) -> None:
 
 
 @dataclass(frozen=True, eq=False)
+class HermitianBand:
+    """A Hermitian matrix held as its upper band, in LAPACK's upper band storage.
+
+    ``band[kd + r - c, c]`` holds H[r, c] for c - kd <= r <= c, with kd the
+    half-bandwidth, so row kd is the diagonal; the lower triangle is the
+    conjugate.  The array is column-major, as LAPACK's banded Cholesky
+    factor and CBLAS's band product take it, and kd reaches the farthest
+    nonzero entry only: superdiagonals that hold nothing but zeros, such as
+    a fixed pattern holds where its terms vanish, are not stored.
+    """
+
+    band: np.ndarray
+
+    @classmethod
+    def trimmed(cls, band: np.ndarray) -> "HermitianBand":
+        """The matrix of an upper band, its all-zero outer superdiagonals dropped."""
+        kept = band.any(axis=1)
+        kept[-1] = True
+        return cls(np.asfortranarray(band[int(np.argmax(kept)):]))
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (self.band.shape[1],) * 2
+
+    @property
+    def dtype(self) -> np.dtype:
+        return self.band.dtype
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        """H x for one vector or one per column, in the dtype the two need."""
+        x = np.asarray(x)
+        if x.ndim == 2:
+            return np.stack([self @ column for column in x.T], axis=1)
+        if np.iscomplexobj(x) and self.dtype.kind != "c":
+            return _blas.hbmv(self.band, x.real) + 1j * _blas.hbmv(self.band, x.imag)
+        return _blas.hbmv(self.band, x)
+
+    def norm(self) -> float:
+        """The Frobenius norm."""
+        off = np.linalg.norm(self.band[:-1])
+        return float(np.sqrt(np.linalg.norm(self.band[-1]) ** 2 + 2.0 * off * off))
+
+    def toarray(self) -> np.ndarray:
+        kd, dim = self.band.shape[0] - 1, self.shape[0]
+        out = np.zeros(self.shape, dtype=self.dtype)
+        for d in range(kd + 1):
+            at = np.arange(dim - d)
+            out[at + d, at] = np.conj(self.band[kd - d, d:])
+            out[at, at + d] = self.band[kd - d, d:]
+        return out
+
+
+def as_band(op) -> HermitianBand:
+    """A Hermitian matrix as its upper band: a ``HermitianBand`` as it is, an
+    ndarray or a scipy sparse matrix (read through its ``tocoo()``) by its
+    nonzero upper entries, duplicates summed.  O(nnz) on a sparse matrix."""
+    if isinstance(op, HermitianBand):
+        return op
+    if hasattr(op, "tocoo"):
+        coo = op.tocoo()
+        rows, cols, vals = coo.row, coo.col, coo.data
+    else:
+        op = np.asarray(op)
+        rows, cols = np.nonzero(op)
+        vals = op[rows, cols]
+    upper = cols >= rows
+    rows, cols, vals = rows[upper], cols[upper], vals[upper]
+    kd = int(np.max(cols - rows, initial=0))
+    dtype = np.complex128 if np.iscomplexobj(vals) else np.float64
+    band = np.zeros((kd + 1, op.shape[0]), dtype=dtype, order="F")
+    np.add.at(band, (kd + rows - cols, cols), vals)
+    return HermitianBand.trimmed(band)
+
+
+@dataclass(frozen=True, eq=False)
 class PiecePattern:
     """The union sparsity pattern of a set of pieces, each piece's data aligned to it.
 
-    The pattern's positions are stored row-major (``rows``, ``cols``, and the
-    CSR row pointer ``indptr``).  ``vectors[k]`` holds piece k's entries at
-    those positions and zeros elsewhere, so a linear combination of the
-    pieces is one numpy combination of the vectors on an unchanged pattern.
-    Built once per truncation (or cutoff) and read-only.
+    The pattern's positions are stored row-major (``rows``, ``cols``).
+    ``vectors[k]`` holds piece k's entries at those positions and zeros
+    elsewhere, so a linear combination of the pieces is one numpy
+    combination of the vectors on an unchanged pattern.  ``upper`` picks the
+    positions on or above the diagonal and ``band_at`` places each in the
+    flattened column-major upper band of half-bandwidth ``kd``.  Built once
+    per truncation (or cutoff) and read-only.
     """
 
     shape: tuple[int, int]
     rows: np.ndarray
     cols: np.ndarray
-    indptr: np.ndarray
     vectors: tuple[np.ndarray, ...]
+    kd: int
+    upper: np.ndarray
+    band_at: np.ndarray
 
     @classmethod
     def of(cls, pieces) -> "PiecePattern":
@@ -251,9 +333,13 @@ class PiecePattern:
             vectors.append(vector)
         index = np.int32 if max(flat.size, *shape) < 2**31 else np.int64
         rows, cols = (arr.astype(index) for arr in np.divmod(flat, shape[1]))
-        indptr = np.searchsorted(rows, np.arange(shape[0] + 1)).astype(index)
-        _read_only(rows, cols, indptr, *vectors)
-        return cls(shape=shape, rows=rows, cols=cols, indptr=indptr, vectors=tuple(vectors))
+        offsets = cols.astype(np.int64) - rows
+        upper = np.flatnonzero(offsets >= 0)
+        kd = int(np.max(offsets, initial=0))
+        band_at = cols[upper].astype(np.int64) * (kd + 1) + kd - offsets[upper]
+        _read_only(rows, cols, upper, band_at, *vectors)
+        return cls(shape=shape, rows=rows, cols=cols, vectors=tuple(vectors), kd=kd,
+                   upper=upper, band_at=band_at)
 
     def combine(self, terms) -> np.ndarray:
         """sum_k c_k v_k over (c_k, v_k) terms, left to right: data on the pattern.
@@ -275,21 +361,21 @@ class PiecePattern:
         return 1j * (diagonal[self.rows] - diagonal[self.cols]) * data
 
     def matrix(self, data: np.ndarray) -> Matrix:
-        """The matrix holding ``data`` on the pattern, as a matrix of its own.
+        """The Hermitian matrix holding ``data`` on the pattern, as a matrix of its own.
 
         A dense ndarray at or below ``spectra.DENSE_SOLVE_LIMIT`` rows, where
-        the dense solver takes it, and a ``scipy.sparse.csr_array`` above it,
-        where the sparse solver does: the one size policy picks the
-        representation as well as the solver.  A position no term reaches
-        holds an explicit zero in the sparse matrix.
+        the dense solver takes it, and a ``HermitianBand`` of the upper
+        entries above it, where the shift-invert solver does: the one size
+        policy picks the representation as well as the solver.
         """
         from .spectra import DENSE_SOLVE_LIMIT
         if self.shape[0] <= DENSE_SOLVE_LIMIT:
             out = np.zeros(self.shape, dtype=data.dtype)
             out[self.rows, self.cols] = data
             return out
-        import scipy.sparse as sp
-        return sp.csr_array((data, self.cols.copy(), self.indptr.copy()), shape=self.shape)
+        band = np.zeros((self.shape[0], self.kd + 1), dtype=data.dtype)
+        band.reshape(-1)[self.band_at] = data[self.upper]
+        return HermitianBand.trimmed(band.T)
 
 
 def as_dense(m: Matrix) -> np.ndarray:

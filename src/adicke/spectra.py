@@ -14,25 +14,25 @@ so the resolvent solve of the same point needs no second factorization.
 Every matrix here is banded in its basis order: the full model's parity
 sector has half-bandwidth about j + 1, a classical-spin form n_b + 2 and a
 one-mode form 2.  So the factor is LAPACK's banded Cholesky factor
-(``dpbtrf``), and it certifies the shift by existing: H - sigma has a
+(``pbtrf``), and it certifies the shift by existing: H - sigma has a
 Cholesky factor exactly when it is positive definite, i.e. when sigma lies
-below the spectrum.
+below the spectrum.  The Lanczos recursion is plain numpy with full
+reorthogonalisation, and it stops as ARPACK does at ``tol = 0``.
 
 A quadratic boson form needs no matrix at all: its normal-mode energies come
 from its single-particle matrix, and ``symplectic_transform`` gives the
 transform to the normal modes (Colpa, Physica A 93, 327 (1978)), certified
 by ``check_symplectic``.
 
-Only numpy is imported at module level, so the Gaussian route and the dense
-route load no part of scipy: the builders hand a matrix at or below
-DENSE_SOLVE_LIMIT over as an ndarray (``model.PiecePattern.matrix``),
-``dense_eigensystem`` is numpy's ``eigh`` on a real one and
-``symplectic_transform`` solves its 4x4 system with numpy.  A complex matrix
-is decomposed by scipy's MRRR driver, which is the faster one for complex
-Hermitian matrices.  The shift-invert route imports ``scipy.sparse`` (to take
-the matrix apart into its band), ``scipy.linalg`` (the banded Cholesky
-factor) and ``scipy.sparse.linalg`` (ARPACK) when it runs, and runs scipy's
-OpenBLAS on one thread (``_blas.single_thread``).
+Only numpy is imported at module level, and every route but one loads no
+part of scipy: the builders hand a matrix at or below DENSE_SOLVE_LIMIT over
+as an ndarray and one above it as its upper band (``model.PiecePattern.matrix``),
+``dense_eigensystem`` is numpy's ``eigh`` on a real matrix, the shift-invert
+route factors, solves and multiplies through numpy's own OpenBLAS
+(``_blas.pbtrf``, ``pbtrs``, ``hbmv``), and ``symplectic_transform`` solves
+its 4x4 system with numpy.  The one exception is a complex dense spectrum
+(finite differences at theta != 0), which scipy's MRRR driver decomposes:
+it is the faster one for complex Hermitian matrices.
 """
 
 from __future__ import annotations
@@ -42,24 +42,24 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._blas import single_thread
+from . import _blas
 from .effective import QuadraticBosonForm
 from .errors import ConvergenceError, DegeneracyError, TruncationError
-from .model import as_dense
+from .model import as_band, as_dense
 
-#: The one dense/sparse policy, keyed on the dimension of the matrix that is
+#: The one dense/band policy, keyed on the dimension of the matrix that is
 #: solved (the parity-sector block for the full model).  At or below it a
 #: matrix is built as an ndarray, gets a dense full-spectrum decomposition
 #: and the tensor defaults to the sum over states; above it the matrix is
-#: built as CSR, the two lowest pairs come from the sparse shift-invert
+#: built as its upper band, the two lowest pairs come from the shift-invert
 #: solver and the tensor defaults to the resolvent solve.  Per
 #: two-label tensor on a 2-core Xeon with OpenBLAS on one thread, as
 #: ``families.qgt_components`` runs it (best of 30 in each of five runs,
-#: numpy's ``eigh`` for the sum, banded Cholesky factor for the solve), the
-#: dense sum is 1.6-2.4x faster at dimension 88 (full model, 1.4-2.2 ms) and
-#: the two tie at 121; the sparse one is 1.2-2.1x faster at 143-171,
-#: 2.3-4.3x at 215-259, 19-28x at 641 and 20-29x for cs_np at 676.  The
-#: limit stays at 256, so every row keeps the method it reported before.
+#: numpy's ``eigh`` for the sum; for the solve the banded factor, Lanczos
+#: and conjugate gradients on numpy's OpenBLAS), the two tie at dimensions
+#: 88 and 121 (full model, 1.0-2.1 ms); the solve is 1.8-2.5x faster at
+#: 143-171, 3.0-5.4x at 221-252, 23-36x at 641 and 24-28x for cs_np at 676.
+#: The limit stays at 256, so every row keeps the method it reported before.
 DENSE_SOLVE_LIMIT = 256
 
 #: Full-spectrum decompositions are refused above this dimension.
@@ -80,6 +80,11 @@ GAUGE_TIE_TOL = 1e-12
 #: Shifts tried below an energy estimate, the step growing 4x each time,
 #: before the Gershgorin floor.
 SHIFT_TRIES = 4
+
+#: Lanczos steps of ``lowest_k`` before it gives up.  About a shift within a
+#: gap of the ground energy the two lowest pairs pass the first convergence
+#: test, at the 20th step, or one of the next three.
+LANCZOS_MAXITER = 300
 
 #: Relative tolerance of ``bogoliubov_modes``: a mode eigenvalue whose
 #: imaginary part, or a single-particle eigenvalue whose negative part,
@@ -121,7 +126,7 @@ class ShiftInvert:
     """A banded Cholesky factor of H - sigma; its existence certifies sigma below H.
 
     ``factor`` is the upper factor U (H - sigma = U^dagger U) in LAPACK's
-    upper band storage (``scipy.linalg.cholesky_banded``).
+    column-major upper band storage (``_blas.pbtrf``).
     """
 
     sigma: float
@@ -134,41 +139,23 @@ class ShiftInvert:
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """(H - sigma)^-1 rhs, for one column or several; a real factor takes complex rhs."""
         if np.iscomplexobj(rhs) and self.dtype.kind != "c":
-            return self._solve(rhs.real) + 1j * self._solve(rhs.imag)
-        return self._solve(rhs)
-
-    def _solve(self, rhs: np.ndarray) -> np.ndarray:
-        import scipy.linalg as la
-        return la.cho_solve_banded((self.factor, False), rhs, check_finite=False)
+            return _blas.pbtrs(self.factor, rhs.real) + 1j * _blas.pbtrs(self.factor, rhs.imag)
+        return _blas.pbtrs(self.factor, rhs)
 
 
 def gershgorin_floor(op) -> float:
-    """min_i (H_ii - sum_{j != i} |H_ij|): no eigenvalue of H lies below it."""
-    import scipy.sparse as sp
-    h = sp.csr_array(op)
-    diag = h.diagonal()
-    radius = np.asarray(abs(h).sum(axis=1)).ravel() - np.abs(diag)
-    return float(np.min(diag.real - radius))
+    """min_i (H_ii - sum_{j != i} |H_ij|): no eigenvalue of H lies below it.
 
-
-def _upper_band(op) -> np.ndarray:
-    """The upper triangle of a Hermitian matrix in LAPACK's upper band storage.
-
-    Row kd holds the diagonal and row kd - d the d-th superdiagonal, where
-    the half-bandwidth kd is the farthest nonzero entry from the diagonal:
-    explicit zeros, such as a fixed pattern holds where its terms vanish,
-    do not widen the band.  Duplicate entries are summed.  O(nnz) on a
-    sparse matrix.
+    Read off the upper band: row i's entries right of the diagonal sit on
+    its superdiagonals, and those left of it, conjugated, in column i.
     """
-    import scipy.sparse as sp
-    h = sp.coo_array(op)
-    rows, cols = h.coords
-    upper = (cols >= rows) & (h.data != 0)
-    rows, cols = rows[upper], cols[upper]
-    kd = int(np.max(cols - rows, initial=0))
-    band = np.zeros((kd + 1, h.shape[0]), dtype=h.dtype)
-    np.add.at(band, (kd + rows - cols, cols), h.data[upper])
-    return band
+    band = as_band(op).band
+    kd = band.shape[0] - 1
+    mags = np.abs(band[:-1])
+    radius = mags.sum(axis=0)
+    for d in range(1, kd + 1):
+        radius[:-d] += mags[kd - d, d:]
+    return float(np.min(band[-1].real - radius))
 
 
 def shift_invert(op, energy: float = math.nan,
@@ -180,8 +167,9 @@ def shift_invert(op, energy: float = math.nan,
     when sigma lies below the spectrum.  LAPACK reports a pivot that is not
     positive; its banded routine lets a NaN pivot through, and a NaN or
     infinite entry of the band reaches the factor's diagonal, so a factor
-    whose diagonal is not finite is refused too.  The band of H is taken
-    once and each trial shift moves only its diagonal.
+    whose diagonal is not finite is refused too.  ``op`` is any Hermitian
+    matrix (``model.as_band``); each trial shift moves only its band's
+    diagonal.
 
     ``energy`` estimates the ground energy and ``gap`` the spacing above it.
     The first shift is a tenth of the gap below the estimate, and at least
@@ -190,26 +178,21 @@ def shift_invert(op, energy: float = math.nan,
     the start when the estimate is missing or not above it, is the
     Gershgorin floor, which lies below the spectrum by construction.
     """
-    import scipy.linalg as la
-    band = _upper_band(op)
-    floor = gershgorin_floor(op)
+    h = as_band(op)
+    floor = gershgorin_floor(h)
     shifts = []
     if energy > floor:  # False for a NaN estimate
         step = max(gap / 10.0 if gap > 0.0 else 0.0, 1e-8 * max(1.0, abs(energy)))
         shifts = [energy - step * 4.0**k for k in range(SHIFT_TRIES)]
         shifts = [sigma for sigma in shifts if sigma > floor]
     shifts.append(floor - 1e-8 * max(1.0, abs(floor)))
-    with single_thread:  # takes in scipy's OpenBLAS when this solve loaded it
-        for sigma in shifts:
-            shifted = band.copy()
-            shifted[-1] -= sigma
-            try:
-                factor = la.cholesky_banded(shifted, lower=False, overwrite_ab=True,
-                                            check_finite=False)
-            except np.linalg.LinAlgError:  # a pivot is not positive: sigma is not below H
-                continue
-            if np.all(np.isfinite(factor[-1])):
-                return ShiftInvert(sigma=sigma, factor=factor)
+    for sigma in shifts:
+        shifted = h.band.copy(order="F")
+        shifted[-1] -= sigma
+        factor, info = _blas.pbtrf(shifted)
+        # info > 0: a pivot is not positive, so sigma is not below H
+        if info == 0 and np.all(np.isfinite(factor[-1])):
+            return ShiftInvert(sigma=sigma, factor=factor)
     raise ConvergenceError(
         f"no shift down to the Gershgorin floor {floor:.6g} factors as positive definite",
         residual=None)
@@ -248,8 +231,7 @@ class Eigensystem:
 
     def check(self, h) -> None:
         """Validate residuals and orthonormality against the source matrix; NaN fails."""
-        # the Frobenius norm; a sparse matrix's stored entries hold all of it
-        norm = float(np.linalg.norm(h if isinstance(h, np.ndarray) else h.data))
+        norm = float(np.linalg.norm(h)) if isinstance(h, np.ndarray) else as_band(h).norm()
         res = h @ self.states - self.states * self.energies[None, :]
         worst = float(np.max(np.linalg.norm(res, axis=0)))
         if not worst <= RESIDUAL_RTOL * max(norm, 1.0):
@@ -262,7 +244,7 @@ class Eigensystem:
 
 
 def dense_eigensystem(op, dense_limit: int = DENSE_EIG_LIMIT) -> Eigensystem:
-    """Full spectrum of a Hermitian matrix, sparse or dense, ascending, gauge-fixed."""
+    """Full spectrum of a Hermitian matrix in any representation, ascending, gauge-fixed."""
     dim = op.shape[0]
     if dim > dense_limit:
         raise TruncationError(
@@ -273,7 +255,7 @@ def dense_eigensystem(op, dense_limit: int = DENSE_EIG_LIMIT) -> Eigensystem:
         # MRRR driver (zheevr) on complex matrices of dimension 1000-3000 and
         # needs O(n^2) more workspace; on real ones it is the faster of the two
         import scipy.linalg as la
-        with single_thread:  # takes in scipy's OpenBLAS when this call loaded it
+        with _blas.single_thread:  # takes in scipy's OpenBLAS when this call loaded it
             energies, states = la.eigh(mat)
     else:
         energies, states = np.linalg.eigh(mat)
@@ -287,29 +269,67 @@ def _start_vector(dim: int) -> np.ndarray:
     return pattern / np.linalg.norm(pattern)
 
 
-def lowest_k(op, k: int, estimate: NormalModes | None = None) -> Eigensystem:
-    """The k lowest eigenpairs of a (possibly sparse) Hermitian matrix.
+def _lanczos(factor: ShiftInvert, k: int, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """The k largest eigenpairs (nu, x) of (H - sigma)^-1, ascending in nu.
 
-    Shift-invert Lanczos about a shift certified below the spectrum (see
-    ``shift_invert``), placed by the ground energy and gap of ``estimate``
-    when it is stable; the factor is kept on the result.
+    Lanczos from ``_start_vector`` with full reorthogonalisation: classical
+    Gram-Schmidt, twice, so the basis stays orthonormal and the tridiagonal
+    T of its recurrence is the projected operator.  Once the Krylov space of
+    the start vector is spent (a repeated eigenvalue), what is left of the
+    next vector is roundoff orthogonal to the basis, and it serves as a new
+    direction, as ARPACK's random restart does.
+
+    As ARPACK with ``ncv = max(2k + 1, 20)``, the first convergence test
+    comes once the basis holds ncv vectors, and then one at every step.  It
+    stops as ARPACK does at ``tol = 0``: when every wanted Ritz pair
+    (theta_i, s_i) of T_m has the residual estimate
+    beta_m |s_mi| <= eps |theta_i|.  After LANCZOS_MAXITER steps it raises
+    ``ConvergenceError``.
     """
-    import scipy.sparse.linalg as spla
+    steps = min(LANCZOS_MAXITER, dim)
+    first_test = min(steps, max(2 * k + 1, 20))
+    basis = np.empty((min(32, steps + 1), dim), dtype=factor.dtype)  # doubled when full
+    basis[0] = _start_vector(dim)
+    alpha, beta = np.zeros(steps), np.zeros(steps)
+    eps = np.finfo(float).eps
+    for m in range(steps):
+        w = factor.solve(basis[m])
+        for _ in range(2):
+            coeffs = np.conj(basis[:m + 1] @ np.conj(w))  # <v_i, w> for every v_i
+            w -= coeffs @ basis[:m + 1]
+            alpha[m] += coeffs[m].real
+        beta[m] = np.linalg.norm(w)
+        if m + 1 >= first_test:
+            tri = np.diag(alpha[:m + 1]) + np.diag(beta[:m], 1) + np.diag(beta[:m], -1)
+            theta, s = np.linalg.eigh(tri)
+            theta, s = theta[-k:], s[:, -k:]
+            if np.all(beta[m] * np.abs(s[-1]) <= eps * np.abs(theta)):
+                return theta, basis[:m + 1].T @ s
+        if m + 1 == basis.shape[0]:
+            basis = np.concatenate([basis, np.empty_like(basis)])
+        basis[m + 1] = w / beta[m]
+    raise ConvergenceError(f"shift-invert Lanczos found no {k} converged pairs in {steps} steps",
+                           residual=None)
+
+
+def lowest_k(op, k: int, estimate: NormalModes | None = None) -> Eigensystem:
+    """The k lowest eigenpairs of a Hermitian matrix: an ndarray, a
+    ``model.HermitianBand`` or a scipy sparse matrix.
+
+    Shift-invert Lanczos (``_lanczos``) about a shift certified below the
+    spectrum (see ``shift_invert``), placed by the ground energy and gap of
+    ``estimate`` when it is stable; the factor is kept on the result.  An
+    eigenvalue nu of (H - sigma)^-1 is the energy sigma + 1/nu.
+    """
     dim = op.shape[0]
     if k >= dim - 1:
-        # ARPACK needs k < dim - 1; below that just take the dense route.
+        # a Krylov space of that size is the whole space: take the dense route
         es = dense_eigensystem(op)
         return Eigensystem(energies=es.energies[:k], states=es.states[:, :k])
     stable = estimate is not None and estimate.stable
     factor = shift_invert(op, estimate.ground_energy, estimate.gap) if stable else shift_invert(op)
-    opinv = spla.LinearOperator((dim, dim), matvec=factor.solve, dtype=factor.dtype)
-    try:
-        energies, states = spla.eigsh(op, k=k, sigma=factor.sigma, which="LM",
-                                      OPinv=opinv, v0=_start_vector(dim))
-    except spla.ArpackNoConvergence as exc:
-        found = len(exc.eigenvalues)
-        raise ConvergenceError(
-            f"iterative eigensolver converged only {found}/{k} pairs", residual=None) from exc
+    nu, states = _lanczos(factor, k, dim)
+    energies = factor.sigma + 1.0 / nu
     order = np.argsort(energies)
     return Eigensystem(energies=energies[order], states=gauge_fix(states[:, order]),
                        factor=factor)

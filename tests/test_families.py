@@ -6,14 +6,13 @@ import threading
 
 import numpy as np
 import pytest
-import scipy.linalg as la
-import scipy.sparse as sp
 
 from adicke import (FockCutoff, ModelParams, Truncation, _blas, bogoliubov_modes,
                     dense_eigensystem, effective_form, geometry, spectra)
 from adicke.families import (default_truncation, derivative_matrix, ground_eigensystem,
                              ground_pair, hamiltonian_matrix, qgt_components, resolve_branch)
 from adicke.geometry import qgt_matrix_sum
+from adicke.model import HermitianBand
 from adicke.spectra import DENSE_SOLVE_LIMIT
 
 
@@ -71,16 +70,16 @@ def test_default_method_switches_with_dimension():
 def test_builders_pick_the_representation_by_the_solver_limit(name, j, small, large):
     p = ModelParams.from_ratios(0.8, gamma=2.0, theta=0.3, j=j)
     built = {}
-    for trunc, kind in ((small, np.ndarray), (large, sp.csr_array)):
+    for trunc, kind in ((small, np.ndarray), (large, HermitianBand)):
         mats = [hamiltonian_matrix(name, p, trunc)]
         mats += [derivative_matrix(name, p, trunc, label) for label in FIVE_LABELS]
-        assert mats[0].shape[0] == DENSE_SOLVE_LIMIT + (kind is sp.csr_array)
+        assert mats[0].shape[0] == DENSE_SOLVE_LIMIT + (kind is HermitianBand)
         assert all(type(mat) is kind for mat in mats)
         built[kind] = mats
     # the smaller basis is a prefix of the larger one: the shared block is the same
     # bytes, whichever representation holds it
-    for dense, sparse in zip(built[np.ndarray], built[sp.csr_array]):
-        assert np.array_equal(sparse.toarray()[:DENSE_SOLVE_LIMIT, :DENSE_SOLVE_LIMIT], dense)
+    for dense, band in zip(built[np.ndarray], built[HermitianBand]):
+        assert np.array_equal(band.toarray()[:DENSE_SOLVE_LIMIT, :DENSE_SOLVE_LIMIT], dense)
 
 
 def test_model_gap_sources():
@@ -183,8 +182,8 @@ def test_wide_band_point_matches_the_dense_route(name, trunc, theta):
     # a half-bandwidth above 32 takes LAPACK's blocked banded Cholesky
     p = ModelParams.from_ratios(0.9, gamma=2.0, theta=theta, j=40.0)
     ham = hamiltonian_matrix(name, p, trunc)
-    rows, cols = ham.nonzero()
-    assert ham.shape[0] > DENSE_SOLVE_LIMIT and int(np.max(cols - rows)) > 32
+    half_bandwidth = ham.band.shape[0] - 1
+    assert ham.shape[0] > DENSE_SOLVE_LIMIT and half_bandwidth > 32
     assert ham.dtype == (np.complex128 if theta else np.float64)
     es = ground_eigensystem(name, p, ham)
     assert es.factor is not None and es.factor.sigma < es.energies[0]
@@ -213,7 +212,7 @@ def test_five_label_solve_point_factors_once(monkeypatch):
             return func(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(la, "cholesky_banded", counted("factor", la.cholesky_banded))
+    monkeypatch.setattr(_blas, "pbtrf", counted("factor", _blas.pbtrf))
     monkeypatch.setattr(geometry, "resolvent_tangent",
                         counted("resolvent_tangent", geometry.resolvent_tangent))
     p = ModelParams.from_ratios(0.8, gamma=2.0, theta=0.4, j=3.0)

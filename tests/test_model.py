@@ -9,12 +9,12 @@ from adicke import (ModelParams, Truncation, TruncationError,
                     boson_operators, full_hamiltonian, model,
                     param_derivative, parity_operator, project_parity,
                     qgt_components, spin_operators)
-from adicke.model import (PARAMETER_LABELS, Piece, as_dense, parity_indices,
-                          photon_number_diagonal)
+from adicke.model import (PARAMETER_LABELS, HermitianBand, Piece, as_band, as_dense,
+                          parity_indices, photon_number_diagonal)
 
 
 def dense(op):
-    """An operator as an ndarray: a matrix, dense or CSR, or a cached piece's triplets."""
+    """An operator as an ndarray: a matrix, dense or banded, or a cached piece's triplets."""
     if isinstance(op, Piece):
         out = np.zeros(op.shape)
         out[op.rows, op.cols] = op.vals
@@ -464,3 +464,37 @@ def test_points_on_one_truncation_build_the_kronecker_products_once(monkeypatch)
         for which in PARAMETER_LABELS:
             param_derivative(p, t, which)
         assert len(calls) == 4
+
+
+# ---------------------------------------------------------------------------
+# the upper band that holds every matrix above the dense limit
+
+
+@pytest.mark.parametrize("theta", [0.0, 0.7])
+def test_band_matrices_act_as_their_dense_form(theta):
+    p = ModelParams.from_ratios(0.9, gamma=2.0, eta=1.0, theta=theta, j=5.0)
+    t = Truncation.for_spin(60, p.j, "positive")
+    rng = np.random.default_rng(4)
+    for which in (None,) + PARAMETER_LABELS:
+        mat = full_hamiltonian(p, t) if which is None else param_derivative(p, t, which)
+        assert isinstance(mat, HermitianBand) and mat.band.flags.f_contiguous
+        full = mat.toarray()
+        assert np.array_equal(full, full.conj().T)
+        # the band reaches the farthest nonzero entry and no further
+        assert np.array_equal(as_band(full).band, mat.band)
+        assert mat.norm() == pytest.approx(np.linalg.norm(full), rel=1e-14)
+        for x in (rng.normal(size=full.shape[0]), rng.normal(size=(full.shape[0], 2)) * (1 + 1j)):
+            np.testing.assert_allclose(mat @ x, full @ x, rtol=0, atol=1e-12)
+    assert param_derivative(p, t, "omega").band.shape[0] == 1  # a diagonal keeps one row
+    with pytest.raises(ValueError, match="does not fit"):  # checked before the library reads it
+        full_hamiltonian(p, t) @ np.ones(t.dim)
+
+
+def test_as_band_sums_duplicates_and_reads_the_upper_triangle():
+    import scipy.sparse as sp
+    rows, cols = np.array([0, 0, 1, 2, 2, 1]), np.array([0, 2, 1, 0, 2, 1])
+    vals = np.array([1.0, 3.0, 2.0, 3.0, 5.0, 0.5])
+    band = as_band(sp.coo_array((vals, (rows, cols)), shape=(3, 3)))
+    want = np.array([[1.0, 0.0, 3.0], [0.0, 2.5, 0.0], [3.0, 0.0, 5.0]])
+    assert np.array_equal(band.toarray(), want)
+    assert np.array_equal(as_band(want).band, band.band)

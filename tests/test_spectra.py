@@ -4,11 +4,12 @@ import math
 
 import numpy as np
 import pytest
-import scipy.linalg as la
+import scipy.sparse as sp
 
 from adicke import (ConvergenceError, DegeneracyError, FockCutoff, ModelParams,
                     NormalModes, Truncation, TruncationError, bogoliubov_modes,
-                    dense_eigensystem, full_hamiltonian, gauge_fix, lowest_k, spectra)
+                    _blas, dense_eigensystem, full_hamiltonian, gauge_fix, lowest_k,
+                    spectra)
 from adicke.effective import (QuadraticBosonForm, co_normal_form, cs_normal_form,
                               cs_superradiant_form, co_superradiant_form,
                               effective_form, form_matrix)
@@ -93,6 +94,15 @@ def test_lowest_k_gauge_determinism():
     assert np.max(np.abs(first.states - second.states)) < 1e-12
 
 
+def test_lowest_k_goes_on_past_an_invariant_subspace():
+    # five levels, each 60-fold: one start vector's Krylov space is spent after
+    # five steps, and each new direction finds every level once more
+    levels = np.repeat([1.0, 2.0, 3.0, 4.0, 5.0], 60)
+    es = lowest_k(np.diag(levels), 3)
+    assert np.max(np.abs(es.energies - 1.0)) < 1e-12
+    es.check(np.diag(levels))
+
+
 def test_gauge_fix_identity_on_compliant():
     v = np.array([0.1, 0.9, 0.3], dtype=complex)
     v /= np.linalg.norm(v)
@@ -169,8 +179,8 @@ def test_estimate_above_the_ground_energy_is_widened(monkeypatch):
     dense = dense_eigensystem(ham)
     e0, gap = float(dense.energies[0]), dense.gap
     calls = []
-    factor = la.cholesky_banded
-    monkeypatch.setattr(la, "cholesky_banded", lambda *a, **k: calls.append(1) or factor(*a, **k))
+    factor = _blas.pbtrf
+    monkeypatch.setattr(_blas, "pbtrf", lambda *a, **k: calls.append(1) or factor(*a, **k))
     estimate = NormalModes(energies=np.array([gap]), ground_energy=e0 + 0.2 * gap, stable=True)
     es = lowest_k(ham, 2, estimate=estimate)
     # e0 + 0.1 gap fails the certificate; the next shift, 4x further down, passes
@@ -203,8 +213,8 @@ def test_no_pairs_without_a_certified_shift(case, monkeypatch):
     dense = dense_eigensystem(ham)
     e0, gap = float(dense.energies[0]), dense.gap
     estimate = NormalModes(energies=np.array([gap]), ground_energy=e0 + 0.5 * gap, stable=True)
-    partner = int(ham.indices[ham.indptr[100]:ham.indptr[101]].max())  # coupled to state 100
-    ham = ham.tolil()
+    ham = ham.toarray()
+    partner = int(np.flatnonzero(ham[100]).max())  # coupled to state 100
     if case == "nan_diagonal":
         ham[100, 100] = math.nan
     elif case == "nan_coupling":
@@ -213,7 +223,7 @@ def test_no_pairs_without_a_certified_shift(case, monkeypatch):
         # every shift the ladder tries, the last resort included, is above E0
         monkeypatch.setattr(spectra, "gershgorin_floor", lambda op: e0 + 0.25 * gap)
     with pytest.raises(ConvergenceError):
-        lowest_k(ham.tocsr(), 2, estimate=estimate)
+        lowest_k(ham, 2, estimate=estimate)
 
 
 def test_shift_invert_pairs_of_a_complex_hermitian_matrix():
@@ -222,6 +232,62 @@ def test_shift_invert_pairs_of_a_complex_hermitian_matrix():
     es = lowest_k(ham, 3, estimate=bogoliubov_modes(cs_normal_form(p)))
     assert es.factor.sigma < es.energies[0]
     _assert_pairs_match_dense(es, ham)
+
+
+@pytest.mark.parametrize("theta", [0.0, 0.7])
+def test_lanczos_pairs_match_arpack(theta):
+    import scipy.sparse.linalg as spla
+    p, ham = _above_limit_hamiltonian(theta)
+    es = lowest_k(ham, 2, estimate=bogoliubov_modes(cs_normal_form(p)))
+    dim = ham.shape[0]
+    opinv = spla.LinearOperator((dim, dim), matvec=es.factor.solve, dtype=ham.dtype)
+    energies, states = spla.eigsh(sp.csr_array(ham.toarray()), k=2, sigma=es.factor.sigma,
+                                  which="LM", OPinv=opinv, v0=spectra._start_vector(dim))
+    order = np.argsort(energies)
+    assert np.max(np.abs(es.energies - energies[order])) < 1e-13
+    assert np.max(np.abs(es.states - gauge_fix(states[:, order]))) < 1e-12
+
+
+@pytest.mark.parametrize("kind", ["ndarray", "csr"])
+def test_lowest_k_takes_any_hermitian_input(kind):
+    p, ham = _above_limit_hamiltonian(theta=0.7)
+    estimate = bogoliubov_modes(cs_normal_form(p))
+    dense = ham.toarray()
+    other = dense if kind == "ndarray" else sp.csr_array(dense)
+    want, got = lowest_k(ham, 2, estimate=estimate), lowest_k(other, 2, estimate=estimate)
+    assert np.array_equal(got.factor.factor, want.factor.factor)
+    assert np.array_equal(got.energies, want.energies)
+    assert np.array_equal(got.states, want.states)
+
+
+def test_lanczos_step_cap_raises_and_returns_no_pair(monkeypatch):
+    p, ham = _above_limit_hamiltonian()
+    estimate = bogoliubov_modes(cs_normal_form(p))
+    assert lowest_k(ham, 2, estimate=estimate).count == 2
+    monkeypatch.setattr(spectra, "LANCZOS_MAXITER", 4)
+    with pytest.raises(ConvergenceError, match="no 2 converged pairs in 4 steps"):
+        lowest_k(ham, 2, estimate=estimate)
+
+
+@pytest.mark.parametrize("theta", [0.0, 0.7])
+def test_banded_routines_fall_back_to_scipy_bit_for_bit(theta, monkeypatch):
+    p, ham = _above_limit_hamiltonian(theta)
+    estimate = bogoliubov_modes(cs_normal_form(p))
+    rhs = np.random.default_rng(3).normal(size=(ham.shape[0], 2)).astype(ham.dtype)
+    factor = spectra.shift_invert(ham, estimate.ground_energy, estimate.gap)
+    bundled = (factor.factor, factor.solve(rhs), ham @ rhs)
+    monkeypatch.setattr(_blas, "_openblas", lambda name: ())  # numpy bundles nothing
+    _blas._banded.cache_clear()
+    try:
+        fallback = spectra.shift_invert(ham, estimate.ground_energy, estimate.gap)
+        assert fallback.sigma == factor.sigma
+        assert np.array_equal(fallback.factor, bundled[0])
+        np.testing.assert_allclose(fallback.solve(rhs), bundled[1], rtol=1e-13)
+        np.testing.assert_allclose(ham @ rhs, bundled[2], rtol=1e-13)
+        kind = "z" if theta else "d"
+        assert _blas._banded(kind).pbtrf.__qualname__.startswith("_scipy_banded")
+    finally:
+        _blas._banded.cache_clear()
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,14 @@
 """Which parts of scipy, and which BLAS libraries, a fresh process loads on each route.
 
-The exact Gaussian route, the command-line front end and every matrix at
-or below ``spectra.DENSE_SOLVE_LIMIT`` need numpy and click, and no part of
-scipy: the builders hand such a matrix over as an ndarray, and the dense
-route decomposes a real one with numpy.  ``scipy.sparse``, ``scipy.linalg`` and
-``scipy.sparse.linalg`` come in with the first shift-invert solve, which
-the sparse route above the limit and an explicit ``method="solve"`` take.
-Until then only numpy's OpenBLAS is mapped, and once scipy's is in use a
-tensor evaluation holds it to one thread too.  Each test runs in a fresh
-interpreter, since this process has long loaded everything.
+The exact Gaussian route, the command-line front end, every matrix at or
+below ``spectra.DENSE_SOLVE_LIMIT`` and the shift-invert route above it need
+numpy and click, and no part of scipy: the builders hand a small matrix over
+as an ndarray and a large one as its upper band, the dense route decomposes
+a real matrix with numpy, and the shift-invert route factors, solves and
+multiplies through numpy's own OpenBLAS.  Only a complex dense spectrum
+(finite differences at theta != 0) loads ``scipy.linalg`` and maps scipy's
+OpenBLAS, which a tensor evaluation then holds to one thread too.  Each test
+runs in a fresh interpreter, since this process has long loaded everything.
 """
 
 import json
@@ -64,28 +64,29 @@ assert comp.method == "sum_over_states" and comp.qfi("omega").value > 0
 """) == set()
 
 
-def test_explicit_solve_on_a_small_matrix_loads_the_solvers():
-    loaded = _loaded_after("""
+def test_explicit_solve_on_a_small_matrix_loads_no_scipy_submodule():
+    assert _loaded_after("""
 from adicke import FockCutoff, ModelParams, qfi_omega
 p = ModelParams.from_ratios(0.5, gamma=2.0, eta=1.0, j=10.0)
 assert qfi_omega("co_np", p, FockCutoff(8), method="solve") > 0
-""")
-    assert {"scipy.sparse", "scipy.linalg", "scipy.sparse.linalg"} <= loaded
+""") == set()
 
 
-def test_full_model_solve_loads_the_solvers():
-    loaded = _loaded_after("""
-from adicke import ModelParams, Truncation, qfi_omega
-p = ModelParams.from_ratios(0.8, gamma=2.0, j=3.0)
-assert qfi_omega("full", p, Truncation.for_spin(20, 3.0), method="solve") > 0
-""")
-    assert {"scipy.sparse", "scipy.linalg", "scipy.sparse.linalg"} <= loaded
+def test_full_model_solve_above_the_limit_loads_no_scipy_submodule():
+    assert _loaded_after("""
+from adicke import ModelParams, Truncation, qgt_components
+p = ModelParams.from_ratios(0.8, gamma=2.0, j=10.0)
+comp = qgt_components("full", p, Truncation.for_spin(60, 10.0))  # a sector of dimension 641
+assert comp.method == "linear_solve" and comp.qfi("omega").value > 0
+""") == set()
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/maps")
 @pytest.mark.skipif(not adicke._blas.libraries(), reason="numpy bundles no OpenBLAS")
 def test_scipy_openblas_is_bound_only_once_used_and_then_on_one_thread():
-    # OPENBLAS_NUM_THREADS=2 starts each library at a count other than the scope's 1
+    # OPENBLAS_NUM_THREADS=2 starts each library at a count other than the scope's 1.
+    # Only a complex dense spectrum (finite differences at theta != 0) calls
+    # scipy's LAPACK, and it loads scipy.linalg inside an open scope
     result = _last_json("""
 import json
 from adicke import FockCutoff, ModelParams, Truncation, _blas, qfi_omega, spectra
@@ -98,19 +99,25 @@ def openblas_paths():
 p = ModelParams.from_ratios(0.5, gamma=2.0, eta=1.0, j=10.0)
 assert qfi_omega("co_np", p, FockCutoff(8)) > 0
 dense = openblas_paths()
-seen = []
-solve = spectra.ShiftInvert.solve
-
-def spy(self, rhs):
-    seen.append([get() for get, _ in _blas.libraries()])
-    return solve(self, rhs)
-
-spectra.ShiftInvert.solve = spy
 p = ModelParams.from_ratios(0.9, gamma=2.0, j=5.0)
 assert qfi_omega("full", p, Truncation.for_spin(60, 5.0)) > 0
-print(json.dumps({"dense": dense, "seen": seen,
+banded = openblas_paths()
+seen = []
+gauge_fix = spectra.gauge_fix
+
+def spy(states):
+    seen.append([get() for get, _ in _blas.libraries()])
+    return gauge_fix(states)
+
+spectra.gauge_fix = spy
+p = ModelParams.from_ratios(0.8, gamma=2.0, theta=0.3, j=2.0)
+assert qfi_omega("full", p, Truncation.for_spin(20, 2.0), method="fd") > 0
+print(json.dumps({"dense": dense, "banded": banded, "complex": openblas_paths(),
+                  "seen": seen,
                   "bundled": [len(_blas._bundled(name)) for name in ("numpy", "scipy")]}))
 """, OPENBLAS_NUM_THREADS="2")
     assert len(result["dense"]) == 1
+    assert result["banded"] == result["dense"]
+    assert len(result["complex"]) == sum(result["bundled"]) == 2
     assert result["seen"]
-    assert all(counts == [1] * sum(result["bundled"]) for counts in result["seen"])
+    assert all(counts == [1, 1] for counts in result["seen"])

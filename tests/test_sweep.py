@@ -6,10 +6,8 @@ import math
 
 import numpy as np
 import pytest
-import scipy.linalg as la
-import scipy.sparse.linalg as spla
 
-from adicke import (FockCutoff, ModelParams, SweepSpec, Truncation, convergence_scan,
+from adicke import (FockCutoff, ModelParams, SweepSpec, Truncation, _blas, convergence_scan,
                     families, gamma_comparison, peak_locate, qfi_omega, qgt_components,
                     ratio_scan, rows_to_csv, run_sweep, spectra, write_csv, write_json)
 from adicke.effective import effective_form
@@ -142,19 +140,21 @@ def test_evaluate_point_builds_and_solves_once(spec, method, monkeypatch):
 
 
 def test_solve_points_above_the_limit_factor_once_without_sa(monkeypatch):
+    # the one eigensolve is shift-invert Lanczos on the one factor, never a
+    # smallest-algebraic ("SA") iteration on H itself
     calls = {"factor": 0, "which": []}
-    factor, eigsh = la.cholesky_banded, spla.eigsh
+    factor, lanczos = _blas.pbtrf, spectra._lanczos
 
     def counted_factor(*args, **kwargs):
         calls["factor"] += 1
         return factor(*args, **kwargs)
 
-    def recorded_eigsh(*args, **kwargs):
-        calls["which"].append(kwargs.get("which", "LM"))
-        return eigsh(*args, **kwargs)
+    def recorded_lanczos(*args, **kwargs):
+        calls["which"].append("LM")  # the largest nu of (H - sigma)^-1
+        return lanczos(*args, **kwargs)
 
-    monkeypatch.setattr(la, "cholesky_banded", counted_factor)
-    monkeypatch.setattr(spla, "eigsh", recorded_eigsh)
+    monkeypatch.setattr(_blas, "pbtrf", counted_factor)
+    monkeypatch.setattr(spectra, "_lanczos", recorded_lanczos)
     p = ModelParams.from_ratios(0.9, gamma=2.0, eta=1.0, j=5.0)
     trunc = Truncation.for_spin(60, p.j, "positive")
     assert families.hamiltonian_matrix("full", p, trunc).shape[0] > spectra.DENSE_SOLVE_LIMIT
