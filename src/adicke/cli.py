@@ -6,7 +6,6 @@ Exit codes: 0 on success, 1 for an invalid specification or command line,
 
 from __future__ import annotations
 
-import configparser
 import contextlib
 import math
 import sys
@@ -51,6 +50,8 @@ def _number_list(text: str) -> list[float]:
 
 
 def _read_config(path: str) -> dict:
+    import configparser  # only a --config run needs it
+
     parser = configparser.ConfigParser()
     with open(path, encoding="utf-8") as handle:
         parser.read_file(handle)

@@ -100,11 +100,14 @@ def photon_number_diagonal(name: str, trunc) -> np.ndarray:
 def _gaussian_components(name: str, p: ModelParams, labels: tuple[str, ...]) -> QGTComponents:
     """Exact ground-state tensor of an effective model: no Fock cutoff, no eigensolve.
 
-    The form's normal modes come from its 2n x 2n single-particle matrix
-    and are certified (``spectra.check_symplectic``); the tensor is the pair
-    sum of ``geometry.qgt_gaussian`` over the derivative forms.  Like "sum"
-    and "solve" it works at theta = 0, where the theta derivative form is
-    exact.  The energy and gap are those of ``spectra.bogoliubov_modes``.
+    The form's normal modes come from one Colpa solve of its 2n x 2n
+    single-particle matrix (``spectra.symplectic_transform``), certified by
+    ``spectra.check_symplectic``; the tensor is the pair sum of
+    ``geometry.qgt_gaussian`` over the derivative forms.  Like "sum" and
+    "solve" it works at theta = 0, where the theta derivative form is
+    exact.  The energy and gap come from the certified mode energies: the
+    vacuum energy const + (sum eps - n_a - n_b) / 2 and the softest mode.
+    ``spectra.bogoliubov_modes``, a separate solve, stays their oracle.
     """
     at = dataclasses.replace(p, theta=0.0)
     form = effective.effective_form(name, at)
@@ -112,9 +115,9 @@ def _gaussian_components(name: str, p: ModelParams, labels: tuple[str, ...]) -> 
     spectra.check_symplectic(form, eps, t)
     derivs = [spectra.single_particle_matrix(effective.form_param_derivative(name, at, label))
               for label in labels]
-    modes = spectra.bogoliubov_modes(form)
+    energy = form.const + 0.5 * (float(np.sum(eps)) - form.n_a - form.n_b)
     return dataclasses.replace(qgt_gaussian(eps, t, derivs, labels),
-                               energy=modes.ground_energy, gap=modes.gap)
+                               energy=energy, gap=float(np.min(eps)))
 
 
 @single_thread

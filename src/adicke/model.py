@@ -325,7 +325,11 @@ class PiecePattern:
         """The pattern of pieces of one shape, each a ``Piece``."""
         shape = pieces[0].shape
         flats = [piece.rows.astype(np.int64) * shape[1] + piece.cols for piece in pieces]
-        flat = np.unique(np.concatenate(flats))
+        # np.unique would import numpy.ma; a sort and a neighbour mask do not
+        flat = np.sort(np.concatenate(flats))
+        first = np.ones(flat.size, dtype=bool)
+        first[1:] = flat[1:] != flat[:-1]
+        flat = flat[first]
         vectors = []
         for piece, positions in zip(pieces, flats):
             vector = np.zeros(flat.size, dtype=piece.vals.dtype)

@@ -20,19 +20,22 @@ below the spectrum.  The Lanczos recursion is plain numpy with full
 reorthogonalisation, and it stops as ARPACK does at ``tol = 0``.
 
 A quadratic boson form needs no matrix at all: its normal-mode energies come
-from its single-particle matrix, and ``symplectic_transform`` gives the
-transform to the normal modes (Colpa, Physica A 93, 327 (1978)), certified
-by ``check_symplectic``.
+from its single-particle matrix, and ``symplectic_transform`` gives them and
+the transform to the normal modes in one solve (Colpa, Physica A 93, 327
+(1978)), certified by ``check_symplectic``.  ``bogoliubov_modes`` reaches
+the same energies by a different solve and is kept as their oracle and as
+the shift estimate of the shift-invert route.
 
 Only numpy is imported at module level, and every route but one loads no
 part of scipy: the builders hand a matrix at or below DENSE_SOLVE_LIMIT over
 as an ndarray and one above it as its upper band (``model.PiecePattern.matrix``),
 ``dense_eigensystem`` is numpy's ``eigh`` on a real matrix, the shift-invert
 route factors, solves and multiplies through numpy's own OpenBLAS
-(``_blas.pbtrf``, ``pbtrs``, ``hbmv``), and ``symplectic_transform`` solves
-its 4x4 system with numpy.  The one exception is a complex dense spectrum
-(finite differences at theta != 0), which scipy's MRRR driver decomposes:
-it is the faster one for complex Hermitian matrices.
+(``_blas.pbtrf``, ``pbtrs``, ``hbmv``), and ``symplectic_transform`` is a
+numpy Cholesky factor, one Hermitian eigendecomposition and one product with
+the factor, on a matrix of at most 4 x 4.  The one exception is a complex
+dense spectrum (finite differences at theta != 0), which scipy's MRRR driver
+decomposes: it is the faster one for complex Hermitian matrices.
 """
 
 from __future__ import annotations
@@ -364,13 +367,19 @@ def single_particle_matrix(form: QuadraticBosonForm) -> np.ndarray:
     alpha = (a, b, a', b') for two modes and (a, a') for one; h holds the
     number and hopping coefficients and Delta = [[2 squeeze, pair], [pair, 0]]
     the pair coefficients.  The constant is the form's own minus tr(h) / 2.
+    The upper rows [h, Delta] are filled by index and the lower ones are
+    their conjugate with the two column blocks swapped.
     """
-    h = np.array([[form.n_a, form.hop],
-                  [np.conj(form.hop), form.n_b]], dtype=complex)
-    delta = np.array([[2.0 * form.squeeze, form.pair],
-                      [form.pair, 0.0]], dtype=complex)
-    big = np.block([[h, delta], [np.conj(delta), np.conj(h)]])
-    return big if form.modes == 2 else big[np.ix_((0, 2), (0, 2))]
+    n = form.modes
+    big = np.empty((2 * n, 2 * n), dtype=complex)
+    if n == 2:
+        big[:2] = [[form.n_a, form.hop, 2.0 * form.squeeze, form.pair],
+                   [np.conj(form.hop), form.n_b, form.pair, 0.0]]
+    else:
+        big[0] = form.n_a, 2.0 * form.squeeze
+    big[n:, :n] = big[:n, n:].conj()
+    big[n:, n:] = big[:n, :n].conj()
+    return big
 
 
 def _eta(modes: int) -> np.ndarray:
@@ -417,28 +426,32 @@ def symplectic_transform(form: QuadraticBosonForm) -> tuple[np.ndarray, np.ndarr
 
     Colpa's method: factor M = K^dagger K (``single_particle_matrix``) by
     Cholesky and diagonalize K eta K^dagger = U L U^dagger, eta = diag(1, -1);
-    its n positive eigenvalues are the mode energies, and with them the
-    columns K^-1 U L^1/2 solve M t = eps eta t.  Those make the upper half of
-    T; the lower half is their conjugate swap, the partner at -eps.  Then
-    alpha = T beta with beta = (c, c') the normal-mode ladder operators,
-    T^dagger eta T = eta, T^dagger M T = diag(eps, eps), and the Gaussian
-    ground state is the vacuum of every c_k.  ``check_symplectic``
-    certifies the result.
+    its n positive eigenvalues are the mode energies.  The columns
+    K^-1 U L^1/2 solve M t = eps eta t, and since K eta K^dagger U = U L they
+    equal eta K^dagger U L^-1/2: one product with the factor, no solve.
+    Those make the upper half of T; the lower half is their conjugate swap,
+    the partner at -eps.  Then alpha = T beta with beta = (c, c') the
+    normal-mode ladder operators, T^dagger eta T = eta,
+    T^dagger M T = diag(eps, eps), and the Gaussian ground state is the
+    vacuum of every c_k.  ``check_symplectic`` certifies the result.
 
     Raises ``ConvergenceError`` when the Cholesky factorization fails: M is
     not positive definite, so the form has no Gaussian ground state.
     """
-    m = single_particle_matrix(form)
     n = form.modes
+    eta = _eta(n)[:, None]
     try:
-        k = np.linalg.cholesky(m).conj().T
+        lower = np.linalg.cholesky(single_particle_matrix(form))  # K^dagger
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError("the single-particle matrix is not positive definite: "
                                "the form has no Gaussian ground state") from exc
-    lam, u = np.linalg.eigh(k @ (_eta(n)[:, None] * k.conj().T))
+    lam, u = np.linalg.eigh(lower.conj().T @ (eta * lower))
     eps = lam[n:]
-    x = np.linalg.solve(k, u[:, n:] * np.sqrt(eps))
-    t = np.block([[x[:n], x[n:].conj()], [x[n:], x[:n].conj()]])
+    x = eta * (lower @ u[:, n:]) / np.sqrt(eps)
+    t = np.empty((2 * n, 2 * n), dtype=complex)
+    t[:, :n] = x
+    t[:n, n:] = x[n:].conj()
+    t[n:, n:] = x[:n].conj()
     return eps, t
 
 
@@ -461,7 +474,7 @@ def check_symplectic(form: QuadraticBosonForm, eps: np.ndarray, t: np.ndarray) -
     norms = np.linalg.norm(t, axis=0)
     weight = np.outer(norms, norms)
     symplectic = np.abs(t.conj().T @ (eta[:, None] * t) - np.diag(eta)) / weight
-    diagonal = np.abs(t.conj().T @ m @ t - np.diag(np.r_[eps, eps])) / (scale * weight)
+    diagonal = np.abs(t.conj().T @ m @ t - np.diag(np.concatenate((eps, eps)))) / (scale * weight)
     defect = float(max(np.max(symplectic), np.max(diagonal)))
     if not defect <= SYMPLECTIC_TOL:  # a NaN defect fails too
         raise ConvergenceError(f"symplectic transform defect {defect:.2e}", residual=defect)

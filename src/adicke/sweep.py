@@ -12,7 +12,6 @@ abort.
 from __future__ import annotations
 
 import dataclasses
-import json
 import math
 from dataclasses import dataclass
 
@@ -248,6 +247,8 @@ def write_csv(rows: list[SweepRow], path: str) -> None:
 
 
 def write_json(rows: list[SweepRow], path: str) -> None:
+    import json  # only this writer needs it
+
     payload = [{col: getattr(row, col) for col in CSV_COLUMNS} for row in rows]
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         json.dump(payload, handle, indent=1, allow_nan=True)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from adicke import (FockCutoff, ModelParams, Truncation, _blas, bogoliubov_modes,
-                    dense_eigensystem, effective_form, geometry, spectra)
+                    dense_eigensystem, effective_form, geometry, spectra, sweep)
 from adicke.families import (default_truncation, derivative_matrix, ground_eigensystem,
                              ground_pair, hamiltonian_matrix, qgt_components, resolve_branch)
 from adicke.geometry import qgt_matrix_sum
@@ -259,6 +259,48 @@ def test_gaussian_route_matches_converged_truncations(name, g, trunc, method, ga
     modes = bogoliubov_modes(effective_form(name, p))
     assert (exact.energy, exact.gap) == pytest.approx((modes.ground_energy, modes.gap),
                                                       rel=1e-13)
+
+
+@pytest.mark.parametrize("gamma", [0.5, 2.0])
+@pytest.mark.parametrize("name,g", [("cs_np", 0.999), ("cs_sp", 1.001), ("co_np", 0.999),
+                                    ("co_sp", 1.001)])
+def test_gaussian_energy_and_gap_match_the_bogoliubov_oracle_near_the_critical_point(
+        name, g, gamma):
+    # the cross-check of test_gaussian_route_matches_converged_truncations where
+    # no truncation converges: the route reads both off its own certified Colpa
+    # solve, bogoliubov_modes solves the same form separately, and the soft
+    # mode is small
+    p = ModelParams.from_ratios(g, gamma=gamma, eta=1.2, theta=0.4, j=4.0)
+    exact = qgt_components(name, p, labels=FIVE_LABELS)
+    modes = bogoliubov_modes(effective_form(name, p))
+    assert modes.stable
+    assert (exact.energy, exact.gap) == pytest.approx((modes.ground_energy, modes.gap),
+                                                      rel=1e-13)
+
+
+def test_a_gaussian_row_takes_one_normal_mode_solve(monkeypatch):
+    # no second eigen-solve (bogoliubov_modes) and no LU solve on the route
+    calls = {"bogoliubov_modes": 0, "solve": 0, "symplectic_transform": 0}
+
+    def counted(key, function):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return function(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(spectra, "bogoliubov_modes",
+                        counted("bogoliubov_modes", spectra.bogoliubov_modes))
+    monkeypatch.setattr(sweep, "bogoliubov_modes",
+                        counted("bogoliubov_modes", sweep.bogoliubov_modes))
+    monkeypatch.setattr(np.linalg, "solve", counted("solve", np.linalg.solve))
+    monkeypatch.setattr(spectra, "symplectic_transform",
+                        counted("symplectic_transform", spectra.symplectic_transform))
+    spec = sweep.SweepSpec(model="auto_cs", param="g", start=0.6, stop=1.4, points=2,
+                           gamma=2.0, eta=1.0, j=10.0, n_max=40, n_max_b=40)
+    for g in (0.6, 1.4):
+        row = sweep.evaluate_point(spec, g)
+        assert row.method == "gaussian" and row.converged and math.isfinite(row.gap)
+    assert calls == {"bogoliubov_modes": 0, "solve": 0, "symplectic_transform": 2}
 
 
 @pytest.mark.parametrize("name,g,trunc", [

@@ -355,6 +355,23 @@ def test_bogoliubov_matches_matrix_gap(model, g_range):
 
 @pytest.mark.parametrize("model,g", [("cs_np", 0.7), ("cs_sp", 1.3), ("co_np", 0.7),
                                      ("co_sp", 1.3)])
+def test_single_particle_matrix_is_the_documented_block_form(model, g):
+    # theta = 0.7 makes hop, pair and squeeze complex
+    form = effective_form(model, ModelParams.from_ratios(g, gamma=2.0, eta=1.5, theta=0.7,
+                                                         j=4.0))
+    assert any(np.iscomplex(c) for c in (form.hop, form.pair, form.squeeze))
+    h = np.array([[form.n_a, form.hop], [np.conj(form.hop), form.n_b]], dtype=complex)
+    delta = np.array([[2.0 * form.squeeze, form.pair], [form.pair, 0.0]], dtype=complex)
+    want = np.block([[h, delta], [np.conj(delta), np.conj(h)]])
+    if form.modes == 1:
+        want = want[np.ix_((0, 2), (0, 2))]
+    got = single_particle_matrix(form)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("model,g", [("cs_np", 0.7), ("cs_sp", 1.3), ("co_np", 0.7),
+                                     ("co_sp", 1.3)])
 @pytest.mark.parametrize("theta", [0.0, 0.9])
 def test_symplectic_transform_diagonalizes_every_form(model, g, theta):
     form = effective_form(model, ModelParams.from_ratios(g, gamma=2.0, eta=1.5, theta=theta,
@@ -373,19 +390,22 @@ def test_symplectic_transform_diagonalizes_every_form(model, g, theta):
 
 
 def test_symplectic_transform_refuses_an_unstable_form():
-    form = effective_form("co_np", ModelParams.from_ratios(1.2, gamma=1.0, j=4.0))
-    assert not bogoliubov_modes(form).stable
-    with pytest.raises(ConvergenceError, match="positive definite"):
-        symplectic_transform(form)
+    # each normal-phase form past the critical coupling
+    for model in ("co_np", "cs_np"):
+        form = effective_form(model, ModelParams.from_ratios(1.2, gamma=1.0, j=4.0))
+        assert not bogoliubov_modes(form).stable
+        with pytest.raises(ConvergenceError, match="positive definite"):
+            symplectic_transform(form)
 
 
 def test_check_symplectic_refuses_a_perturbed_transform():
-    form = cs_normal_form(ModelParams.from_ratios(0.7, gamma=2.0, j=4.0))
-    eps, t = symplectic_transform(form)
-    with pytest.raises(ConvergenceError, match="defect"):
-        check_symplectic(form, eps, t + 1e-6 * np.abs(t).max())
-    with pytest.raises(ConvergenceError, match="defect"):
-        check_symplectic(form, eps * (1.0 + 1e-6), t)
+    for model, g in (("cs_np", 0.7), ("co_sp", 1.3)):
+        form = effective_form(model, ModelParams.from_ratios(g, gamma=2.0, j=4.0))
+        eps, t = symplectic_transform(form)
+        with pytest.raises(ConvergenceError, match="defect"):
+            check_symplectic(form, eps, t + 1e-6 * np.abs(t).max())
+        with pytest.raises(ConvergenceError, match="defect"):
+            check_symplectic(form, eps * (1.0 + 1e-6), t)
 
 
 def test_check_symplectic_refuses_a_mode_softer_than_roundoff():

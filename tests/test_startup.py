@@ -7,8 +7,11 @@ as an ndarray and a large one as its upper band, the dense route decomposes
 a real matrix with numpy, and the shift-invert route factors, solves and
 multiplies through numpy's own OpenBLAS.  Only a complex dense spectrum
 (finite differences at theta != 0) loads ``scipy.linalg`` and maps scipy's
-OpenBLAS, which a tensor evaluation then holds to one thread too.  Each test
-runs in a fresh interpreter, since this process has long loaded everything.
+OpenBLAS, which a tensor evaluation then holds to one thread too.  No
+matrix route loads ``numpy.ma``, which ``np.unique`` would import, and the
+command-line front end and the Gaussian route load neither ``json`` nor
+``configparser``.  Each test runs in a fresh interpreter, since this process
+has long loaded everything.
 """
 
 import json
@@ -35,14 +38,16 @@ def _last_json(code: str, **env):
     return json.loads(out.stdout.strip().splitlines()[-1])
 
 
-def _loaded_after(code: str) -> set[str]:
-    """The HEAVY modules in sys.modules after a fresh interpreter runs ``code``."""
-    return set(_last_json(code + "\nimport json, sys\n"
-                          f"print(json.dumps([m for m in {HEAVY!r} if m in sys.modules]))\n"))
+def _loaded_after(code: str, modules=HEAVY) -> set[str]:
+    """Which of ``modules`` are in sys.modules after a fresh interpreter runs ``code``.
+
+    The report is printed with ``__import__("json")`` only after the check.
+    """
+    return set(_last_json(code + f"\nimport sys\nloaded = [m for m in {modules!r} "
+                          "if m in sys.modules]\nprint(__import__('json').dumps(loaded))\n"))
 
 
-def test_cli_and_the_gaussian_route_load_no_scipy_submodule():
-    assert _loaded_after("""
+GAUSSIAN_ROUTE = """
 import adicke.cli
 from adicke import ModelParams, SweepSpec, qfi_omega, run_sweep
 p = ModelParams.from_ratios(0.5, gamma=2.0, eta=1.0, j=10.0)
@@ -50,7 +55,30 @@ assert qfi_omega("cs_np", p) > 0
 rows = run_sweep(SweepSpec(model="auto_cs", param="g", start=0.5, stop=1.5, points=2,
                            gamma=2.0, j=10.0, n_max=40, n_max_b=40))
 assert [row.method for row in rows] == ["gaussian", "gaussian"]
-""") == set()
+"""
+
+
+def test_cli_and_the_gaussian_route_load_no_scipy_submodule():
+    assert _loaded_after(GAUSSIAN_ROUTE) == set()
+
+
+def test_cli_and_the_gaussian_route_load_no_json_or_configparser():
+    # only write_json and a --config run need them
+    assert _loaded_after(GAUSSIAN_ROUTE, ("json", "configparser")) == set()
+
+
+def test_matrix_routes_load_no_numpy_ma():
+    # np.unique imports numpy.ma on its first call; building a piece pattern
+    # does without it, both for the set-up probe's small matrix and above the limit
+    assert _loaded_after("""
+import adicke.cli
+from adicke import FockCutoff, ModelParams, Truncation, qgt_components, qfi_omega
+p = ModelParams.from_ratios(0.5, gamma=2.0, eta=1.0, j=10.0)
+assert qfi_omega("co_np", p, FockCutoff(8)) > 0
+p = ModelParams.from_ratios(0.8, gamma=2.0, j=10.0)
+comp = qgt_components("full", p, Truncation.for_spin(60, 10.0))  # a sector of dimension 641
+assert comp.method == "linear_solve" and comp.qfi("omega").value > 0
+""", ("numpy.ma",)) == set()
 
 
 def test_small_dense_matrices_load_no_scipy_submodule():
