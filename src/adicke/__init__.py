@@ -7,8 +7,8 @@ from .errors import ConvergenceError, DegeneracyError, StencilError, TruncationE
 from .families import MODEL_CHOICES, qfi_omega, qgt_components, resolve_branch
 from .geometry import (QFIValue, QGTComponents, berry, metric, qfi,
                        qgt_finite_difference)
-from .model import (ModelParams, Truncation, boson_operators, full_hamiltonian,
-                    param_derivative, parity_operator, project_parity, spin_operators)
+from .model import (ModelParams, Truncation, full_hamiltonian, param_derivative,
+                    project_parity)
 from .spectra import (Eigensystem, NormalModes, bogoliubov_modes,
                       dense_eigensystem, gauge_fix, lowest_k)
 from .squeezed import (SqueezeParams, berry_curvature_np, berry_curvature_sp,
@@ -20,8 +20,7 @@ from .sweep import (SweepRow, SweepSpec, convergence_scan, gamma_comparison,
 __all__ = [
     "ConvergenceError", "DegeneracyError", "StencilError", "TruncationError",
     "ModelParams", "Truncation",
-    "boson_operators", "spin_operators", "full_hamiltonian", "parity_operator",
-    "project_parity", "param_derivative",
+    "full_hamiltonian", "project_parity", "param_derivative",
     "FockCutoff", "QuadraticBosonForm", "DisplacementSolution",
     "displacement_solution", "effective_form", "form_matrix", "quadratic_form",
     "Eigensystem", "NormalModes", "dense_eigensystem", "lowest_k", "gauge_fix",

@@ -1,21 +1,24 @@
 """numpy's bundled OpenBLAS: one thread per tensor evaluation, and its banded routines.
 
-numpy and scipy each bundle an OpenBLAS, which by default starts one thread
-per core.  The kernels of one evaluation are too small to share: the
-banded Cholesky factor, the Lanczos basis and the resolvent's
-matrix-vector products leave the second thread spinning, which doubles the
-CPU time of a point and, at half-bandwidths of 21 and more, slows the
-factor 3-7x on a 2-core machine.  ``single_thread`` sets every bundled
-OpenBLAS in use to one thread and gives each its saved count back on exit.
-With no bundled OpenBLAS found (another BLAS build) it does nothing.
+numpy bundles an OpenBLAS, which by default starts one thread per core, and
+numpy's LAPACK is the only one the package's routes call.  The kernels of
+one evaluation are too small to share: the banded Cholesky factor, the
+Lanczos basis and the resolvent's matrix-vector products leave the second
+thread spinning, which doubles the CPU time of a point and, at
+half-bandwidths of 21 and more, slows the factor 3-7x on a 2-core machine.
+``single_thread`` sets numpy's OpenBLAS to one thread and gives it its
+saved count back on exit.  With no bundled OpenBLAS found (another BLAS
+build) it does nothing.
 
 The shift-invert route needs three banded routines of a Hermitian matrix
 held in LAPACK's upper band storage: the Cholesky factor (``pbtrf``), the
 solve with it (``pbtrs``) and the product with a vector (``hbmv``).  They
 are bound by ctypes from numpy's own OpenBLAS, whose LAPACKE and CBLAS
-entry points take column-major arrays, so that route loads no scipy.  Only
-where numpy bundles no OpenBLAS with those entry points do the same
-routines come from ``scipy.linalg.lapack`` and ``scipy.linalg.blas``.
+entry points take column-major arrays.  Only where numpy exposes no such
+entry points (a wheel that keeps its OpenBLAS outside ``numpy.libs``, or a
+numpy linked to a shared BLAS) do the same routines come from
+``scipy.linalg.lapack`` and ``scipy.linalg.blas``: that fallback is the one
+place the package imports scipy.
 """
 
 from __future__ import annotations
@@ -24,9 +27,7 @@ import contextlib
 import ctypes
 import functools
 import glob
-import importlib
 import os
-import sys
 import threading
 from typing import Callable, NamedTuple
 
@@ -37,21 +38,20 @@ _COL_MAJOR, _CBLAS_UPPER, _UPPER = 102, 121, b"U"
 
 
 @functools.cache
-def _openblas(name: str) -> tuple[ctypes.CDLL, ...]:
-    """Each OpenBLAS bundled with one package, found in the ``<package>.libs``
-    folder beside it.  ``ctypes.CDLL`` of a library the package already
-    loaded returns that same library."""
-    package = importlib.import_module(name)
-    libdir = os.path.join(os.path.dirname(package.__file__), os.pardir, name + ".libs")
+def _openblas() -> tuple[ctypes.CDLL, ...]:
+    """Each OpenBLAS bundled with numpy, found in the ``numpy.libs`` folder
+    beside it.  ``ctypes.CDLL`` of a library numpy already loaded returns
+    that same library."""
+    libdir = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
     return tuple(ctypes.CDLL(path)
                  for path in sorted(glob.glob(os.path.join(libdir, "*openblas*"))))
 
 
 @functools.cache
-def _bundled(name: str) -> tuple[tuple, ...]:
-    """``(get_num_threads, set_num_threads)`` of each OpenBLAS bundled with one package."""
+def libraries() -> tuple[tuple, ...]:
+    """``(get_num_threads, set_num_threads)`` of each OpenBLAS bundled with numpy."""
     found = []
-    for lib in _openblas(name):
+    for lib in _openblas():
         for prefix in ("scipy_openblas_", "openblas_"):
             for suffix in ("64_", ""):
                 get = getattr(lib, f"{prefix}get_num_threads{suffix}", None)
@@ -64,40 +64,24 @@ def _bundled(name: str) -> tuple[tuple, ...]:
     return tuple(found)
 
 
-def libraries() -> tuple[tuple, ...]:
-    """``(get_num_threads, set_num_threads)`` of each bundled OpenBLAS in use.
-
-    numpy's always; scipy's once ``scipy.linalg`` is imported, since every
-    scipy routine that calls it (LAPACK, BLAS) imports that package first.
-    Binding scipy's library earlier would map a second OpenBLAS into a
-    process that never calls it.
-    """
-    if "scipy.linalg" in sys.modules:
-        return _bundled("numpy") + _bundled("scipy")
-    return _bundled("numpy")
-
-
 class _SingleThread(contextlib.ContextDecorator):
-    """Run the body with every bundled OpenBLAS in use on one thread, then restore.
+    """Run the body with numpy's OpenBLAS on one thread, then restore.
 
     Also a decorator.  The outermost of nested or concurrent scopes saves
-    the counts and the last one to exit restores them, also when the body
-    raises: the thread count is a setting of the whole process.  Every
-    entry, nested ones included, also takes in a library that came into use
-    since the scope opened (scipy's, at the first complex dense spectrum),
-    so that library too runs on one thread until the outermost exit.
+    the counts and sets 1, and the last one to exit restores them, also when
+    the body raises: the thread count is a setting of the whole process.
     """
 
     def __init__(self):
         self._lock = threading.Lock()
         self._depth = 0
-        self._saved: dict = {}
+        self._saved: list = []
 
     def __enter__(self):
         with self._lock:
-            for get, put in libraries():
-                if id(put) not in self._saved:  # ctypes functions do not hash
-                    self._saved[id(put)] = (put, get())
+            if self._depth == 0:
+                self._saved = [(put, get()) for get, put in libraries()]
+                for put, _ in self._saved:
                     put(1)
             self._depth += 1
         return self
@@ -106,9 +90,9 @@ class _SingleThread(contextlib.ContextDecorator):
         with self._lock:
             self._depth -= 1
             if self._depth == 0:
-                for put, count in self._saved.values():
+                for put, count in self._saved:
                     put(count)
-                self._saved = {}
+                self._saved = []
         return False
 
 
@@ -192,10 +176,10 @@ def _check_length(x: np.ndarray, band: np.ndarray, ndim: int = 2) -> None:
 
 
 def _scipy_banded(kind: str) -> _Banded:
-    """The same routines from scipy's LAPACK and BLAS wrappers.
+    """The same routines from scipy's LAPACK and BLAS wrappers, where numpy
+    exposes none: the package's only use of scipy.
 
-    Each call runs in a scope of its own, whose entry takes in scipy's
-    OpenBLAS, loaded here after the scope of the evaluation opened.
+    ``single_thread`` does not reach the BLAS that scipy links here.
     """
     from scipy.linalg import blas, lapack
     factor, solve = getattr(lapack, kind + "pbtrf"), getattr(lapack, kind + "pbtrs")
@@ -212,12 +196,12 @@ def _scipy_banded(kind: str) -> _Banded:
     def hbmv(ab, x):
         return product(ab.shape[0] - 1, 1.0, ab, x, lower=0)
 
-    return _Banded(*map(single_thread, (pbtrf, pbtrs, hbmv)))
+    return _Banded(pbtrf, pbtrs, hbmv)
 
 
 @functools.cache
 def _banded(kind: str) -> _Banded:
-    for lib in _openblas("numpy"):
+    for lib in _openblas():
         bound = _bind(lib, kind)
         if bound is not None:
             return bound

@@ -185,7 +185,8 @@ def gamma_compare_cmd(config, gammas, **overrides):
     output file are read from --config as ``sweep`` reads them, and flags
     override the file.  The ratios come from --gammas alone, so a config
     key gamma is refused.  Keys that only shape a sweep (its grid, tensor
-    labels, workers) are not used.
+    labels, workers) are not used.  An entry whose point fails reads nan;
+    the run then exits 2 with a note on stderr.
     """
     try:
         values = _settings(config, overrides)
@@ -210,7 +211,12 @@ def gamma_compare_cmd(config, gammas, **overrides):
             handle.write(text)
     else:
         click.echo(text, nl=False)
-    sys.exit(0)
+    flagged = [gv for gv, iv in result.entries if math.isnan(iv)]
+    if flagged:
+        click.echo(f"note: {len(flagged)} of {len(result.entries)} entries flagged "
+                   f"(gamma = {', '.join(format(gv, 'g') for gv in flagged)}); "
+                   "the summaries cover the finite entries", err=True)
+    sys.exit(2 if flagged else 0)
 
 
 @main.command("ratio-scan")

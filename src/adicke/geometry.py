@@ -249,8 +249,8 @@ def resolvent_tangent(ham, energy: float, psi: np.ndarray, derivs: Sequence[Matr
     when it lies within one ``gap`` of E0, or else one factored here at
     E0 - gap/10 (see ``spectra.shift_invert``).  The preconditioned spectrum
     lies in [gap / (gap + E0 - sigma), 1), so a few iterations suffice.
-    ``ham`` and the derivatives are Hermitian: ndarrays, ``model.HermitianBand``
-    or scipy sparse matrices.  The result holds one tangent per column, in the
+    ``ham`` and the derivatives are Hermitian: ndarrays or
+    ``model.HermitianBand``.  The result holds one tangent per column, in the
     dtype the inputs need, and every column's residual is checked against
     H - E0.
     """

@@ -24,7 +24,9 @@ every derivative is then one numpy combination of those vectors on that
 fixed pattern, so a position where the terms cancel holds an explicit zero;
 the theta derivative i [a'a, H] is the pattern vector i (n_row - n_col) times
 the couplings' entries.  ``project_parity`` stays as the general sector
-projection that the tests check the cached blocks against.
+projection that the tests check the cached blocks against; the
+product-basis ladder, spin and parity matrices they build it from are
+oracles of the tests and live there.
 
 In the photon-major order the coupling moves n and m by one each, so the
 sector block is banded with half-bandwidth about j + 1, which the shift-invert
@@ -193,8 +195,7 @@ class Piece(NamedTuple):
         return Piece(self.shape[::-1], self.cols, self.rows, self.vals)
 
     def kron(self, other: "Piece") -> "Piece":
-        """The Kronecker product self (x) other: every entry x_ik y_jl, as
-        ``scipy.sparse.kron`` forms it."""
+        """The Kronecker product self (x) other: every entry x_ik y_jl."""
         (rows, cols), (other_rows, other_cols) = self.shape, other.shape
         return Piece((rows * other_rows, cols * other_cols),
                      (self.rows[:, None] * other_rows + other.rows).ravel(),
@@ -279,23 +280,15 @@ class HermitianBand:
 
 def as_band(op) -> HermitianBand:
     """A Hermitian matrix as its upper band: a ``HermitianBand`` as it is, an
-    ndarray or a scipy sparse matrix (read through its ``tocoo()``) by its
-    nonzero upper entries, duplicates summed.  O(nnz) on a sparse matrix."""
+    ndarray by its nonzero upper entries."""
     if isinstance(op, HermitianBand):
         return op
-    if hasattr(op, "tocoo"):
-        coo = op.tocoo()
-        rows, cols, vals = coo.row, coo.col, coo.data
-    else:
-        op = np.asarray(op)
-        rows, cols = np.nonzero(op)
-        vals = op[rows, cols]
-    upper = cols >= rows
-    rows, cols, vals = rows[upper], cols[upper], vals[upper]
+    op = np.asarray(op)
+    rows, cols = np.nonzero(np.triu(op))
     kd = int(np.max(cols - rows, initial=0))
-    dtype = np.complex128 if np.iscomplexobj(vals) else np.float64
+    dtype = np.complex128 if np.iscomplexobj(op) else np.float64
     band = np.zeros((kd + 1, op.shape[0]), dtype=dtype, order="F")
-    np.add.at(band, (kd + rows - cols, cols), vals)
+    band[kd + rows - cols, cols] = op[rows, cols]
     return HermitianBand.trimmed(band)
 
 
@@ -412,28 +405,6 @@ def spin_pieces(j: float) -> tuple[Piece, Piece]:
     return Piece((dim, dim), up + 1, up, amp), Piece.diagonal(m)
 
 
-def _csr(piece: Piece) -> sp.csr_array:
-    import scipy.sparse as sp
-    return sp.csr_array((piece.vals, (piece.rows, piece.cols)), shape=piece.shape)
-
-
-def boson_operators(n_max: int) -> tuple[sp.csr_array, sp.csr_array, sp.csr_array]:
-    """Truncated ladder matrices (a, a_dag, n) on Fock states |0..n_max>, as CSR.
-
-    The commutator [a, a_dag] equals the identity except for the single corner
-    entry (n_max, n_max); that truncation defect is accepted and controlled by
-    convergence checks rather than patched.
-    """
-    adag, number = ladder_pieces(n_max)
-    return _csr(adag.T), _csr(adag), _csr(number)
-
-
-def spin_operators(j: float) -> tuple[sp.csr_array, sp.csr_array, sp.csr_array]:
-    """Collective spin matrices (J+, J-, Jz) on |j, m>, m = -j..j ascending, as CSR."""
-    jp, jz = spin_pieces(j)
-    return _csr(jp), _csr(jp.T), _csr(jz)
-
-
 # ---------------------------------------------------------------------------
 # full Hamiltonian and its pieces
 
@@ -450,12 +421,6 @@ def parity_labels(t: Truncation) -> np.ndarray:
     return np.where((np.add.outer(n, m_shifted) % 2) == 0, 1.0, -1.0).ravel()
 
 
-def parity_operator(t: Truncation) -> sp.csr_array:
-    """The Z2 parity, diagonal with entries +-1; squares to the identity."""
-    import scipy.sparse as sp
-    return sp.diags_array(parity_labels(t), format="csr")
-
-
 def parity_indices(t: Truncation, sector: str) -> np.ndarray:
     """Full-basis indices belonging to a parity sector, in ascending order."""
     labels = parity_labels(t)
@@ -466,25 +431,23 @@ def parity_indices(t: Truncation, sector: str) -> np.ndarray:
     raise ValueError(f"sector must be 'positive' or 'negative', got {sector!r}")
 
 
-def project_parity(m, t: Truncation, sector: str) -> tuple[sp.csr_array, np.ndarray]:
+def project_parity(m, t: Truncation, sector: str) -> tuple[np.ndarray, np.ndarray]:
     """Restrict a parity-commuting operator to one sector.
 
-    ``m`` is sparse or dense.  Returns the CSR sector block and the index
-    map embedding it back into the full basis.  Raises if the operator
-    mixes the sectors, i.e. the caller passed something that does not
-    commute with the parity.  The builders
-    do not call it (they cut their pieces once per truncation); it is the
-    general projection the tests check them against.
+    ``m`` is any matrix ``as_dense`` takes.  Returns the sector block as an
+    ndarray and the index map embedding it back into the full basis.  Raises
+    if the operator mixes the sectors, i.e. the caller passed something that
+    does not commute with the parity.  The builders do not call it (they cut
+    their pieces once per truncation); it is the general projection the
+    tests check them against.
     """
-    import scipy.sparse as sp
     idx = parity_indices(t, sector)
     comp = np.setdiff1d(np.arange(t.dim), idx, assume_unique=True)
-    rows = sp.csr_array(m)[idx]
-    off = rows[:, comp]
-    off_max = float(np.max(np.abs(off.data))) if off.nnz else 0.0
+    rows = as_dense(m)[idx]
+    off_max = float(np.max(np.abs(rows[:, comp]), initial=0.0))
     if off_max > 1e-12:
         raise ValueError(f"operator does not commute with parity (off-block max {off_max:.2e})")
-    return rows[:, idx].tocsr(), idx
+    return rows[:, idx], idx
 
 
 @functools.lru_cache(maxsize=PIECE_CACHE_SIZE)

@@ -26,16 +26,15 @@ the transform to the normal modes in one solve (Colpa, Physica A 93, 327
 the same energies by a different solve and is kept as their oracle and as
 the shift estimate of the shift-invert route.
 
-Only numpy is imported at module level, and every route but one loads no
-part of scipy: the builders hand a matrix at or below DENSE_SOLVE_LIMIT over
-as an ndarray and one above it as its upper band (``model.PiecePattern.matrix``),
-``dense_eigensystem`` is numpy's ``eigh`` on a real matrix, the shift-invert
-route factors, solves and multiplies through numpy's own OpenBLAS
-(``_blas.pbtrf``, ``pbtrs``, ``hbmv``), and ``symplectic_transform`` is a
-numpy Cholesky factor, one Hermitian eigendecomposition and one product with
-the factor, on a matrix of at most 4 x 4.  The one exception is a complex
-dense spectrum (finite differences at theta != 0), which scipy's MRRR driver
-decomposes: it is the faster one for complex Hermitian matrices.
+Every route runs on numpy's LAPACK and numpy's bundled OpenBLAS, and loads
+no part of scipy: the builders hand a matrix at or below DENSE_SOLVE_LIMIT
+over as an ndarray and one above it as its upper band
+(``model.PiecePattern.matrix``), ``dense_eigensystem`` is numpy's ``eigh``,
+real or complex, the shift-invert route factors, solves and multiplies
+through numpy's own OpenBLAS (``_blas.pbtrf``, ``pbtrs``, ``hbmv``), and
+``symplectic_transform`` is a numpy Cholesky factor, one Hermitian
+eigendecomposition and one product with the factor, on a matrix of at most
+4 x 4.
 """
 
 from __future__ import annotations
@@ -253,15 +252,7 @@ def dense_eigensystem(op, dense_limit: int = DENSE_EIG_LIMIT) -> Eigensystem:
         raise TruncationError(
             f"dimension {dim} exceeds the dense limit {dense_limit}; use lowest_k instead")
     mat = as_dense(op)
-    if np.iscomplexobj(mat):
-        # numpy's divide and conquer (zheevd) is 1.8-2.7x slower than scipy's
-        # MRRR driver (zheevr) on complex matrices of dimension 1000-3000 and
-        # needs O(n^2) more workspace; on real ones it is the faster of the two
-        import scipy.linalg as la
-        with _blas.single_thread:  # takes in scipy's OpenBLAS when this call loaded it
-            energies, states = la.eigh(mat)
-    else:
-        energies, states = np.linalg.eigh(mat)
+    energies, states = np.linalg.eigh(mat)
     del mat  # the dense copy is not kept through gauge_fix's temporaries
     return Eigensystem(energies=energies, states=gauge_fix(states))
 
@@ -316,8 +307,8 @@ def _lanczos(factor: ShiftInvert, k: int, dim: int) -> tuple[np.ndarray, np.ndar
 
 
 def lowest_k(op, k: int, estimate: NormalModes | None = None) -> Eigensystem:
-    """The k lowest eigenpairs of a Hermitian matrix: an ndarray, a
-    ``model.HermitianBand`` or a scipy sparse matrix.
+    """The k lowest eigenpairs of a Hermitian matrix: an ndarray or a
+    ``model.HermitianBand``.
 
     Shift-invert Lanczos (``_lanczos``) about a shift certified below the
     spectrum (see ``shift_invert``), placed by the ground energy and gap of

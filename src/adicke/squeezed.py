@@ -9,7 +9,9 @@ a squeezed vacuum S[r]|0> with
 
 optionally displaced by D[+-alpha] on the superradiant side.  These families
 serve as independent oracles for the numerical tensor machinery: their
-curvature component F_{theta omega} is available in closed form.
+curvature component F_{theta omega} is available in closed form.  The
+displacement D[alpha] = exp(alpha a' - conj(alpha) a) acts on the cutoff's
+Fock space through numpy's ``eigh`` of the Hermitian -i (alpha a' - conj(alpha) a).
 
 The curvature implemented here is the exact one of the printed state family,
 
@@ -105,11 +107,12 @@ def squeezed_state_vector(sq: SqueezeParams, n_max: int) -> np.ndarray:
                 f"cutoff n_max={n_max} keeps only 1-{tail:.2e} of the squeezed state; "
                 "increase the cutoff")
     if sq.alpha != 0j:
-        import scipy.linalg as la
+        # G = alpha a' - conj(alpha) a is anti-Hermitian, so -i G = V diag(w) V^dagger
+        # and D = exp(G) = V diag(e^{i w}) V^dagger
         ladder = np.zeros((dim, dim))
         ladder[np.arange(n_max), np.arange(1, dim)] = np.sqrt(np.arange(1, dim))
-        gen = sq.alpha * ladder.T - np.conj(sq.alpha) * ladder
-        vec = la.expm(gen) @ vec
+        w, v = np.linalg.eigh(-1j * (sq.alpha * ladder.T - np.conj(sq.alpha) * ladder))
+        vec = v @ (np.exp(1j * w) * (v.conj().T @ vec))
         defect = abs(1.0 - float(np.linalg.norm(vec)))
         if defect > SQUEEZE_TAIL_TOL:
             raise TruncationError(

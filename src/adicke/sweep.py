@@ -265,9 +265,9 @@ class GammaComparison:
 
     g: float
     model: str
-    entries: tuple[tuple[float, float], ...]  # (gamma, I_omega_omega)
-    strictly_increasing: bool
-    reciprocal_asymmetry: float  # max |I(gamma) - I(1/gamma)| over available pairs
+    entries: tuple[tuple[float, float], ...]  # (gamma, I_omega_omega), NaN where flagged
+    strictly_increasing: bool  # over the finite entries
+    reciprocal_asymmetry: float  # max |I(gamma) - I(1/gamma)| over finite pairs
 
 
 def gamma_comparison(g: float, gammas, model: str, *, eta: float = 1.0,
@@ -276,30 +276,27 @@ def gamma_comparison(g: float, gammas, model: str, *, eta: float = 1.0,
                      sector: str = "positive", method: str | None = None) -> GammaComparison:
     """I_omega_omega per coupling ratio; the coupling sum is pinned by g.
 
-    As in ``evaluate_point``, an effective model with no method set is
-    evaluated exactly, with no cutoff; ``n_max`` and ``n_max_b`` then apply
-    only to the full model or to an explicit method.
+    Each entry is ``evaluate_point`` at g on one spec per ratio, so an
+    effective model with no method set is evaluated exactly, with no cutoff
+    (``n_max`` and ``n_max_b`` then apply only to the full model or to an
+    explicit method), and a point that fails comes back NaN and flagged
+    instead of raising.  An invalid spec or ratio raises ``ValueError``.
     """
-    gammas = [float(x) for x in gammas]
-    values = []
-    for gamma in gammas:
-        p = ModelParams.from_ratios(g, gamma=gamma, eta=eta, omega=omega,
-                                    theta=theta, j=j)
-        concrete = families.resolve_branch(model, p.g)
-        trunc = None
-        if method is not None or concrete == "full":
-            trunc = families.default_truncation(concrete, p, n_max, n_max_b, sector=sector)
-        values.append(families.qfi_omega(concrete, p, trunc, method=method))
-    increasing = all(b > a for a, b in zip(values, values[1:]))
+    base = SweepSpec(model=model, g=g, eta=eta, omega=omega, theta=theta, j=j,
+                     n_max=n_max, n_max_b=n_max_b, sector=sector, method=method)
+    specs = [dataclasses.replace(base, gamma=float(gamma)) for gamma in gammas]
+    for spec in (base, *specs):
+        spec.validate()
+    entries = [(spec.gamma, evaluate_point(spec, g).I_omega_omega) for spec in specs]
+    finite = [(gamma, value) for gamma, value in entries if math.isfinite(value)]
+    increasing = all(b > a for (_, a), (_, b) in zip(finite, finite[1:]))
     asym = 0.0
-    for idx, gamma in enumerate(gammas):
-        for kdx, other in enumerate(gammas):
+    for gamma, value in finite:
+        for other, other_value in finite:
             if math.isclose(other, 1.0 / gamma, rel_tol=1e-9):
-                asym = max(asym, abs(values[idx] - values[kdx]))
-    return GammaComparison(g=g, model=model,
-                           entries=tuple(zip(gammas, values)),
-                           strictly_increasing=increasing,
-                           reciprocal_asymmetry=asym)
+                asym = max(asym, abs(value - other_value))
+    return GammaComparison(g=g, model=model, entries=tuple(entries),
+                           strictly_increasing=increasing, reciprocal_asymmetry=asym)
 
 
 @dataclass(frozen=True)
@@ -330,8 +327,10 @@ def ratio_scan(j_list, gamma_list, eta_list, g: float, *, omega: float = 1.0,
     ``co_np`` form has no stable ground state there: its quadratic form is
     not bounded below, so a truncated matrix still has a lowest state, but
     that state and its Fisher information depend on the cutoff and describe
-    nothing.  Whenever the effective form is unstable (by its symplectic
-    normal modes) the effective value and the ratio are NaN instead.  The
+    nothing.  Whenever the effective form is unstable or gapless (by its
+    symplectic normal modes) the effective value and the ratio are NaN
+    instead: at g = 1 the ``co_np`` form is stable with gap 0, and a
+    truncated value there grows with the cutoff.  The
     superradiant forms are stable there but drop the mean-field
     displacement that the full model keeps, so they measure a different
     quantity and their rows stay flagged too.
@@ -350,7 +349,8 @@ def ratio_scan(j_list, gamma_list, eta_list, g: float, *, omega: float = 1.0,
                 converged = (abs(lab_check - lab)
                              <= CONVERGENCE_RTOL * max(abs(lab), QFI_ZERO_FLOOR))
                 eff = math.nan
-                if bogoliubov_modes(effective_form(eff_model, p)).stable:
+                modes = bogoliubov_modes(effective_form(eff_model, p))
+                if modes.stable and modes.gap > 0.0:  # a gapless form has no finite value
                     eff_trunc = families.default_truncation(eff_model, p, eff_n_max)
                     eff = families.qfi_omega(eff_model, p, eff_trunc)
                 # a vanishing or missing effective value has no ratio; flag the row, do not abort

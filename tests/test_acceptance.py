@@ -18,13 +18,13 @@ import scipy.linalg
 
 from adicke import (FockCutoff, ModelParams, SweepSpec, Truncation,
                     bogoliubov_modes, berry_curvature_np, berry_curvature_sp,
-                    dense_eigensystem, full_hamiltonian, parity_operator,
-                    qgt_components, qgt_finite_difference, qfi_omega, ratio_scan,
-                    rows_to_csv, run_sweep)
+                    dense_eigensystem, full_hamiltonian, qgt_components,
+                    qgt_finite_difference, qfi_omega, ratio_scan, rows_to_csv, run_sweep)
 from adicke.effective import cs_normal_form
 from adicke.families import ground_pair, photon_number_diagonal
 from adicke.model import as_dense
 from adicke.squeezed import squeezed_family_builder
+from operators import parity_operator
 
 
 def report(tag: str, ok: bool, detail: str) -> bool:

@@ -106,6 +106,19 @@ def test_gamma_compare_command(runner):
     assert len(lines) == 5 and lines[-1].startswith("#")
 
 
+def test_gamma_compare_flagged_entries_exit_two(runner):
+    result = runner.invoke(main, [
+        "gamma-compare", "--model", "co_np", "--g", "1.2", "--gammas", "1,2", "--j", "10"])
+    assert result.exit_code == 2, result.output
+    lines = result.output.strip().split("\n")
+    assert [line.split(",")[1] for line in lines if line[0].isdigit()] == ["nan", "nan"]
+    assert [line for line in lines if "flagged" in line] == [
+        "note: 2 of 2 entries flagged (gamma = 1, 2); the summaries cover the finite entries"]
+    bad = runner.invoke(main, [
+        "gamma-compare", "--model", "co_np", "--g", "0.9", "--gammas", "1,0", "--j", "10"])
+    assert bad.exit_code == 1, bad.output
+
+
 GAMMA_COMPARE_ARGS = ["gamma-compare", "--model", "cs_np", "--g", "0.9", "--gammas", "1"]
 
 
@@ -202,6 +215,15 @@ def test_ratio_scan_above_the_transition_exits_two(runner):
     lines = result.output.strip().split("\n")
     assert len(lines) == 2
     cells = lines[1].split(",")
+    assert float(cells[3]) > 0
+    assert cells[4:] == ["nan", "nan", "false"]
+
+
+def test_ratio_scan_gapless_effective_form_exits_two(runner):
+    result = runner.invoke(main, [
+        "ratio-scan", "--j-list", "5", "--gamma-list", "1", "--eta-list", "2", "--g", "1.0"])
+    assert result.exit_code == 2, result.output
+    cells = result.output.strip().split("\n")[1].split(",")
     assert float(cells[3]) > 0
     assert cells[4:] == ["nan", "nan", "false"]
 

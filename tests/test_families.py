@@ -327,7 +327,7 @@ def test_gaussian_route_takes_no_method_and_no_full_model():
 # one BLAS thread per tensor evaluation
 
 needs_openblas = pytest.mark.skipif(not _blas.libraries(),
-                                    reason="no OpenBLAS bundled with numpy or scipy")
+                                    reason="numpy bundles no OpenBLAS")
 
 
 def blas_threads() -> list[int]:

@@ -5,12 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from adicke import (ModelParams, Truncation, TruncationError,
-                    boson_operators, full_hamiltonian, model,
-                    param_derivative, parity_operator, project_parity,
-                    qgt_components, spin_operators)
+from adicke import (ModelParams, Truncation, TruncationError, full_hamiltonian, model,
+                    param_derivative, project_parity, qgt_components)
 from adicke.model import (PARAMETER_LABELS, HermitianBand, Piece, as_band, as_dense,
                           parity_indices, photon_number_diagonal)
+from operators import boson_operators, parity_operator, spin_operators
 
 
 def dense(op):
@@ -490,11 +489,12 @@ def test_band_matrices_act_as_their_dense_form(theta):
         full_hamiltonian(p, t) @ np.ones(t.dim)
 
 
-def test_as_band_sums_duplicates_and_reads_the_upper_triangle():
-    import scipy.sparse as sp
-    rows, cols = np.array([0, 0, 1, 2, 2, 1]), np.array([0, 2, 1, 0, 2, 1])
-    vals = np.array([1.0, 3.0, 2.0, 3.0, 5.0, 0.5])
-    band = as_band(sp.coo_array((vals, (rows, cols)), shape=(3, 3)))
+def test_as_band_reads_the_upper_triangle():
     want = np.array([[1.0, 0.0, 3.0], [0.0, 2.5, 0.0], [3.0, 0.0, 5.0]])
+    band = as_band(want)
+    assert np.array_equal(band.band, [[0.0, 0.0, 3.0], [0.0, 0.0, 0.0], [1.0, 2.5, 5.0]])
     assert np.array_equal(band.toarray(), want)
-    assert np.array_equal(as_band(want).band, band.band)
+    # only the upper triangle is read: the lower one is taken as its conjugate
+    lower_differs = want.copy()
+    lower_differs[2, 0] = 7.0
+    assert np.array_equal(as_band(lower_differs).band, band.band)

@@ -1,19 +1,21 @@
 """Which parts of scipy, and which BLAS libraries, a fresh process loads on each route.
 
-The exact Gaussian route, the command-line front end, every matrix at or
-below ``spectra.DENSE_SOLVE_LIMIT`` and the shift-invert route above it need
-numpy and click, and no part of scipy: the builders hand a small matrix over
-as an ndarray and a large one as its upper band, the dense route decomposes
-a real matrix with numpy, and the shift-invert route factors, solves and
-multiplies through numpy's own OpenBLAS.  Only a complex dense spectrum
-(finite differences at theta != 0) loads ``scipy.linalg`` and maps scipy's
-OpenBLAS, which a tensor evaluation then holds to one thread too.  No
-matrix route loads ``numpy.ma``, which ``np.unique`` would import, and the
-command-line front end and the Gaussian route load neither ``json`` nor
-``configparser``.  Each test runs in a fresh interpreter, since this process
-has long loaded everything.
+Every route needs numpy and click, and no part of scipy: the builders hand a
+small matrix over as an ndarray and a large one as its upper band, the dense
+route decomposes a real or a complex matrix with numpy, the shift-invert
+route factors, solves and multiplies through numpy's own OpenBLAS, and a
+displaced squeezed state is built from numpy's ``eigh`` of its generator.
+So a process maps one OpenBLAS, numpy's, which a tensor evaluation holds to
+one thread; finite differences at theta != 0 (the one complex dense
+spectrum) are checked for that.  The only scipy import left in the package
+is the banded fallback for a numpy that exposes no OpenBLAS LAPACKE
+symbols.  No matrix route loads ``numpy.ma``, which ``np.unique`` would
+import, and the command-line front end and the Gaussian route load neither
+``json`` nor ``configparser``.  Each test runs in a fresh interpreter, since
+this process has long loaded everything.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -109,20 +111,28 @@ assert comp.method == "linear_solve" and comp.qfi("omega").value > 0
 """) == set()
 
 
+def test_a_displaced_squeezed_state_loads_no_scipy_submodule():
+    assert _loaded_after("""
+from adicke import ModelParams, displacement_solution, squeeze_params, squeezed_state_vector
+p = ModelParams.from_ratios(1.25, gamma=1.0, eta=1.0, theta=0.5, j=0.5)
+sq = squeeze_params(p.g, p.theta, "sp", alpha=displacement_solution(p).alpha)
+assert abs(squeezed_state_vector(sq, 80)[1]) > 0  # odd photon numbers: displaced
+""") == set()
+
+
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/maps")
 @pytest.mark.skipif(not adicke._blas.libraries(), reason="numpy bundles no OpenBLAS")
-def test_scipy_openblas_is_bound_only_once_used_and_then_on_one_thread():
-    # OPENBLAS_NUM_THREADS=2 starts each library at a count other than the scope's 1.
-    # Only a complex dense spectrum (finite differences at theta != 0) calls
-    # scipy's LAPACK, and it loads scipy.linalg inside an open scope
-    result = _last_json("""
-import json
+def test_fd_route_at_nonzero_theta_maps_one_openblas_on_one_thread():
+    # OPENBLAS_NUM_THREADS=2 starts the library at a count other than the scope's 1.
+    # Finite differences at theta != 0 decompose complex dense matrices
+    result = _last_json(f"""
+import json, sys
 from adicke import FockCutoff, ModelParams, Truncation, _blas, qfi_omega, spectra
 
 def openblas_paths():
     with open("/proc/self/maps") as maps:
-        return sorted({line.split()[-1] for line in maps
-                       if len(line.split()) >= 6 and "openblas" in line.split()[-1]})
+        return sorted({{line.split()[-1] for line in maps
+                       if len(line.split()) >= 6 and "openblas" in line.split()[-1]}})
 
 p = ModelParams.from_ratios(0.5, gamma=2.0, eta=1.0, j=10.0)
 assert qfi_omega("co_np", p, FockCutoff(8)) > 0
@@ -140,12 +150,45 @@ def spy(states):
 spectra.gauge_fix = spy
 p = ModelParams.from_ratios(0.8, gamma=2.0, theta=0.3, j=2.0)
 assert qfi_omega("full", p, Truncation.for_spin(20, 2.0), method="fd") > 0
-print(json.dumps({"dense": dense, "banded": banded, "complex": openblas_paths(),
-                  "seen": seen,
-                  "bundled": [len(_blas._bundled(name)) for name in ("numpy", "scipy")]}))
+print(json.dumps({{"dense": dense, "banded": banded, "complex": openblas_paths(),
+                  "seen": seen, "heavy": [m for m in {HEAVY!r} if m in sys.modules]}}))
 """, OPENBLAS_NUM_THREADS="2")
     assert len(result["dense"]) == 1
     assert result["banded"] == result["dense"]
-    assert len(result["complex"]) == sum(result["bundled"]) == 2
+    assert result["complex"] == result["dense"]
+    assert result["heavy"] == []
     assert result["seen"]
-    assert all(counts == [1, 1] for counts in result["seen"])
+    assert all(counts == [1] for counts in result["seen"])
+
+
+def _scipy_imports(path: str) -> list[str]:
+    """The function (dotted, or ``<module>``) around each scipy import in a source file."""
+    with open(path, encoding="utf-8") as handle:
+        tree = ast.parse(handle.read())
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, scope + [child.name])
+                continue
+            if isinstance(child, ast.Import):
+                modules = [alias.name for alias in child.names]
+            elif isinstance(child, ast.ImportFrom) and not child.level:
+                modules = [child.module or ""]
+            else:
+                modules = []
+            if any(m == "scipy" or m.startswith("scipy.") for m in modules):
+                found.append(".".join(scope) or "<module>")
+            visit(child, scope)
+
+    visit(tree, [])
+    return found
+
+
+def test_the_banded_fallback_is_the_only_scipy_import_in_the_package():
+    package = os.path.dirname(os.path.abspath(adicke.__file__))
+    found = {name: _scipy_imports(os.path.join(package, name))
+             for name in sorted(os.listdir(package)) if name.endswith(".py")}
+    assert {name: where for name, where in found.items() if where} == {
+        "_blas.py": ["_scipy_banded"]}

@@ -372,6 +372,41 @@ def test_gamma_comparison_full_model_monotone():
     assert result.strictly_increasing
 
 
+def test_gamma_comparison_flags_a_failed_point_instead_of_raising():
+    # co_np has no Gaussian ground state above g = 1: each entry is NaN and
+    # flagged, and the summaries cover the finite entries only
+    result = gamma_comparison(1.2, [1.0, 2.0], "co_np", j=10.0)
+    assert [gamma for gamma, _ in result.entries] == [1.0, 2.0]
+    assert all(math.isnan(value) for _, value in result.entries)
+    assert result.strictly_increasing and result.reciprocal_asymmetry == 0.0
+    fd = gamma_comparison(0.9, [0.5, 2.0, 3.0], "full", j=2.0, n_max=20, method="fd",
+                          theta=0.3)
+    assert all(value > 0 for _, value in fd.entries)
+    with pytest.raises(ValueError, match="gamma"):
+        gamma_comparison(0.9, [1.0, 0.0], "co_np", j=2.0)
+    with pytest.raises(ValueError, match="model"):
+        gamma_comparison(0.9, [1.0], "bogus")
+
+
+def test_gamma_comparison_entries_are_the_sweep_rows():
+    for model, method in (("co_np", None), ("cs_np", None), ("full", None), ("co_np", "sum")):
+        result = gamma_comparison(0.9, [0.5, 2.0], model, j=2.0, n_max=20, method=method)
+        for gamma, value in result.entries:
+            spec = SweepSpec(model=model, gamma=gamma, j=2.0, n_max=20, method=method)
+            assert value == evaluate_point(spec, 0.9).I_omega_omega
+
+
+def test_ratio_scan_refuses_a_gapless_effective_form():
+    # at g = 1 the co_np form is stable with gap 0; a truncated value there is
+    # a cutoff artefact (5.80e4 at eff_n_max = 60), so the row gets no ratio
+    p = ModelParams.from_ratios(1.0, gamma=1.0, eta=2.0, j=5.0)
+    modes = bogoliubov_modes(effective_form("co_np", p))
+    assert modes.stable and modes.gap == 0.0
+    row, = ratio_scan([5.0], [1.0], [2.0], 1.0, n_max=30, check_step=10, eff_n_max=20)
+    assert math.isfinite(row.qfi_lab) and row.qfi_lab > 0
+    assert math.isnan(row.qfi_eff) and math.isnan(row.ratio) and not row.converged
+
+
 def test_ratio_scan_trends_small():
     rows = ratio_scan([5.0], [1.0], [2.0, 5.0], 0.95, n_max=40, eff_n_max=40)
     assert len(rows) == 2
