@@ -4,7 +4,7 @@ from .effective import (DisplacementSolution, FockCutoff, QuadraticBosonForm,
                         displacement_solution, effective_form, form_matrix,
                         quadratic_form)
 from .errors import ConvergenceError, DegeneracyError, StencilError, TruncationError
-from .families import MODEL_CHOICES, qfi_omega, qgt_components, resolve_branch
+from .families import MODEL_CHOICES, qfi_omega, qgt_components, qgt_stack, resolve_branch
 from .geometry import (QFIValue, QGTComponents, berry, metric, qfi,
                        qgt_finite_difference)
 from .model import (ModelParams, Truncation, full_hamiltonian, param_derivative,
@@ -28,7 +28,7 @@ __all__ = [
     "QGTComponents", "QFIValue", "qgt_finite_difference", "metric", "berry", "qfi",
     "SqueezeParams", "squeeze_params", "squeezed_state_vector",
     "berry_curvature_np", "berry_curvature_sp",
-    "MODEL_CHOICES", "resolve_branch", "qgt_components", "qfi_omega",
+    "MODEL_CHOICES", "resolve_branch", "qgt_components", "qgt_stack", "qfi_omega",
     "SweepSpec", "SweepRow", "run_sweep", "gamma_comparison", "ratio_scan",
     "peak_locate", "convergence_scan", "rows_to_csv", "write_csv", "write_json",
 ]

@@ -14,11 +14,14 @@ The shift-invert route needs three banded routines of a Hermitian matrix
 held in LAPACK's upper band storage: the Cholesky factor (``pbtrf``), the
 solve with it (``pbtrs``) and the product with a vector (``hbmv``).  They
 are bound by ctypes from numpy's own OpenBLAS, whose LAPACKE and CBLAS
-entry points take column-major arrays.  Only where numpy exposes no such
-entry points (a wheel that keeps its OpenBLAS outside ``numpy.libs``, or a
-numpy linked to a shared BLAS) do the same routines come from
-``scipy.linalg.lapack`` and ``scipy.linalg.blas``: that fallback is the one
-place the package imports scipy.
+entry points take column-major arrays.  ``solver`` and ``product`` bind a
+band's pointer once and return a callable that solves or multiplies in
+place, so an iteration pays for the binding once; a block-diagonal band
+(``model.BandStack``) makes each such call serve several matrices.  Only
+where numpy exposes no such entry points (a wheel that keeps its OpenBLAS
+outside ``numpy.libs``, or a numpy linked to a shared BLAS) do the same
+routines come from ``scipy.linalg.lapack`` and ``scipy.linalg.blas``: that
+fallback is the one place the package imports scipy.
 """
 
 from __future__ import annotations
@@ -106,9 +109,9 @@ single_thread = _SingleThread()
 class _Banded(NamedTuple):
     """The banded routines of one precision: ``d`` (float64) or ``z`` (complex128)."""
 
-    pbtrf: Callable  # ab -> (upper Cholesky factor, info); factors ab in place
-    pbtrs: Callable  # (factor, b) -> x with (U^dagger U) x = b, for one column or several
-    hbmv: Callable   # (ab, x) -> H x, for one vector
+    pbtrf: Callable   # ab -> (upper Cholesky factor, info); factors ab in place
+    solver: Callable  # factor -> solve(x): x <- (U^dagger U)^-1 x in place
+    product: Callable  # ab -> multiply(x, y): y <- H x
 
 
 def _bind(lib: ctypes.CDLL, kind: str) -> _Banded | None:
@@ -130,12 +133,17 @@ def _bind(lib: ctypes.CDLL, kind: str) -> _Banded | None:
 
 
 def _wrap(kind: str, size, factor, solve, product) -> _Banded:
-    """Typed Python callables around the bound LAPACKE and CBLAS functions."""
+    """Typed Python callables around the bound LAPACKE and CBLAS functions.
+
+    ``solver`` and ``product`` bind a band's pointer and sizes once and
+    return a callable that works in place on operands of that band, so a
+    loop that solves or multiplies many times pays for the binding once.
+    """
     ptr, layout, uplo = ctypes.c_void_p, ctypes.c_int, ctypes.c_char
     factor.argtypes, factor.restype = [layout, uplo, size, size, ptr, size], size
     solve.argtypes = [layout, uplo, size, size, size, ptr, size, ptr, size]
     solve.restype = size
-    dtype = np.float64 if kind == "d" else np.complex128
+    dtype = np.dtype(np.float64 if kind == "d" else np.complex128)
     if kind == "d":
         scalar, one, zero = ctypes.c_double, 1.0, 0.0
     else:  # zhbmv takes its complex scalars by pointer
@@ -145,34 +153,47 @@ def _wrap(kind: str, size, factor, solve, product) -> _Banded:
     product.restype = None
 
     # every array is made column-major in the routine's dtype, and every
-    # length checked, before a pointer to it goes to the library
+    # operand's dtype, layout and length checked, before a pointer to it
+    # goes to the library
     def pbtrf(ab):
         ab = np.asfortranarray(ab, dtype=dtype)
         info = factor(_COL_MAJOR, _UPPER, ab.shape[1], ab.shape[0] - 1, ab.ctypes.data,
                       ab.shape[0])
         return ab, int(info)
 
-    def pbtrs(c, b):
-        c, x = np.asfortranarray(c, dtype=dtype), np.array(b, dtype=dtype, order="F")
-        _check_length(x, c)
-        solve(_COL_MAJOR, _UPPER, c.shape[1], c.shape[0] - 1, 1 if x.ndim == 1 else x.shape[1],
-              c.ctypes.data, c.shape[0], x.ctypes.data, c.shape[1])
-        return x
+    def solver(c):
+        c = np.asfortranarray(c, dtype=dtype)
+        n, rows, at = c.shape[1], c.shape[0], c.ctypes.data
 
-    def hbmv(ab, x):
-        ab, x = np.asfortranarray(ab, dtype=dtype), np.ascontiguousarray(x, dtype=dtype)
-        _check_length(x, ab, ndim=1)
-        y = np.empty_like(x)
-        product(_COL_MAJOR, _CBLAS_UPPER, ab.shape[1], ab.shape[0] - 1, one, ab.ctypes.data,
-                ab.shape[0], x.ctypes.data, 1, zero, y.ctypes.data, 1)
-        return y
+        def solve_in_place(x):
+            _check_operand(x, dtype, n, ndim=2)
+            solve(_COL_MAJOR, _UPPER, n, rows - 1, 1 if x.ndim == 1 else x.shape[1], at, rows,
+                  x.ctypes.data, n)
+        solve_in_place.band = c  # the closure's pointer stays valid while it lives
+        return solve_in_place
 
-    return _Banded(pbtrf, pbtrs, hbmv)
+    def product_of(ab):
+        ab = np.asfortranarray(ab, dtype=dtype)
+        n, rows, at = ab.shape[1], ab.shape[0], ab.ctypes.data
+
+        def multiply(x, y):
+            _check_operand(x, dtype, n)
+            _check_operand(y, dtype, n)
+            product(_COL_MAJOR, _CBLAS_UPPER, n, rows - 1, one, at, rows, x.ctypes.data, 1,
+                    zero, y.ctypes.data, 1)
+        multiply.band = ab
+        return multiply
+
+    return _Banded(pbtrf, solver, product_of)
 
 
-def _check_length(x: np.ndarray, band: np.ndarray, ndim: int = 2) -> None:
-    if not (1 <= x.ndim <= ndim and band.ndim == 2 and x.shape[0] == band.shape[1]):
-        raise ValueError(f"operand of shape {x.shape} does not fit a band of shape {band.shape}")
+def _check_operand(x: np.ndarray, dtype: np.dtype, n: int, ndim: int = 1) -> None:
+    """Refuse an operand the bound routine would misread: wrong dtype, not
+    column-major, or not n rows of one column (or, with ndim 2, several)."""
+    if not (x.dtype == dtype and x.flags.f_contiguous and 1 <= x.ndim <= ndim
+            and x.shape[0] == n):
+        raise ValueError(f"operand of shape {x.shape} and dtype {x.dtype} does not fit "
+                         f"a band of {n} columns and dtype {dtype}")
 
 
 def _scipy_banded(kind: str) -> _Banded:
@@ -189,14 +210,17 @@ def _scipy_banded(kind: str) -> _Banded:
         c, info = factor(ab, lower=0, overwrite_ab=1)
         return c, int(info)
 
-    def pbtrs(c, b):
-        x = solve(c, b.reshape(b.shape[0], -1), lower=0)[0]
-        return x.reshape(b.shape)
+    def solver(c):
+        def solve_in_place(x):
+            x[...] = solve(c, x.reshape(x.shape[0], -1), lower=0)[0].reshape(x.shape)
+        return solve_in_place
 
-    def hbmv(ab, x):
-        return product(ab.shape[0] - 1, 1.0, ab, x, lower=0)
+    def product_of(ab):
+        def multiply(x, y):
+            y[...] = product(ab.shape[0] - 1, 1.0, ab, x, lower=0)
+        return multiply
 
-    return _Banded(pbtrf, pbtrs, hbmv)
+    return _Banded(pbtrf, solver, product_of)
 
 
 @functools.cache
@@ -223,11 +247,13 @@ def pbtrf(ab: np.ndarray) -> tuple[np.ndarray, int]:
     return _banded(_kind(ab)).pbtrf(ab)
 
 
-def pbtrs(c: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """x = (U^dagger U)^-1 b for a factor from ``pbtrf``; ``b`` is one column or several."""
-    return _banded(_kind(c)).pbtrs(c, b)
+def solver(c: np.ndarray) -> Callable[[np.ndarray], None]:
+    """``solve(x)``, which overwrites x with (U^dagger U)^-1 x for the factor c of
+    ``pbtrf``: x is column-major in c's dtype, one column or several."""
+    return _banded(_kind(c)).solver(c)
 
 
-def hbmv(ab: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """H x for a Hermitian H given by its upper band and a vector x of the band's dtype."""
-    return _banded(_kind(ab)).hbmv(ab, x)
+def product(ab: np.ndarray) -> Callable[[np.ndarray, np.ndarray], None]:
+    """``multiply(x, y)``, which writes H x into y for the Hermitian H of the
+    upper band ab: x and y are contiguous vectors in ab's dtype."""
+    return _banded(_kind(ab)).product(ab)

@@ -203,7 +203,9 @@ def gamma_compare_cmd(config, gammas, **overrides):
         _fail(str(exc))
     lines = ["gamma,I_omega_omega"]
     lines += [f"{format(gv, '.17e')},{format(iv, '.17e')}" for gv, iv in result.entries]
-    lines.append(f"# strictly_increasing={str(result.strictly_increasing).lower()}"
+    increasing = ("undefined" if result.strictly_increasing is None
+                  else str(result.strictly_increasing).lower())
+    lines.append(f"# strictly_increasing={increasing}"
                  f" reciprocal_asymmetry={format(result.reciprocal_asymmetry, '.3e')}")
     text = "\n".join(lines) + "\n"
     if values.get("out"):

@@ -17,7 +17,7 @@ from ._blas import single_thread
 from .errors import DegeneracyError
 from .geometry import (GaugeGenerator, QGTComponents, qgt_finite_difference,
                        qgt_gaussian, qgt_matrix_solve, qgt_matrix_sum)
-from .model import Matrix, ModelParams, Truncation
+from .model import BandStack, HermitianBand, Matrix, ModelParams, Truncation
 from .effective import FockCutoff
 
 CONCRETE_MODELS = ("full", "cs_np", "cs_sp", "co_np", "co_sp")
@@ -74,9 +74,13 @@ def ground_eigensystem(name: str, p: ModelParams, ham: Matrix) -> spectra.Eigens
     """
     if ham.shape[0] <= spectra.DENSE_SOLVE_LIMIT:
         return spectra.dense_eigensystem(ham)
+    return spectra.lowest_k(ham, 2, estimate=_estimate(name, p))
+
+
+def _estimate(name: str, p: ModelParams) -> spectra.NormalModes:
+    """The normal modes whose Bogoliubov ground energy places the shift."""
     branch = resolve_branch("auto_cs", p.g) if name == "full" else name
-    estimate = spectra.bogoliubov_modes(effective.effective_form(branch, p))
-    return spectra.lowest_k(ham, 2, estimate=estimate)
+    return spectra.bogoliubov_modes(effective.effective_form(branch, p))
 
 
 def ground_pair(name: str, p: ModelParams, trunc) -> tuple[float, np.ndarray, float]:
@@ -132,7 +136,8 @@ def qgt_components(name: str, p: ModelParams, trunc=None,
     solved matrix has at most spectra.DENSE_SOLVE_LIMIT rows and the linear
     solve above it.  The Hamiltonian is built and
     diagonalized once, and the solved pairs are checked against it; the
-    result carries its ground energy and gap.
+    result carries its ground energy and gap.  A solve above the limit is
+    a stack of one (``qgt_stack``).
 
     The phase theta is a gauge: H(theta) = U H(0) U^dagger with
     U = exp(i theta n_a), exactly on the truncated basis.  U does not depend
@@ -154,6 +159,11 @@ def qgt_components(name: str, p: ModelParams, trunc=None,
     ham = hamiltonian_matrix(name, at, trunc)
     if method is None:
         method = "sum" if ham.shape[0] <= spectra.DENSE_SOLVE_LIMIT else "solve"
+    if method == "solve" and isinstance(ham, HermitianBand):
+        [comp] = _solved(name, [at], BandStack(ham), trunc, labels)
+        if isinstance(comp, Exception):
+            raise comp
+        return comp
     es = spectra.dense_eigensystem(ham) if method == "sum" else ground_eigensystem(name, at, ham)
     es.check(ham)
     energy, psi = float(es.energies[0]), es.states[:, 0]
@@ -162,18 +172,115 @@ def qgt_components(name: str, p: ModelParams, trunc=None,
         builder = lambda q: psi if q == p else ground_state(name, q, trunc)
         comp = qgt_finite_difference(builder, p, labels)
     else:
-        # dH/dtheta = i[n_a, H]: the theta tangent needs no matrix and no solve
-        derivs = [GaugeGenerator(photon_number_diagonal(name, trunc)) if label == "theta"
+        derivs = [_generator(name, trunc) if label == "theta"
                   else derivative_matrix(name, at, trunc, label) for label in labels]
         if method == "sum":
             comp = qgt_matrix_sum(es, derivs, labels)
         else:
-            if es.gap < spectra.DEGENERACY_RTOL * max(1.0, abs(energy)):
-                raise DegeneracyError(
-                    f"ground gap {es.gap:.2e} is below the degeneracy tolerance")
+            _check_gap(es)
             comp = qgt_matrix_solve(ham, energy, psi, derivs, labels, factor=es.factor,
                                     gap=es.gap)
     return dataclasses.replace(comp, energy=energy, gap=es.gap)
+
+
+def _generator(name: str, trunc) -> GaugeGenerator:
+    """dH/dtheta = i[n_a, H]: the theta tangent needs no matrix and no solve."""
+    return GaugeGenerator(photon_number_diagonal(name, trunc))
+
+
+def _check_gap(es: spectra.Eigensystem) -> None:
+    if es.gap < spectra.DEGENERACY_RTOL * max(1.0, abs(float(es.energies[0]))):
+        raise DegeneracyError(f"ground gap {es.gap:.2e} is below the degeneracy tolerance")
+
+
+def _attempt(func, *args, **kwargs):
+    """func's result, or the exception it raised."""
+    try:
+        return func(*args, **kwargs)
+    except Exception as exc:
+        return exc
+
+
+@single_thread
+def qgt_stack(name: str, points, trunc, labels=("theta", "omega"),
+              method: str | None = None) -> list:
+    """``qgt_components`` of several points on one truncation: one
+    ``QGTComponents``, or the exception that point raised, per point.
+
+    The full model's resolvent solve above spectra.DENSE_SOLVE_LIMIT (the
+    default there, or ``method="solve"``) runs the points as one stack: their
+    Hamiltonians are one ``model.BandStack``, one shift-invert Lanczos
+    (``spectra.lowest_k``) and one conjugate-gradient iteration
+    (``geometry.resolvent_tangent``) serve them all, and each point keeps
+    its own estimate, certified factor, stop tests and checks, so a failure
+    is returned for its point only.  Every other route takes the points one
+    by one.
+    """
+    labels = tuple(labels)
+    points = list(points)
+    stacked = (name == "full" and method in (None, "solve") and isinstance(trunc, Truncation)
+               and model.sector_dimension(trunc) > spectra.DENSE_SOLVE_LIMIT)
+    if not stacked or len(points) < 2:
+        return [_attempt(qgt_components, name, p, trunc, labels, method) for p in points]
+    results = [_attempt(model.check_truncation, p, trunc) for p in points]
+    fits = [b for b, result in enumerate(results) if result is None]
+    if fits:
+        ats = [dataclasses.replace(points[b], theta=0.0) for b in fits]
+        ham = _attempt(model.full_hamiltonian_stack, ats, trunc)
+        solved = [ham] * len(fits) if isinstance(ham, Exception) else _solved(
+            name, ats, ham, trunc, labels)
+        for b, result in zip(fits, solved):
+            results[b] = result
+    return results
+
+
+def _solved(name: str, points, ham: BandStack, trunc, labels) -> list:
+    """The resolvent-solve tensors of the members of a stack, at theta = 0:
+    one ``QGTComponents`` or one exception per member.
+
+    Each member's pairs come from ``spectra.lowest_k`` about its own
+    Bogoliubov estimate (as in ``ground_eigensystem``) and pass its own
+    ``Eigensystem.check`` and gap check before its tangents are solved.
+    """
+    results = [_attempt(_estimate, name, p) for p in points]
+    placed = [b for b, estimate in enumerate(results) if not isinstance(estimate, Exception)]
+    if placed:
+        solved = ham.select(placed)
+        systems = spectra.lowest_k(solved, 2, estimate=[results[b] for b in placed])
+        # every member's H @ states from one band product per state (zeros where it failed)
+        products = solved.product(np.stack(
+            [np.zeros((2, solved.size)) if isinstance(es, Exception) else es.states.T
+             for es in systems], axis=1))
+        for i, (b, es) in enumerate(zip(placed, systems)):
+            results[b] = es if isinstance(es, Exception) else _attempt(
+                _certified, es, ham.member(b), products[:, i].T)
+    live = [b for b, es in enumerate(results) if not isinstance(es, Exception)]
+    if not live:
+        return results
+    systems = [results[b] for b in live]
+    kept = [points[b] for b in live]
+    derivs = [_generator(name, trunc) if label == "theta"
+              else _derivative_stack(name, kept, trunc, label) for label in labels]
+    comps = qgt_matrix_solve(ham.select(live), np.array([es.energies[0] for es in systems]),
+                             np.stack([es.states[:, 0] for es in systems]), derivs, labels,
+                             factor=[es.factor for es in systems],
+                             gap=np.array([es.gap for es in systems]))
+    for b, es, comp in zip(live, systems, comps):
+        results[b] = comp if isinstance(comp, Exception) else dataclasses.replace(
+            comp, energy=float(es.energies[0]), gap=es.gap)
+    return results
+
+
+def _certified(es: spectra.Eigensystem, ham, product: np.ndarray) -> spectra.Eigensystem:
+    es.check(ham, product)
+    _check_gap(es)
+    return es
+
+
+def _derivative_stack(name: str, points, trunc, label: str) -> BandStack:
+    if len(points) == 1:
+        return BandStack(derivative_matrix(name, points[0], trunc, label))
+    return model.param_derivative_stack(points, trunc, label)
 
 
 def qfi_omega(name: str, p: ModelParams, trunc=None, method: str | None = None) -> float:

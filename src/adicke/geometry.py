@@ -16,6 +16,14 @@ real or complex inputs and keep their dtype.  A derivative given as a
 form; ``families.qgt_components`` feeds the sum and the solve the real
 theta = 0 problem with the theta derivative in that form.
 
+The linear solve also takes a stack of points on one truncation
+(``model.BandStack``, one block-diagonal band): one conjugate-gradient
+iteration serves every member, each step one band solve with the members'
+factors laid end to end (``spectra.FactorStack``) and one band product per
+derivative.  What stays per member is its factor, its tolerance and stop,
+its final residual check and its error, which is returned for it alone.
+One point is a stack of one and runs the same code.
+
 The ground state of a quadratic boson form is Gaussian, and its tensor is a
 finite sum over normal-mode pairs (``qgt_gaussian``), with no Fock cutoff;
 the three methods above are its oracle on the truncated matrices.
@@ -35,8 +43,8 @@ from typing import Callable, Sequence, TypeAlias
 import numpy as np
 
 from .errors import ConvergenceError, DegeneracyError, StencilError
-from .model import Matrix, ModelParams
-from .spectra import Eigensystem, ShiftInvert, gauge_fix, shift_invert
+from .model import BandStack, HermitianBand, Matrix, ModelParams
+from .spectra import Eigensystem, FactorStack, ShiftInvert, gauge_fix, shift_invert
 
 #: Relative finite-difference step.
 FD_STEP = 1e-5
@@ -216,31 +224,61 @@ def qgt_matrix_sum(es: Eigensystem, derivs: Sequence[Derivative],
 
 
 def _pcg(apply: Callable, precondition: Callable, rhs: np.ndarray,
-         atol: float) -> np.ndarray:
-    """Preconditioned conjugate gradients for one column, from x = 0.
+         atol: np.ndarray) -> np.ndarray:
+    """Preconditioned conjugate gradients for independent systems, from x = 0.
 
-    Stops once the residual norm falls below ``atol``, or after CG_MAXITER
-    steps; the caller checks the result.
+    ``rhs`` holds one right-hand side along its last axis per leading
+    index, ``atol`` one bound per system, and ``apply`` and
+    ``precondition`` act on arrays of that shape.  A system stops once its
+    residual norm falls below its bound (or is NaN), and its vectors are
+    zero from then on; every system stops after CG_MAXITER steps.  The
+    caller checks the result.
     """
     x = np.zeros_like(rhs)
     r = rhs.copy()
-    direction, rho_prev = None, None
+    direction = np.zeros_like(rhs)
+    bound = atol * atol
+    rho_prev = np.ones(rhs.shape[:-1], dtype=rhs.dtype)
+    halted = np.zeros(rhs.shape[:-1])  # 1 for a stopped system: its 0 / 0 becomes 0 / 1
     for _ in range(CG_MAXITER):
-        if np.linalg.norm(r) < atol:
-            break
+        running = np.vecdot(r, r).real >= bound
+        if not running.all():
+            if not running.any():
+                break
+            r[~running] = 0.0
+            halted[~running] = 1.0
         z = precondition(r)
-        rho = np.vdot(r, z)
-        direction = z if direction is None else z + (rho / rho_prev) * direction
+        rho = np.vecdot(r, z)
+        direction *= (rho / (rho_prev + halted))[..., None]
+        direction += z
         q = apply(direction)
-        step = rho / np.vdot(direction, q)
+        step = (rho / (np.vecdot(direction, q) + halted))[..., None]
         x += step * direction
         r -= step * q
         rho_prev = rho
     return x
 
 
-def resolvent_tangent(ham, energy: float, psi: np.ndarray, derivs: Sequence[Matrix],
-                      factor: ShiftInvert | None = None, gap: float = math.nan) -> np.ndarray:
+def _apply(op, v: np.ndarray) -> np.ndarray:
+    """H v for vectors along the last axis of v (the last two for a stack)."""
+    if isinstance(op, BandStack):
+        return op.product(v)
+    if isinstance(op, HermitianBand):
+        return BandStack(op).product(v)
+    flat = v.reshape(-1, v.shape[-1])
+    return (op @ flat.T).T.reshape(v.shape)
+
+
+def _shifted(ham, energy: np.ndarray):
+    """H - E0 of every member, as one matrix: a stack with each member's
+    diagonal moved by its own E0, or one ndarray."""
+    if isinstance(ham, BandStack):
+        return ham.shifted(energy)
+    return ham - energy[0] * np.eye(ham.shape[0])
+
+
+def resolvent_tangent(ham, energy, psi: np.ndarray, derivs: Sequence,
+                      factor=None, gap=math.nan):
     """Solve P (H - E0) P |x_mu> = P dH_mu |psi0>, P = 1 - |psi0><psi0|.
 
     Conjugate gradients (``_pcg``) on the orthogonal complement of the
@@ -253,39 +291,95 @@ def resolvent_tangent(ham, energy: float, psi: np.ndarray, derivs: Sequence[Matr
     ``model.HermitianBand``.  The result holds one tangent per column, in the
     dtype the inputs need, and every column's residual is checked against
     H - E0.
+
+    A ``model.BandStack`` solves the members of a stack at once: ``energy``
+    and ``gap`` hold one value per member, ``psi`` one state per row, each
+    derivative is a stack of the same members and ``factor`` holds one
+    ``ShiftInvert`` (or None) per member.  The members' factors act as one
+    ``spectra.FactorStack``, so each step of the iteration makes one band
+    solve and one band product per derivative for all of them, while each
+    member keeps its own tolerance, stop and residual check.  The result is
+    one tangent matrix, or one ``ConvergenceError``, per member.  One matrix
+    is solved as a stack of one, and its error raised.
     """
-    rhs = _derivative_columns(derivs, psi)
-    rhs = rhs - np.outer(psi, psi.conj() @ rhs)
-    if factor is None or energy - factor.sigma > gap:
-        factor = shift_invert(ham, energy, gap)
-    shifted = lambda v: ham @ v - energy * v
-    dtype = np.result_type(ham.dtype, psi.dtype, rhs.dtype)
-    project = lambda v: v - psi * np.vdot(psi, v)
-    bounds = SOLVE_TOL * np.maximum(1.0, np.linalg.norm(rhs, axis=0))
-    x = np.stack([_pcg(lambda v: project(shifted(v)), lambda v: project(factor.solve(v)),
-                       rhs[:, k].astype(dtype), atol=1e-3 * bounds[k])
-                  for k in range(rhs.shape[1])], axis=1)
-    x = x - np.outer(psi, psi.conj() @ x)
-    residuals = np.linalg.norm(shifted(x) - rhs, axis=0)
-    for residual, bound in zip(residuals, bounds):
-        # written so that a NaN residual (a breakdown of the iteration) fails too
-        if not residual <= bound:
-            raise ConvergenceError(f"projected linear solve residual {residual:.2e}",
-                                   residual=float(residual))
+    if isinstance(ham, BandStack):
+        factors = [None] * ham.members if factor is None else list(factor)
+        return _resolvent(ham, np.asarray(energy, dtype=float), np.asarray(psi), derivs,
+                          factors, np.broadcast_to(np.asarray(gap, dtype=float), (ham.members,)))
+    if isinstance(ham, HermitianBand):
+        ham = BandStack(ham)  # its band product is bound once for the whole iteration
+    [x] = _resolvent(ham, np.array([energy], dtype=float), np.asarray(psi)[None], derivs,
+                     [factor], np.array([gap], dtype=float))
+    if isinstance(x, Exception):
+        raise x
     return x
 
 
-def qgt_matrix_solve(ham, energy: float, psi: np.ndarray,
-                     derivs: Sequence[Derivative], labels: Sequence[str],
-                     factor: ShiftInvert | None = None, gap: float = math.nan) -> QGTComponents:
+def _resolvent(ham, energy: np.ndarray, psi: np.ndarray, derivs, factors: list,
+               gap: np.ndarray) -> list:
+    """``resolvent_tangent`` on a stack: psi is (members, size)."""
+    members, size = psi.shape
+    member = ham.member if isinstance(ham, BandStack) else (lambda b: ham)
+    errors = [None] * members
+    for b, factor in enumerate(factors):
+        if factor is None or energy[b] - factor.sigma > gap[b]:
+            try:
+                factors[b] = shift_invert(member(b), energy[b], gap[b])
+            except ConvergenceError as exc:
+                errors[b] = exc
+                factors[b] = ShiftInvert(sigma=math.nan, factor=np.ones((1, size)))
+    stack = FactorStack.join(factors)
+    shifted = _shifted(ham, energy)
+    project = lambda v: v - psi * np.vecdot(psi, v)[..., None]
+    # twice, so that what is left along the state lies below the stop test's
+    # bound, which the iteration cannot reduce
+    rhs = project(project(np.stack([_apply(d, psi) for d in derivs])))
+    rhs = rhs.astype(np.result_type(ham.dtype, rhs.dtype), copy=False)
+    if any(error is not None for error in errors):
+        rhs[:, [error is not None for error in errors]] = 0.0  # a member with no factor
+    bounds = SOLVE_TOL * np.maximum(1.0, np.linalg.norm(rhs, axis=-1))
+    x = project(_pcg(lambda v: project(_apply(shifted, v)), lambda v: project(stack.solve(v)),
+                     rhs, atol=1e-3 * bounds))
+    broken = ~np.isfinite(np.vecdot(x, x))
+    if broken.any():
+        x[broken] = 0.0  # a breakdown's NaN must not reach the other members' product
+    residuals = np.linalg.norm(_apply(shifted, x) - rhs, axis=-1)
+    residuals[broken] = math.nan
+    results = []
+    for b in range(members):
+        if errors[b] is not None:
+            results.append(errors[b])
+            continue
+        results.append(x[:, b].T)
+        for residual, bound in zip(residuals[:, b], bounds[:, b]):
+            # written so that a NaN residual (a breakdown of the iteration) fails too
+            if not residual <= bound:
+                results[-1] = ConvergenceError(
+                    f"projected linear solve residual {residual:.2e}", residual=float(residual))
+                break
+    return results
+
+
+def qgt_matrix_solve(ham, energy, psi: np.ndarray, derivs: Sequence[Derivative],
+                     labels: Sequence[str], factor=None, gap=math.nan):
     """The tensor from resolvent tangents, one factorization for all of them.
 
     ``factor`` and ``gap`` come from the ground-pair solve when it has them
     (``Eigensystem.factor``, ``Eigensystem.gap``); see ``resolvent_tangent``.
+    For a ``model.BandStack`` every argument but ``labels`` holds one entry
+    per member (generators are shared), and the result is one
+    ``QGTComponents`` or one exception per member.
     """
-    tangents = _tangents(derivs, psi, lambda matrices: resolvent_tangent(
-        ham, energy, psi, matrices, factor=factor, gap=gap))
-    return qgt_from_tangents(tangents, labels, "linear_solve")
+    if not isinstance(ham, BandStack):
+        tangents = _tangents(derivs, psi, lambda matrices: resolvent_tangent(
+            ham, energy, psi, matrices, factor=factor, gap=gap))
+        return qgt_from_tangents(tangents, labels, "linear_solve")
+    matrices = [d for d in derivs if not isinstance(d, GaugeGenerator)]
+    solved = (resolvent_tangent(ham, energy, psi, matrices, factor=factor, gap=gap)
+              if matrices else [None] * ham.members)
+    return [x if isinstance(x, Exception) else
+            qgt_from_tangents(_tangents(derivs, state, lambda _, x=x: x), labels, "linear_solve")
+            for state, x in zip(psi, solved)]
 
 
 # ---------------------------------------------------------------------------

@@ -39,7 +39,10 @@ the upper band that the banded Cholesky factor and the band product of
 ``_blas`` take, scattered from the pattern through an index computed once
 per truncation.  Neither loads any part of scipy.  A matrix is float64 when
 every coefficient is real (theta = 0) and complex otherwise.  Every
-consumer keeps the dtype it is given.
+consumer keeps the dtype it is given.  The Hamiltonians (or derivatives) of
+several points on one truncation can also be built as one ``BandStack``:
+each member's entries are scattered straight into its block of one
+block-diagonal band, which the stacked shift-invert solvers take.
 """
 
 from __future__ import annotations
@@ -258,10 +261,8 @@ class HermitianBand:
         """H x for one vector or one per column, in the dtype the two need."""
         x = np.asarray(x)
         if x.ndim == 2:
-            return np.stack([self @ column for column in x.T], axis=1)
-        if np.iscomplexobj(x) and self.dtype.kind != "c":
-            return _blas.hbmv(self.band, x.real) + 1j * _blas.hbmv(self.band, x.imag)
-        return _blas.hbmv(self.band, x)
+            return BandStack(self).product(x.T).T
+        return BandStack(self).product(x)
 
     def norm(self) -> float:
         """The Frobenius norm."""
@@ -276,6 +277,73 @@ class HermitianBand:
             out[at + d, at] = np.conj(self.band[kd - d, d:])
             out[at, at + d] = self.band[kd - d, d:]
         return out
+
+
+@dataclass(frozen=True, eq=False)
+class BandStack:
+    """Hermitian matrices of one size held as one block-diagonal matrix.
+
+    Member b is rows and columns b * size to (b + 1) * size - 1 of
+    ``matrix``: the members' upper bands lie end to end in one column-major
+    array, padded to the widest half-bandwidth, and every entry that would
+    join two members is zero.  So one call of a band routine (a product, or
+    a solve with the factors laid out the same way) serves every member,
+    and no member's numbers reach another's.  One matrix is a stack of one.
+    """
+
+    matrix: HermitianBand
+    members: int = 1
+
+    @functools.cached_property
+    def size(self) -> int:
+        return self.matrix.shape[0] // self.members
+
+    @property
+    def dtype(self) -> np.dtype:
+        return self.matrix.dtype
+
+    def member(self, b: int) -> HermitianBand:
+        """Member b's matrix, a view of the stack's band."""
+        n = self.size
+        return HermitianBand(self.matrix.band[:, b * n:(b + 1) * n])
+
+    def select(self, keep) -> "BandStack":
+        """The stack of the members ``keep``, in that order: this one when it
+        keeps them all, else a copy."""
+        keep = list(keep)
+        if keep == list(range(self.members)):
+            return self
+        band = np.concatenate([self.member(b).band for b in keep], axis=1)
+        return BandStack(HermitianBand(np.asfortranarray(band)), len(keep))
+
+    def shifted(self, levels) -> "BandStack":
+        """The stack of H_b - levels[b], each member's diagonal moved, as a copy."""
+        band = self.matrix.band.copy(order="F")
+        diagonal = band[-1]
+        diagonal -= np.repeat(levels, self.size)
+        return BandStack(HermitianBand(band), self.members)
+
+    @functools.cached_property
+    def _multiply(self):
+        return _blas.product(self.matrix.band)
+
+    def product(self, x: np.ndarray) -> np.ndarray:
+        """H x for every member at once: x holds one vector per member along
+        its last two axes (members, size), or one for a stack of one along its
+        last; leading axes hold more vectors.  One band product per vector."""
+        x = np.asarray(x)
+        if x.shape[-1:] != (self.size,) or (self.members > 1
+                                            and x.shape[-2:-1] != (self.members,)):
+            raise ValueError(f"operand of shape {x.shape} does not fit a stack of "
+                             f"{self.members} matrices of size {self.size}")
+        if x.dtype.kind == "c" and self.dtype.kind != "c":
+            return self.product(x.real) + 1j * self.product(x.imag)
+        x = np.ascontiguousarray(x, dtype=self.dtype)
+        y = np.empty_like(x)
+        whole = self.matrix.band.shape[1]
+        for xv, yv in zip(x.reshape(-1, whole), y.reshape(-1, whole)):
+            self._multiply(xv, yv)
+        return y
 
 
 def as_band(op) -> HermitianBand:
@@ -370,9 +438,22 @@ class PiecePattern:
             out = np.zeros(self.shape, dtype=data.dtype)
             out[self.rows, self.cols] = data
             return out
-        band = np.zeros((self.shape[0], self.kd + 1), dtype=data.dtype)
-        band.reshape(-1)[self.band_at] = data[self.upper]
-        return HermitianBand.trimmed(band.T)
+        return self.stack([data]).matrix
+
+    def stack(self, datas) -> BandStack:
+        """The Hermitian matrices holding each of ``datas`` on the pattern, as
+        one ``BandStack`` of their upper bands, whatever their size.
+
+        Each member's entries are scattered straight into its block of the
+        stack's band; outer superdiagonals that every member leaves zero are
+        dropped, and a member that reaches less far is padded with zeros.
+        """
+        members, n = len(datas), self.shape[0]
+        band = np.zeros((members, n, self.kd + 1), dtype=np.result_type(*datas))
+        for block, data in zip(band, datas):
+            block.reshape(-1)[self.band_at] = data[self.upper]
+        return BandStack(HermitianBand.trimmed(band.reshape(members * n, self.kd + 1).T),
+                         members)
 
 
 def as_dense(m: Matrix) -> np.ndarray:
@@ -409,7 +490,8 @@ def spin_pieces(j: float) -> tuple[Piece, Piece]:
 # full Hamiltonian and its pieces
 
 
-def _check_truncation(p: ModelParams, t: Truncation):
+def check_truncation(p: ModelParams, t: Truncation) -> None:
+    """Refuse a truncation whose spin dimension is not p's 2j + 1."""
     if t.spin_dim != p.spin_dim:
         raise ValueError(f"truncation spin_dim {t.spin_dim} does not match 2j+1 = {p.spin_dim}")
 
@@ -470,6 +552,11 @@ def _sector_pieces(t: Truncation) -> tuple[Piece, ...]:
     return tuple(piece.frozen() for piece in pieces)
 
 
+def sector_dimension(t: Truncation) -> int:
+    """The dimension of the matrices built on the truncation: its sector's, or t.dim."""
+    return _sector_pattern(t).shape[0]
+
+
 @functools.lru_cache(maxsize=PIECE_CACHE_SIZE)
 def _sector_pattern(t: Truncation) -> PiecePattern:
     """The sector pieces and the adjoints of the couplings on one pattern.
@@ -498,11 +585,27 @@ def full_hamiltonian(p: ModelParams, t: Truncation,
     With ``t.parity_sector`` set to 'positive' or 'negative' the sector
     block is returned instead of the full matrix.
     """
-    _check_truncation(p, t)
+    pattern = _checked_pattern([p], t, max_dim)
+    return pattern.matrix(pattern.combine(_terms(p, pattern)))
+
+
+def full_hamiltonian_stack(points, t: Truncation,
+                           max_dim: int = DEFAULT_MAX_DIM) -> BandStack:
+    """The Hamiltonians of several points on one truncation, as one ``BandStack``.
+
+    Member b is ``full_hamiltonian(points[b], t)``, built into its block of
+    the stack's band; the stack is a band at any dimension.
+    """
+    pattern = _checked_pattern(points, t, max_dim)
+    return pattern.stack([pattern.combine(_terms(p, pattern)) for p in points])
+
+
+def _checked_pattern(points, t: Truncation, max_dim: int = DEFAULT_MAX_DIM) -> PiecePattern:
+    for p in points:
+        check_truncation(p, t)
     if t.dim > max_dim:
         raise TruncationError(f"basis dimension {t.dim} exceeds the guard {max_dim}")
-    pattern = _sector_pattern(t)
-    return pattern.matrix(pattern.combine(_terms(p, pattern)))
+    return _sector_pattern(t)
 
 
 def _terms(p: ModelParams, pattern: PiecePattern,
@@ -521,20 +624,35 @@ def param_derivative(p: ModelParams, t: Truncation, which: str) -> Matrix:
     Every derivative commutes with the parity, so it lives on the same
     sector as the Hamiltonian (``t.parity_sector``).
     """
-    _check_truncation(p, t)
+    pattern = _checked_pattern([p], t)
+    return pattern.matrix(_derivative_data(p, t, pattern, which))
+
+
+def param_derivative_stack(points, t: Truncation, which: str) -> BandStack:
+    """The derivatives of several points along one parameter, as one ``BandStack``."""
+    pattern = _checked_pattern(points, t)
+    return pattern.stack([_derivative_data(p, t, pattern, which) for p in points])
+
+
+def _derivative_data(p: ModelParams, t: Truncation, pattern: PiecePattern,
+                     which: str) -> np.ndarray:
     if which not in PARAMETER_LABELS:
         raise ValueError(f"unknown parameter {which!r}; expected one of {PARAMETER_LABELS}")
-    pattern = _sector_pattern(t)
     if which == "theta":  # i [a'a, H]; only the couplings fail to commute with a'a
         coupling = pattern.combine(_terms(p, pattern, ("lambda1", "lambda2")))
-        return pattern.matrix(pattern.commutator(photon_number_diagonal(t), coupling))
+        return pattern.commutator(photon_number_diagonal(t), coupling)
     [(_, vector)] = _terms(p, pattern, (which,))
-    return pattern.matrix(pattern.combine([(1.0, vector)]))
+    return pattern.combine([(1.0, vector)])
 
 
+@functools.lru_cache(maxsize=PIECE_CACHE_SIZE)
 def photon_number_diagonal(t: Truncation) -> np.ndarray:
-    """Photon occupation per basis state, honoring the truncation's sector."""
+    """Photon occupation per basis state, honoring the truncation's sector.
+
+    Built once per truncation, as its pieces are, and read-only.
+    """
     n = np.repeat(np.arange(t.n_max + 1, dtype=float), t.spin_dim)
-    if t.parity_sector == "full":
-        return n
-    return n[parity_indices(t, t.parity_sector)]
+    if t.parity_sector != "full":
+        n = n[parity_indices(t, t.parity_sector)]
+    _read_only(n)
+    return n

@@ -19,6 +19,15 @@ Cholesky factor exactly when it is positive definite, i.e. when sigma lies
 below the spectrum.  The Lanczos recursion is plain numpy with full
 reorthogonalisation, and it stops as ARPACK does at ``tol = 0``.
 
+``lowest_k`` also takes a stack of matrices of one size
+(``model.BandStack``, their bands laid end to end in one block-diagonal
+band).  Each member keeps its own estimate, its own certified factor (a
+block of one ``FactorStack``), its own stop test, with its pairs taken at
+the step where that test first passes, and its own failure; what the
+members share is one Lanczos, whose every step makes one band solve for
+all of them, with their reorthogonalisation and tridiagonal eigenproblems
+batched.  One matrix is a stack of one and runs the same code.
+
 A quadratic boson form needs no matrix at all: its normal-mode energies come
 from its single-particle matrix, and ``symplectic_transform`` gives them and
 the transform to the normal modes in one solve (Colpa, Physica A 93, 327
@@ -31,7 +40,7 @@ no part of scipy: the builders hand a matrix at or below DENSE_SOLVE_LIMIT
 over as an ndarray and one above it as its upper band
 (``model.PiecePattern.matrix``), ``dense_eigensystem`` is numpy's ``eigh``,
 real or complex, the shift-invert route factors, solves and multiplies
-through numpy's own OpenBLAS (``_blas.pbtrf``, ``pbtrs``, ``hbmv``), and
+through numpy's own OpenBLAS (``_blas.pbtrf``, ``solver``, ``product``), and
 ``symplectic_transform`` is a numpy Cholesky factor, one Hermitian
 eigendecomposition and one product with the factor, on a matrix of at most
 4 x 4.
@@ -39,6 +48,7 @@ eigendecomposition and one product with the factor, on a matrix of at most
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -47,7 +57,7 @@ import numpy as np
 from . import _blas
 from .effective import QuadraticBosonForm
 from .errors import ConvergenceError, DegeneracyError, TruncationError
-from .model import as_band, as_dense
+from .model import BandStack, as_band, as_dense
 
 #: The one dense/band policy, keyed on the dimension of the matrix that is
 #: solved (the parity-sector block for the full model).  At or below it a
@@ -140,28 +150,103 @@ class ShiftInvert:
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """(H - sigma)^-1 rhs, for one column or several; a real factor takes complex rhs."""
-        if np.iscomplexobj(rhs) and self.dtype.kind != "c":
-            return _blas.pbtrs(self.factor, rhs.real) + 1j * _blas.pbtrs(self.factor, rhs.imag)
-        return _blas.pbtrs(self.factor, rhs)
+        return FactorStack.join([self]).solve(np.asarray(rhs).T).T
 
 
-def gershgorin_floor(op) -> float:
+@dataclass(frozen=True, eq=False)
+class FactorStack:
+    """The shift-invert factors of a ``model.BandStack``'s members, laid out as it is.
+
+    Member b's factor U_b (H_b - sigmas[b] = U_b^dagger U_b) is columns
+    b * size to (b + 1) * size - 1 of the column-major band ``factor``, and
+    the stack's factor is block-diagonal, so one ``pbtrs`` call solves every
+    member at once.  A member whose factor failed holds the identity, which
+    keeps its zero vectors zero.
+    """
+
+    sigmas: np.ndarray
+    factor: np.ndarray
+
+    @classmethod
+    def join(cls, factors) -> "FactorStack":
+        """The stack of member factors of one size: the array they are the
+        consecutive blocks of, when they are (as ``lowest_k`` leaves them),
+        and a copy otherwise."""
+        sigmas = np.array([f.sigma for f in factors])
+        arrays = [f.factor for f in factors]
+        base, first = arrays[0].base, arrays[0]
+        if len(arrays) == 1:
+            return cls(sigmas, first)
+        if (base is not None and base.flags.f_contiguous
+                and base.shape == (first.shape[0], first.shape[1] * len(arrays))
+                and all(a.ctypes.data == base.ctypes.data + b * first.nbytes
+                        for b, a in enumerate(arrays))):
+            return cls(sigmas, base)
+        width = max(a.shape[0] for a in arrays)
+        out = np.zeros((width, first.shape[1] * len(arrays)),
+                       dtype=np.result_type(*arrays), order="F")
+        for b, a in enumerate(arrays):
+            out[width - a.shape[0]:, b * a.shape[1]:(b + 1) * a.shape[1]] = a
+        return cls(sigmas, out)
+
+    @property
+    def dtype(self) -> np.dtype:
+        return self.factor.dtype
+
+    @property
+    def members(self) -> int:
+        return self.sigmas.size
+
+    @property
+    def size(self) -> int:
+        return self.factor.shape[1] // self.members
+
+    def member(self, b: int) -> ShiftInvert:
+        n = self.size
+        return ShiftInvert(sigma=float(self.sigmas[b]), factor=self.factor[:, b * n:(b + 1) * n])
+
+    @functools.cached_property
+    def _solve(self):
+        return _blas.solver(self.factor)
+
+    def solve_into(self, x: np.ndarray) -> None:
+        """Overwrite x, a C-contiguous array of the factor's dtype whose last
+        two axes are (members, size), with (H_b - sigma_b)^-1 x_b for every
+        member; leading axes hold more right-hand sides, all solved in one call."""
+        if not x.flags.c_contiguous:  # a reshape would solve a copy
+            raise ValueError("solve_into takes a C-contiguous array")
+        self._solve(x.reshape(-1, self.factor.shape[1]).T)
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """``solve_into`` on a copy; a real factor takes complex rhs."""
+        if rhs.dtype.kind == "c" and self.dtype.kind != "c":
+            return self.solve(rhs.real) + 1j * self.solve(rhs.imag)
+        x = np.array(rhs, dtype=self.dtype, order="C")
+        self.solve_into(x)
+        return x
+
+
+def gershgorin_floor(op):
     """min_i (H_ii - sum_{j != i} |H_ij|): no eigenvalue of H lies below it.
 
     Read off the upper band: row i's entries right of the diagonal sit on
-    its superdiagonals, and those left of it, conjugated, in column i.
+    its superdiagonals, and those left of it, conjugated, in column i.  A
+    ``model.BandStack`` gets one floor per member, from one pass over its
+    band: no entry joins two members.
     """
-    band = as_band(op).band
+    stack = op if isinstance(op, BandStack) else BandStack(as_band(op))
+    band = stack.matrix.band
     kd = band.shape[0] - 1
     mags = np.abs(band[:-1])
     radius = mags.sum(axis=0)
     for d in range(1, kd + 1):
         radius[:-d] += mags[kd - d, d:]
-    return float(np.min(band[-1].real - radius))
+    floors = np.min((band[-1].real - radius).reshape(stack.members, -1), axis=1)
+    return floors if isinstance(op, BandStack) else float(floors[0])
 
 
-def shift_invert(op, energy: float = math.nan,
-                 gap: float = math.nan) -> ShiftInvert:
+def shift_invert(op, energy: float = math.nan, gap: float = math.nan,
+                 out: np.ndarray | None = None, floor: float | None = None) -> ShiftInvert:
     """Factor H - sigma for a sigma certified below the lowest eigenvalue of H.
 
     The certificate is the factor itself: a Cholesky factorization of the
@@ -171,7 +256,10 @@ def shift_invert(op, energy: float = math.nan,
     infinite entry of the band reaches the factor's diagonal, so a factor
     whose diagonal is not finite is refused too.  ``op`` is any Hermitian
     matrix (``model.as_band``); each trial shift moves only its band's
-    diagonal.
+    diagonal.  The factor is made in ``out`` when it is given: a
+    column-major array of the band's shape and dtype, such as a member's
+    block of a ``FactorStack``; ``floor`` is H's Gershgorin floor when the
+    caller has it.
 
     ``energy`` estimates the ground energy and ``gap`` the spacing above it.
     The first shift is a tenth of the gap below the estimate, and at least
@@ -181,7 +269,7 @@ def shift_invert(op, energy: float = math.nan,
     Gershgorin floor, which lies below the spectrum by construction.
     """
     h = as_band(op)
-    floor = gershgorin_floor(h)
+    floor = gershgorin_floor(h) if floor is None else floor
     shifts = []
     if energy > floor:  # False for a NaN estimate
         step = max(gap / 10.0 if gap > 0.0 else 0.0, 1e-8 * max(1.0, abs(energy)))
@@ -189,7 +277,8 @@ def shift_invert(op, energy: float = math.nan,
         shifts = [sigma for sigma in shifts if sigma > floor]
     shifts.append(floor - 1e-8 * max(1.0, abs(floor)))
     for sigma in shifts:
-        shifted = h.band.copy(order="F")
+        shifted = np.empty_like(h.band, order="F") if out is None else out
+        shifted[...] = h.band
         shifted[-1] -= sigma
         factor, info = _blas.pbtrf(shifted)
         # info > 0: a pivot is not positive, so sigma is not below H
@@ -231,10 +320,14 @@ class Eigensystem:
             gaps.append(self.energies[n + 1] - self.energies[n])
         return bool(gaps) and min(gaps) < DEGENERACY_RTOL * scale
 
-    def check(self, h) -> None:
-        """Validate residuals and orthonormality against the source matrix; NaN fails."""
+    def check(self, h, product: np.ndarray | None = None) -> None:
+        """Validate residuals and orthonormality against the source matrix; NaN fails.
+
+        ``product`` is h @ states, when the caller has it: a stack's members
+        get theirs from one band product per state.
+        """
         norm = float(np.linalg.norm(h)) if isinstance(h, np.ndarray) else as_band(h).norm()
-        res = h @ self.states - self.states * self.energies[None, :]
+        res = (h @ self.states if product is None else product) - self.states * self.energies
         worst = float(np.max(np.linalg.norm(res, axis=0)))
         if not worst <= RESIDUAL_RTOL * max(norm, 1.0):
             raise ConvergenceError(f"eigenpair residual {worst:.2e} exceeds tolerance",
@@ -263,70 +356,152 @@ def _start_vector(dim: int) -> np.ndarray:
     return pattern / np.linalg.norm(pattern)
 
 
-def _lanczos(factor: ShiftInvert, k: int, dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """The k largest eigenpairs (nu, x) of (H - sigma)^-1, ascending in nu.
+def _lanczos(factor: FactorStack, k: int, live: np.ndarray) -> list:
+    """The k largest eigenpairs (nu, x) of (H_b - sigma_b)^-1, ascending in nu,
+    for every member b of a stack that is ``live``: one (nu, x) or one
+    ``ConvergenceError`` per member, None for the others.
 
     Lanczos from ``_start_vector`` with full reorthogonalisation: classical
     Gram-Schmidt, twice, so the basis stays orthonormal and the tridiagonal
     T of its recurrence is the projected operator.  Once the Krylov space of
     the start vector is spent (a repeated eigenvalue), what is left of the
     next vector is roundoff orthogonal to the basis, and it serves as a new
-    direction, as ARPACK's random restart does.
+    direction, as ARPACK's random restart does.  The members run in step:
+    one ``pbtrs`` call per step solves them all in place in the basis, and
+    their reorthogonalisation and tridiagonal eigenproblems are batched.
+    A member that has converged, or failed, has zero vectors from then on,
+    so its numbers reach no other member.
 
     As ARPACK with ``ncv = max(2k + 1, 20)``, the first convergence test
-    comes once the basis holds ncv vectors, and then one at every step.  It
-    stops as ARPACK does at ``tol = 0``: when every wanted Ritz pair
-    (theta_i, s_i) of T_m has the residual estimate
-    beta_m |s_mi| <= eps |theta_i|.  After LANCZOS_MAXITER steps it raises
-    ``ConvergenceError``.
+    comes once the basis holds ncv vectors, and then one at every step.  A
+    member stops as ARPACK does at ``tol = 0``: when every wanted Ritz pair
+    (theta_i, s_i) of its T_m has the residual estimate
+    beta_m |s_mi| <= eps |theta_i|, and its pairs are those of that step.
+    A member whose next vector vanishes has broken down (a certified factor
+    keeps every vector finite); one still running after LANCZOS_MAXITER
+    steps has not converged.  Each gets its ``ConvergenceError``.
     """
+    members, dim = factor.members, factor.size
     steps = min(LANCZOS_MAXITER, dim)
     first_test = min(steps, max(2 * k + 1, 20))
-    basis = np.empty((min(32, steps + 1), dim), dtype=factor.dtype)  # doubled when full
-    basis[0] = _start_vector(dim)
-    alpha, beta = np.zeros(steps), np.zeros(steps)
+    # rows for the 23 steps that LANCZOS_MAXITER's comment expects; doubled when full
+    basis = np.empty((min(24, steps + 1), members, dim), dtype=factor.dtype)
+    active = np.asarray(live, dtype=bool).copy()
+    running = int(np.count_nonzero(active))
+    halted = np.where(active, 0.0, 1.0)  # the norm a stopped member's zero vector is given
+    basis[0] = np.where(active[:, None], _start_vector(dim), 0.0)
+    alpha, beta = np.zeros((steps, members)), np.zeros((steps, members))
+    conj = np.conj if basis.dtype.kind == "c" else (lambda a: a)
+    found = [None] * members
     eps = np.finfo(float).eps
+
+    def stop(b: int, result) -> None:
+        nonlocal running
+        found[b], active[b], halted[b] = result, False, 1.0
+        basis[m + 1, b] = 0.0
+        running -= 1
+
     for m in range(steps):
-        w = factor.solve(basis[m])
-        for _ in range(2):
-            coeffs = np.conj(basis[:m + 1] @ np.conj(w))  # <v_i, w> for every v_i
-            w -= coeffs @ basis[:m + 1]
-            alpha[m] += coeffs[m].real
-        beta[m] = np.linalg.norm(w)
-        if m + 1 >= first_test:
-            tri = np.diag(alpha[:m + 1]) + np.diag(beta[:m], 1) + np.diag(beta[:m], -1)
-            theta, s = np.linalg.eigh(tri)
-            theta, s = theta[-k:], s[:, -k:]
-            if np.all(beta[m] * np.abs(s[-1]) <= eps * np.abs(theta)):
-                return theta, basis[:m + 1].T @ s
         if m + 1 == basis.shape[0]:
             basis = np.concatenate([basis, np.empty_like(basis)])
-        basis[m + 1] = w / beta[m]
-    raise ConvergenceError(f"shift-invert Lanczos found no {k} converged pairs in {steps} steps",
-                           residual=None)
+        w = basis[m + 1]
+        w[...] = basis[m]
+        factor.solve_into(w)
+        span = basis[:m + 1].transpose(1, 0, 2)  # (members, m + 1, dim)
+        overlaps = np.matvec(span, conj(w))  # the conjugate of <v_i, w> for every v_i
+        w -= np.vecmat(overlaps, span)
+        again = np.matvec(span, conj(w))
+        w -= np.vecmat(again, span)
+        alpha[m] = overlaps[:, m].real + again[:, m].real
+        beta[m] = np.sqrt(np.vecdot(w, w).real + halted)
+        # the certified factors keep every vector finite; a running member
+        # whose next vector vanishes has broken down
+        if np.count_nonzero(beta[m]) < members:
+            for b in np.flatnonzero(beta[m] == 0.0):
+                stop(b, ConvergenceError(f"shift-invert Lanczos broke down at step {m + 1}",
+                                         residual=None))
+                beta[m, b] = 1.0  # so that its zero vector stays zero
+        if m + 1 >= first_test and running:
+            at = np.flatnonzero(active)
+            tri = np.zeros((at.size, m + 1, m + 1))
+            diagonal = np.arange(m + 1)
+            tri[:, diagonal, diagonal] = alpha[:m + 1, at].T
+            tri[:, diagonal[:-1], diagonal[1:]] = tri[:, diagonal[1:], diagonal[:-1]] = (
+                beta[:m, at].T)
+            theta, s = np.linalg.eigh(tri)
+            theta, s = theta[:, -k:], s[:, :, -k:]
+            done = (beta[m, at, None] * np.abs(s[:, -1]) <= eps * np.abs(theta)).all(axis=1)
+            for i in np.flatnonzero(done):
+                stop(at[i], (theta[i], basis[:m + 1, at[i]].T @ s[i]))
+        if not running:
+            return found
+        w /= beta[m][:, None]
+    for b in np.flatnonzero(active):
+        found[b] = ConvergenceError(
+            f"shift-invert Lanczos found no {k} converged pairs in {steps} steps", residual=None)
+    return found
 
 
-def lowest_k(op, k: int, estimate: NormalModes | None = None) -> Eigensystem:
-    """The k lowest eigenpairs of a Hermitian matrix: an ndarray or a
-    ``model.HermitianBand``.
+def lowest_k(op, k: int, estimate=None):
+    """The k lowest eigenpairs of a Hermitian matrix: an ndarray, a
+    ``model.HermitianBand``, or each member of a ``model.BandStack``.
 
     Shift-invert Lanczos (``_lanczos``) about a shift certified below the
     spectrum (see ``shift_invert``), placed by the ground energy and gap of
     ``estimate`` when it is stable; the factor is kept on the result.  An
     eigenvalue nu of (H - sigma)^-1 is the energy sigma + 1/nu.
+
+    One matrix is solved as a stack of one, and its ``Eigensystem`` returned
+    or its error raised.  A stack takes one estimate (or None) per member
+    and returns one ``Eigensystem`` or one exception per member: each has
+    its own factor, made in its block of one ``FactorStack``, its own stop
+    test and its own failure, and one Lanczos serves them all.
     """
+    if isinstance(op, BandStack):
+        return _lowest_of_stack(op, k, estimate)
     dim = op.shape[0]
     if k >= dim - 1:
         # a Krylov space of that size is the whole space: take the dense route
         es = dense_eigensystem(op)
         return Eigensystem(energies=es.energies[:k], states=es.states[:, :k])
-    stable = estimate is not None and estimate.stable
-    factor = shift_invert(op, estimate.ground_energy, estimate.gap) if stable else shift_invert(op)
-    nu, states = _lanczos(factor, k, dim)
-    energies = factor.sigma + 1.0 / nu
-    order = np.argsort(energies)
-    return Eigensystem(energies=energies[order], states=gauge_fix(states[:, order]),
-                       factor=factor)
+    [es] = _lowest_of_stack(BandStack(as_band(op)), k, [estimate])
+    if isinstance(es, Exception):
+        raise es
+    return es
+
+
+def _lowest_of_stack(stack: BandStack, k: int, estimates) -> list:
+    if len(estimates) != stack.members:
+        raise ValueError(f"{len(estimates)} estimates for a stack of {stack.members}")
+    factor = FactorStack(np.full(stack.members, math.nan),
+                         np.empty_like(stack.matrix.band, order="F"))
+    results = [None] * stack.members
+    floors = np.broadcast_to(gershgorin_floor(stack), (stack.members,))
+    for b, estimate in enumerate(estimates):
+        block = factor.member(b).factor
+        placed = estimate is not None and estimate.stable
+        try:
+            made = shift_invert(stack.member(b), estimate.ground_energy if placed else math.nan,
+                                estimate.gap if placed else math.nan, out=block,
+                                floor=float(floors[b]))
+            factor.sigmas[b] = made.sigma
+        except ConvergenceError as exc:
+            results[b] = exc
+            block[...] = 0.0
+            block[-1] = 1.0
+    found = _lanczos(factor, k, [r is None for r in results])
+    for b, pairs in enumerate(found):
+        if results[b] is not None:
+            continue
+        if isinstance(pairs, Exception):
+            results[b] = pairs
+            continue
+        nu, states = pairs
+        energies = factor.sigmas[b] + 1.0 / nu
+        order = np.argsort(energies)
+        results[b] = Eigensystem(energies=energies[order], states=gauge_fix(states[:, order]),
+                                 factor=factor.member(b))
+    return results
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import families
-from .effective import effective_form
+from .effective import effective_form, form_param_derivative
 from .model import PARAMETER_LABELS, ModelParams
 from .spectra import bogoliubov_modes
 
@@ -266,8 +266,8 @@ class GammaComparison:
     g: float
     model: str
     entries: tuple[tuple[float, float], ...]  # (gamma, I_omega_omega), NaN where flagged
-    strictly_increasing: bool  # over the finite entries
-    reciprocal_asymmetry: float  # max |I(gamma) - I(1/gamma)| over finite pairs
+    strictly_increasing: bool | None  # over the finite entries; None with fewer than two
+    reciprocal_asymmetry: float  # max |I(gamma) - I(1/gamma)| over finite pairs; NaN if none
 
 
 def gamma_comparison(g: float, gammas, model: str, *, eta: float = 1.0,
@@ -281,6 +281,10 @@ def gamma_comparison(g: float, gammas, model: str, *, eta: float = 1.0,
     (``n_max`` and ``n_max_b`` then apply only to the full model or to an
     explicit method), and a point that fails comes back NaN and flagged
     instead of raising.  An invalid spec or ratio raises ``ValueError``.
+    The summaries cover the finite entries: ``strictly_increasing`` is None
+    with fewer than two of them, and ``reciprocal_asymmetry`` NaN when no
+    ratio meets its reciprocal among them (gamma = 1, its own reciprocal,
+    makes no pair).
     """
     base = SweepSpec(model=model, g=g, eta=eta, omega=omega, theta=theta, j=j,
                      n_max=n_max, n_max_b=n_max_b, sector=sector, method=method)
@@ -289,12 +293,12 @@ def gamma_comparison(g: float, gammas, model: str, *, eta: float = 1.0,
         spec.validate()
     entries = [(spec.gamma, evaluate_point(spec, g).I_omega_omega) for spec in specs]
     finite = [(gamma, value) for gamma, value in entries if math.isfinite(value)]
-    increasing = all(b > a for (_, a), (_, b) in zip(finite, finite[1:]))
-    asym = 0.0
-    for gamma, value in finite:
-        for other, other_value in finite:
-            if math.isclose(other, 1.0 / gamma, rel_tol=1e-9):
-                asym = max(asym, abs(value - other_value))
+    # a summary over fewer than two finite values would be vacuous: it is undefined
+    increasing = (all(b > a for (_, a), (_, b) in zip(finite, finite[1:]))
+                  if len(finite) >= 2 else None)
+    gaps = [abs(value - other_value) for gamma, value in finite for other, other_value in finite
+            if other != gamma and math.isclose(other, 1.0 / gamma, rel_tol=1e-9)]
+    asym = max(gaps, default=math.nan)
     return GammaComparison(g=g, model=model, entries=tuple(entries),
                            strictly_increasing=increasing, reciprocal_asymmetry=asym)
 
@@ -334,31 +338,49 @@ def ratio_scan(j_list, gamma_list, eta_list, g: float, *, omega: float = 1.0,
     superradiant forms are stable there but drop the mean-field
     displacement that the full model keeps, so they measure a different
     quantity and their rows stay flagged too.
+
+    The full-model points of one j share each cutoff's truncation, so each
+    cutoff solves them as one stack (``families.qgt_stack``); the first
+    failure in row order is raised.  Rows whose effective forms differ only
+    in their constant share one truncated effective value, computed once
+    per call.
     """
     rows = []
-    for j in j_list:
-        for gamma in gamma_list:
-            for eta in eta_list:
-                p = ModelParams.from_ratios(g, gamma=gamma, eta=eta, omega=omega,
-                                            theta=theta, j=j)
-                trunc = families.default_truncation("full", p, n_max, sector=sector)
-                lab = families.qfi_omega("full", p, trunc, method=method)
-                bigger = families.default_truncation("full", p, n_max + check_step,
-                                                     sector=sector)
-                lab_check = families.qfi_omega("full", p, bigger, method=method)
-                converged = (abs(lab_check - lab)
-                             <= CONVERGENCE_RTOL * max(abs(lab), QFI_ZERO_FLOOR))
-                eff = math.nan
-                modes = bogoliubov_modes(effective_form(eff_model, p))
-                if modes.stable and modes.gap > 0.0:  # a gapless form has no finite value
+    effective_values = {}  # local to the call: the value of each distinct form
+    grid = [(float(gamma), float(eta)) for gamma in gamma_list for eta in eta_list]
+    for j in j_list if grid else ():
+        points = [ModelParams.from_ratios(g, gamma=gamma, eta=eta, omega=omega, theta=theta,
+                                          j=j) for gamma, eta in grid]
+        # one stack per cutoff: every (gamma, eta) point of this j shares the truncation
+        lab, lab_check = (
+            families.qgt_stack("full", points, families.default_truncation(
+                "full", points[0], cutoff, sector=sector), labels=("omega",), method=method)
+            for cutoff in (n_max, n_max + check_step))
+        for p, (gamma, eta), small, large in zip(points, grid, lab, lab_check):
+            for result in (small, large):
+                if isinstance(result, Exception):
+                    raise result
+            qfi_small, qfi_large = small.qfi("omega").value, large.qfi("omega").value
+            converged = (abs(qfi_large - qfi_small)
+                         <= CONVERGENCE_RTOL * max(abs(qfi_small), QFI_ZERO_FLOOR))
+            eff = math.nan
+            form = effective_form(eff_model, p)
+            modes = bogoliubov_modes(form)
+            if modes.stable and modes.gap > 0.0:  # a gapless form has no finite value
+                # the value depends on the form and its derivative up to their
+                # constants, which shift the spectrum and leave the state alone
+                key = (dataclasses.replace(form, const=0.0), dataclasses.replace(
+                    form_param_derivative(eff_model, p, "omega"), const=0.0))
+                if key not in effective_values:
                     eff_trunc = families.default_truncation(eff_model, p, eff_n_max)
-                    eff = families.qfi_omega(eff_model, p, eff_trunc)
-                # a vanishing or missing effective value has no ratio; flag the row, do not abort
-                has_ratio = abs(eff) > QFI_ZERO_FLOOR
-                rows.append(RatioRow(j=float(j), gamma=float(gamma), eta=float(eta),
-                                     qfi_lab=lab_check, qfi_eff=eff,
-                                     ratio=lab_check / eff if has_ratio else math.nan,
-                                     converged=converged and has_ratio and g <= 1.0))
+                    effective_values[key] = families.qfi_omega(eff_model, p, eff_trunc)
+                eff = effective_values[key]
+            # a vanishing or missing effective value has no ratio; flag the row, do not abort
+            has_ratio = abs(eff) > QFI_ZERO_FLOOR
+            rows.append(RatioRow(j=float(j), gamma=gamma, eta=eta,
+                                 qfi_lab=qfi_large, qfi_eff=eff,
+                                 ratio=qfi_large / eff if has_ratio else math.nan,
+                                 converged=converged and has_ratio and g <= 1.0))
     return rows
 
 

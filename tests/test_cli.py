@@ -119,6 +119,22 @@ def test_gamma_compare_flagged_entries_exit_two(runner):
     assert bad.exit_code == 1, bad.output
 
 
+def test_gamma_compare_summaries_over_too_few_values_are_undefined(runner):
+    result = runner.invoke(main, [
+        "gamma-compare", "--model", "co_np", "--g", "1.2", "--gammas", "1,2", "--j", "10"])
+    assert "# strictly_increasing=undefined reciprocal_asymmetry=nan\n" in result.output
+    # one finite value has no order, and gamma = 1 is no reciprocal pair
+    result = runner.invoke(main, [
+        "gamma-compare", "--model", "co_np", "--g", "0.9", "--gammas", "1", "--j", "10"])
+    assert result.exit_code == 0, result.output
+    assert result.output.endswith("# strictly_increasing=undefined reciprocal_asymmetry=nan\n")
+    result = runner.invoke(main, [
+        "gamma-compare", "--model", "co_np", "--g", "0.9", "--gammas", "1/2,2", "--j", "10"])
+    summary = result.output.strip().split("\n")[-1]
+    assert summary.startswith("# strictly_increasing=") and "undefined" not in summary
+    assert float(summary.rsplit("=", 1)[1]) < 1e-8
+
+
 GAMMA_COMPARE_ARGS = ["gamma-compare", "--model", "cs_np", "--g", "0.9", "--gammas", "1"]
 
 

@@ -1,6 +1,7 @@
 """Tests for the model-variant dispatch layer."""
 
 import math
+import re
 import sys
 import threading
 
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 from adicke import (FockCutoff, ModelParams, Truncation, _blas, bogoliubov_modes,
-                    dense_eigensystem, effective_form, geometry, spectra, sweep)
+                    dense_eigensystem, effective_form, families, geometry, spectra, sweep)
 from adicke.families import (default_truncation, derivative_matrix, ground_eigensystem,
                              ground_pair, hamiltonian_matrix, qgt_components, resolve_branch)
 from adicke.geometry import qgt_matrix_sum
@@ -430,3 +431,45 @@ def test_concurrent_scopes_hold_one_thread_until_the_last_exits(two_threads):
     assert not any(thread.is_alive() for thread in threads)
     assert not wrong
     assert blas_threads() == two_threads
+
+
+# ---------------------------------------------------------------------------
+# stacks: several full-model points on one truncation
+
+
+def test_stacked_points_match_each_point_alone(monkeypatch):
+    t = Truncation.for_spin(60, 5.0, "positive")
+    points = [ModelParams.from_ratios(0.9, gamma=gamma, eta=eta, theta=theta, j=5.0)
+              for gamma, eta, theta in ((2.0, 1.0, 0.0), (math.inf, 2.0, 0.3), (0.5, 3.0, 0.0))]
+    want = [qgt_components("full", p, t) for p in points]
+    calls = []
+    lowest = spectra.lowest_k
+    monkeypatch.setattr(spectra, "lowest_k", lambda *a, **k: calls.append(1) or lowest(*a, **k))
+    got = families.qgt_stack("full", points, t)
+    assert len(calls) == 1
+    for comp, alone in zip(got, want):
+        assert comp.method == alone.method == "linear_solve"
+        assert np.max(np.abs(comp.q - alone.q)) < 1e-12 * max(1.0, float(np.max(np.abs(alone.q))))
+        assert abs(comp.energy - alone.energy) < 1e-12 * max(1.0, abs(alone.energy))
+        assert abs(comp.gap - alone.gap) < 1e-12
+
+
+def test_a_failed_stacked_point_fails_alone():
+    t = Truncation.for_spin(60, 5.0, "positive")
+    good = [ModelParams.from_ratios(0.9, gamma=gamma, j=5.0) for gamma in (0.5, 2.0)]
+    nan_coupling = ModelParams(lambda1=math.nan, lambda2=0.3, j=5.0)  # no estimate exists
+    wrong_spin = ModelParams.from_ratios(0.9, j=4.0)
+    got = families.qgt_stack("full", [good[0], nan_coupling, wrong_spin, good[1]], t,
+                             labels=("omega",))
+    # each fails as it fails alone
+    for result, p in zip(got[1:3], (nan_coupling, wrong_spin)):
+        with pytest.raises(type(result), match=re.escape(str(result))):
+            qgt_components("full", p, t, labels=("omega",))
+    assert isinstance(got[2], ValueError) and "spin_dim" in str(got[2])
+    for comp, p in zip((got[0], got[3]), good):
+        alone = qgt_components("full", p, t, labels=("omega",))
+        assert comp.qfi("omega").value == pytest.approx(alone.qfi("omega").value, rel=1e-12)
+    # every other route takes the points one by one, with the same isolation
+    small = Truncation.for_spin(10, 5.0, "positive")
+    got = families.qgt_stack("full", [good[0], wrong_spin], small, labels=("omega",))
+    assert got[0].method == "sum_over_states" and isinstance(got[1], ValueError)

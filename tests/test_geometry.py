@@ -274,3 +274,33 @@ def test_gauge_fix_reused_by_methods():
     t = Truncation.for_spin(14, p.j, "positive")
     psi = ground_state("full", p, t)
     assert np.array_equal(psi, gauge_fix(psi))
+
+
+# ---------------------------------------------------------------------------
+# stacks: the resolvent tangents of several points in one iteration
+
+
+@pytest.mark.parametrize("theta", [0.0, 0.7])
+def test_stacked_tangents_match_each_member_alone(theta):
+    from adicke import geometry, lowest_k
+    from adicke.model import full_hamiltonian_stack, param_derivative_stack
+    from adicke.spectra import bogoliubov_modes
+    from adicke.effective import cs_normal_form
+    t = Truncation.for_spin(60, 5.0, "positive")
+    points = [from_g(0.9, gamma=gamma, eta=eta, theta=theta)
+              for gamma, eta in ((2.0, 1.0), (math.inf, 2.0), (0.5, 3.0))]
+    estimates = [bogoliubov_modes(cs_normal_form(p)) for p in points]
+    stack = full_hamiltonian_stack(points, t)
+    systems = lowest_k(stack, 2, estimate=estimates)
+    labels = ("omega", "lambda1")
+    derivs = [param_derivative_stack(points, t, label) for label in labels]
+    stacked = geometry.resolvent_tangent(
+        stack, [es.energies[0] for es in systems], np.stack([es.states[:, 0] for es in systems]),
+        derivs, factor=[es.factor for es in systems], gap=[es.gap for es in systems])
+    for p, es, x in zip(points, systems, stacked):
+        ham = full_hamiltonian(p, t)
+        want = geometry.resolvent_tangent(
+            ham, float(es.energies[0]), es.states[:, 0],
+            [param_derivative(p, t, label) for label in labels], factor=es.factor, gap=es.gap)
+        assert x.shape == want.shape == (ham.shape[0], 2)
+        assert np.max(np.abs(x - want)) < 1e-12 * max(1.0, float(np.max(np.abs(want))))

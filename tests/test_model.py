@@ -498,3 +498,37 @@ def test_as_band_reads_the_upper_triangle():
     lower_differs = want.copy()
     lower_differs[2, 0] = 7.0
     assert np.array_equal(as_band(lower_differs).band, band.band)
+
+
+def test_a_stack_is_its_members_laid_end_to_end():
+    t = Truncation.for_spin(60, 5.0, "positive")
+    points = [ModelParams.from_ratios(0.9, gamma=gamma, eta=eta, j=5.0)
+              for gamma, eta in ((2.0, 1.0), (math.inf, 2.0), (0.5, 3.0))]
+    alone = [full_hamiltonian(p, t) for p in points]
+    stack = model.full_hamiltonian_stack(points, t)
+    kd = stack.matrix.band.shape[0] - 1
+    assert [ham.band.shape[0] - 1 for ham in alone] == [kd, kd - 1, kd]
+    assert stack.matrix.band.flags.f_contiguous and stack.size == alone[0].shape[0]
+    dense = stack.matrix.toarray()
+    n = stack.size
+    rng = np.random.default_rng(7)
+    x = rng.normal(size=(2, 3, n))
+    y = stack.product(x)
+    for b, ham in enumerate(alone):
+        # each block is the member's matrix, and nothing joins two blocks
+        block = slice(b * n, (b + 1) * n)
+        assert np.array_equal(dense[block, block], ham.toarray())
+        assert not np.any(np.delete(dense[block], np.arange(b * n, (b + 1) * n), axis=1))
+        assert np.array_equal(stack.member(b).toarray(), ham.toarray())
+        np.testing.assert_allclose(y[:, b], (ham @ x[:, b].T).T, rtol=0, atol=1e-12)
+    levels = np.array([1.0, -2.0, 0.5])
+    np.testing.assert_array_equal(stack.shifted(levels).matrix.toarray(),
+                                  dense - np.diag(np.repeat(levels, n)))
+    assert stack.select([0, 1, 2]) is stack
+    assert np.array_equal(stack.select([2, 0]).matrix.toarray()[:n, :n], alone[2].toarray())
+    derivative = model.param_derivative_stack(points, t, "lambda1")
+    for b, p in enumerate(points):
+        assert np.array_equal(derivative.member(b).toarray(),
+                              param_derivative(p, t, "lambda1").toarray())
+    with pytest.raises(ValueError, match="does not fit"):
+        stack.product(np.ones((2, n)))

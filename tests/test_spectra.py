@@ -432,3 +432,58 @@ def test_check_symplectic_refuses_a_mode_softer_than_roundoff():
         else:
             with pytest.raises(DegeneracyError, match="gapless"):
                 check_symplectic(form, eps, t)
+
+
+# ---------------------------------------------------------------------------
+# stacks: several matrices of one size in one shift-invert Lanczos
+
+
+def _stack_of_three():
+    # gamma = inf drops the a'J+ coupling, so that member's band is one
+    # superdiagonal narrower and the stack pads it
+    t = Truncation.for_spin(60, 5.0, "positive")
+    points = [ModelParams.from_ratios(0.9, gamma=gamma, eta=eta, j=5.0)
+              for gamma, eta in ((2.0, 1.0), (math.inf, 2.0), (0.5, 3.0))]
+    alone = [full_hamiltonian(p, t) for p in points]
+    estimates = [bogoliubov_modes(cs_normal_form(p)) for p in points]
+    return points, t, alone, estimates
+
+
+def test_stacked_pairs_match_each_member_alone():
+    from adicke.model import full_hamiltonian_stack
+    points, t, alone, estimates = _stack_of_three()
+    widths = [ham.band.shape[0] for ham in alone]
+    assert len(set(widths)) == 2
+    stack = full_hamiltonian_stack(points, t)
+    assert stack.matrix.band.shape == (max(widths), 3 * alone[0].shape[0])
+    stacked = lowest_k(stack, 2, estimate=estimates)
+    for es, ham, estimate in zip(stacked, alone, estimates):
+        want = lowest_k(ham, 2, estimate=estimate)
+        assert es.factor.sigma == want.factor.sigma
+        assert np.max(np.abs(es.energies - want.energies)) < 1e-12
+        assert abs(es.gap - want.gap) < 1e-12
+        assert np.max(np.abs(es.states - want.states)) < 1e-12
+        es.check(ham)
+
+
+def test_a_failed_member_fails_alone(monkeypatch):
+    from adicke.model import BandStack, HermitianBand
+    points, t, alone, estimates = _stack_of_three()
+    band = np.asfortranarray(np.concatenate(
+        [np.pad(ham.band, ((alone[0].band.shape[0] - ham.band.shape[0], 0), (0, 0)))
+         for ham in alone], axis=1))
+    band[-1, alone[0].shape[0] + 100] = math.nan  # the middle member has no factor
+    stacked = lowest_k(BandStack(HermitianBand(band), 3), 2, estimate=estimates)
+    assert isinstance(stacked[1], ConvergenceError)
+    for b in (0, 2):
+        want = lowest_k(alone[b], 2, estimate=estimates[b])
+        assert np.max(np.abs(stacked[b].states - want.states)) < 1e-12
+    # without an estimate the first member starts at the Gershgorin floor and
+    # needs more steps than the others: a cap between fails it alone
+    monkeypatch.setattr(spectra, "LANCZOS_MAXITER", 21)
+    stacked = lowest_k(BandStack(HermitianBand(band), 3), 2,
+                       estimate=[None, estimates[1], estimates[2]])
+    assert isinstance(stacked[0], ConvergenceError) and "in 21 steps" in str(stacked[0])
+    assert isinstance(stacked[1], ConvergenceError) and isinstance(stacked[2], spectra.Eigensystem)
+    with pytest.raises(ValueError, match="estimates"):
+        lowest_k(BandStack(HermitianBand(band), 3), 2, estimate=estimates[:2])

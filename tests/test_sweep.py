@@ -374,11 +374,12 @@ def test_gamma_comparison_full_model_monotone():
 
 def test_gamma_comparison_flags_a_failed_point_instead_of_raising():
     # co_np has no Gaussian ground state above g = 1: each entry is NaN and
-    # flagged, and the summaries cover the finite entries only
+    # flagged, and the summaries, which cover the finite entries only, are
+    # undefined over none
     result = gamma_comparison(1.2, [1.0, 2.0], "co_np", j=10.0)
     assert [gamma for gamma, _ in result.entries] == [1.0, 2.0]
     assert all(math.isnan(value) for _, value in result.entries)
-    assert result.strictly_increasing and result.reciprocal_asymmetry == 0.0
+    assert result.strictly_increasing is None and math.isnan(result.reciprocal_asymmetry)
     fd = gamma_comparison(0.9, [0.5, 2.0, 3.0], "full", j=2.0, n_max=20, method="fd",
                           theta=0.3)
     assert all(value > 0 for _, value in fd.entries)
@@ -494,3 +495,30 @@ def test_convergence_scan_near_critical_needs_more():
     for pt in points:
         assert pt.rel_changes[0] > 1e-4  # tiny cutoffs are not converged
         assert pt.converged and pt.converged_at <= 100
+
+
+def test_ratio_scan_solves_each_cutoff_of_each_j_as_one_stack(monkeypatch):
+    # the criterion 09 inputs: 2 j x 2 cutoffs stacks of 8 full-model points,
+    # and 4 distinct co_np forms (the form depends on g, gamma and omega only,
+    # apart from its constant, and n_a rounds differently at eta = 2)
+    calls = {"_lanczos": 0, "dense_eigensystem": 0}
+
+    def counted(name):
+        func = getattr(spectra, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return func(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(spectra, name, counted(name))
+    rows = ratio_scan((5, 10), (1, 2), (2, 5, 10, 20), 0.99)
+    assert calls == {"_lanczos": 4, "dense_eigensystem": 4}
+    assert len(rows) == 16 and all(row.converged for row in rows)
+    monkeypatch.undo()
+    for row in rows[::5]:
+        p = ModelParams.from_ratios(0.99, gamma=row.gamma, eta=row.eta, j=row.j)
+        alone = qfi_omega("full", p, Truncation.for_spin(80, row.j), method="solve")
+        assert row.qfi_lab == pytest.approx(alone, rel=1e-12)
+        assert row.qfi_eff == pytest.approx(qfi_omega("co_np", p, FockCutoff(60)), rel=1e-11)
