@@ -201,6 +201,18 @@ def _attempt(func, *args, **kwargs):
         return exc
 
 
+def stack_size(name: str, trunc, method: str | None = None) -> int:
+    """Points of one truncation that ``qgt_stack`` solves as one stack: the
+    spectra.STACK_LIMIT share of the full model's band solve (above
+    spectra.DENSE_SOLVE_LIMIT, by default or with ``method="solve"``), and 1
+    on every other route."""
+    if name == "full" and method in (None, "solve") and isinstance(trunc, Truncation):
+        rows = model.sector_dimension(trunc)
+        if rows > spectra.DENSE_SOLVE_LIMIT:
+            return spectra.stack_members(rows)
+    return 1
+
+
 @single_thread
 def qgt_stack(name: str, points, trunc, labels=("theta", "omega"),
               method: str | None = None) -> list:
@@ -208,20 +220,29 @@ def qgt_stack(name: str, points, trunc, labels=("theta", "omega"),
     ``QGTComponents``, or the exception that point raised, per point.
 
     The full model's resolvent solve above spectra.DENSE_SOLVE_LIMIT (the
-    default there, or ``method="solve"``) runs the points as one stack: their
-    Hamiltonians are one ``model.BandStack``, one shift-invert Lanczos
-    (``spectra.lowest_k``) and one conjugate-gradient iteration
-    (``geometry.resolvent_tangent``) serve them all, and each point keeps
-    its own estimate, certified factor, stop tests and checks, so a failure
-    is returned for its point only.  Every other route takes the points one
-    by one.
+    default there, or ``method="solve"``) runs consecutive points as stacks
+    of at most ``stack_size`` points: each stack's Hamiltonians are one
+    ``model.BandStack``, one shift-invert Lanczos (``spectra.lowest_k``) and
+    one conjugate-gradient iteration (``geometry.resolvent_tangent``) serve
+    them all, and each point keeps its own estimate, certified factor, stop
+    tests and checks, so a failure is returned for its point only.  A stack
+    of one, and every other route, takes its points one by one.
     """
     labels = tuple(labels)
     points = list(points)
-    stacked = (name == "full" and method in (None, "solve") and isinstance(trunc, Truncation)
-               and model.sector_dimension(trunc) > spectra.DENSE_SOLVE_LIMIT)
-    if not stacked or len(points) < 2:
-        return [_attempt(qgt_components, name, p, trunc, labels, method) for p in points]
+    size = stack_size(name, trunc, method)
+    results = []
+    for start in range(0, len(points), size):
+        chunk = points[start:start + size]
+        if len(chunk) == 1:
+            results.append(_attempt(qgt_components, name, chunk[0], trunc, labels, method))
+        else:
+            results += _stacked(name, chunk, trunc, labels)
+    return results
+
+
+def _stacked(name: str, points, trunc, labels) -> list:
+    """The resolvent-solve results of the full-model points of one stack."""
     results = [_attempt(model.check_truncation, p, trunc) for p in points]
     fits = [b for b, result in enumerate(results) if result is None]
     if fits:

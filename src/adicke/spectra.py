@@ -74,6 +74,35 @@ from .model import BandStack, as_band, as_dense
 #: The limit stays at 256, so every row keeps the method it reported before.
 DENSE_SOLVE_LIMIT = 256
 
+#: The one stacking policy, keyed on the member dimension (``stack_members``):
+#: how many band matrices of one size one stack may hold, as
+#: ``families.qgt_stack`` solves the full model's points on one truncation.
+#: B members of ``rows`` rows stack when B <= STACK_LIMIT[0] and
+#: (B + 1) * rows <= STACK_LIMIT[1]; a matrix of more than a third of those
+#: rows is solved alone.  A stack saves each member's per-step overhead in
+#: the Lanczos and CG iterations, which weighs less the larger the member,
+#: and it loses once its working set (bands, factors and a 24-vector basis)
+#: outgrows the cache.  Stack over single-point time, B points at
+#: g = 0.9-0.99, one thread on a 2-core Xeon (2 MiB L2 per core), medians
+#: of 5-30, values identical to the bit:
+#:
+#:   rows (j, kd)    B = 2   B = 3   B = 4   B = 6   B = 8   B = 12  B = 16
+#:   641 (10, 11)    0.79    0.67    0.67    0.61    0.60    0.62    0.58
+#:   1061 (10, 11)   0.79    0.71    0.70    0.74    0.72    0.79    0.78
+#:   2071 (20, 21)   0.92    0.99    0.95    0.97    0.96
+#:   3161 (10, 11)   0.92    0.90    0.90    0.94    1.05
+#:   3301 (20, 21)   0.93    0.95    1.05    1.14    1.07
+#:   4091 (40, 41)   1.01    1.15    1.07    1.15    1.20
+#:
+#: A second set of runs on the same machine read 1.00 for 2071 rows at
+#: B = 3, 1.04 and 1.15 for 3301 rows at B = 2 and 3, and 1.13 for 4091
+#: rows at B = 2; an earlier one 1.12 for 2071 rows at B = 8.  So the rule
+#: stacks 8 members up to 910 rows, which keeps the ratio scan's stacks
+#: (8 points of 336-851 rows) whole, 6 at 1061 rows, pairs up to 2730 rows
+#: and solves larger matrices alone.  Nothing more is gained beyond 8
+#: members.
+STACK_LIMIT = (8, 8192)
+
 #: Full-spectrum decompositions are refused above this dimension.
 DENSE_EIG_LIMIT = 4000
 
@@ -111,6 +140,13 @@ SYMPLECTIC_TOL = 1e-10
 #: Largest relative uncertainty of a mode energy that ``check_symplectic``
 #: accepts; a mode softer than that counts as gapless.
 MODE_RTOL = 1e-8
+
+
+def stack_members(rows: int) -> int:
+    """How many matrices of ``rows`` rows one stack may hold (STACK_LIMIT);
+    1 means each is solved alone."""
+    members, rows_limit = STACK_LIMIT
+    return max(1, min(members, rows_limit // rows - 1))
 
 
 def gauge_fix(v: np.ndarray) -> np.ndarray:

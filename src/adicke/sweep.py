@@ -2,11 +2,13 @@
 
 A sweep evaluates the ground-state tensor of one model variant on a grid of
 one parameter (the dimensionless coupling g, or any primary parameter) and
-emits one row per grid point.  Rows are computed independently -- optionally
-by a pool of worker processes -- and always emitted in grid order with fixed
-float formatting, so identical specs produce byte-identical files regardless
-of the worker count.  A failed grid point becomes a flagged row, never an
-abort.
+emits one row per grid point.  Rows are computed in chunks of consecutive
+points -- a stack of the full model's band solve, else one point --
+optionally by a pool of worker processes, and always emitted in grid order
+with fixed float formatting.  The chunks come from the spec alone, so
+identical specs produce byte-identical files regardless of the worker
+count.  A failed grid point, or a chunk whose worker is lost, becomes
+flagged rows, never an abort.
 """
 
 from __future__ import annotations
@@ -142,6 +144,13 @@ def evaluate_point(spec: SweepSpec, value: float) -> SweepRow:
     route of ``families.qgt_components`` runs with no cutoff, and the row's
     ``n_max`` only echoes the spec.
     """
+    return _row(spec, value, lambda concrete, p, trunc: families.qgt_components(
+        concrete, p, trunc, labels=spec.labels, method=spec.method))
+
+
+def _row(spec: SweepSpec, value: float, tensor) -> SweepRow:
+    """The row of one grid point whose tensor ``tensor(concrete, p, trunc)``
+    returns; whatever raises on the way comes back as a flagged row."""
     method, branch = spec.method or "", ""
     try:
         p = spec.point_params(value)
@@ -156,8 +165,7 @@ def evaluate_point(spec: SweepSpec, value: float) -> SweepRow:
             return SweepRow(g=p.g, gamma=p.gamma, eta=p.eta, j=p.j, n_max=spec.n_max,
                             model=spec.model, method="fd", converged=False,
                             branch=_branch_label(concrete))
-        comp = families.qgt_components(concrete, p, trunc, labels=spec.labels,
-                                       method=spec.method)
+        comp = tensor(concrete, p, trunc)
         gmat = comp.metric()
         fmat = comp.berry()
         i_t = comp.index("theta")
@@ -190,19 +198,86 @@ def evaluate_point(spec: SweepSpec, value: float) -> SweepRow:
                         method=method, converged=False, branch=branch)
 
 
-def _evaluate_indexed(args: tuple[SweepSpec, float]) -> SweepRow:
-    return evaluate_point(*args)
+def _given(result):
+    """A ``tensor`` for ``_row`` that returns ``result``, or raises it when
+    it is an exception."""
+    def tensor(*_):
+        if isinstance(result, Exception):
+            raise result
+        return result
+    return tensor
+
+
+def _stack_truncation(spec: SweepSpec):
+    """The truncation every point of a full-model sweep shares (j is fixed),
+    or None for an effective model or a truncation that cannot be built,
+    whose points then fail alone, as ``evaluate_point`` flags them."""
+    if spec.model != "full":
+        return None
+    try:
+        return families.default_truncation("full", spec.base_params(), spec.n_max,
+                                           sector=spec.sector)
+    except Exception:
+        return None
+
+
+def _chunk_rows(spec: SweepSpec, values: list[float]) -> list[SweepRow]:
+    """The rows of one chunk: its points as one ``families.qgt_stack`` call,
+    a single point by ``evaluate_point``; never raises."""
+    if len(values) == 1:
+        return [evaluate_point(spec, values[0])]
+    points = []
+    for value in values:
+        try:
+            points.append(spec.point_params(value))
+        except Exception as exc:  # _row flags this point before it asks for a tensor
+            points.append(exc)
+    valid = [p for p in points if not isinstance(p, Exception)]
+    try:
+        results = families.qgt_stack("full", valid, _stack_truncation(spec),
+                                     labels=spec.labels, method=spec.method)
+    except Exception as exc:  # a stack that fails as a whole flags each of its rows
+        results = [exc] * len(valid)
+    results = iter(results)
+    return [_row(spec, value, _given(p if isinstance(p, Exception) else next(results)))
+            for value, p in zip(values, points)]
 
 
 def run_sweep(spec: SweepSpec) -> list[SweepRow]:
-    """All grid points, in grid order, regardless of how they were scheduled."""
+    """All grid points, in grid order, regardless of how they were scheduled.
+
+    The grid is cut into chunks of consecutive points, each a whole stack
+    of the full model's band solve (``families.stack_size``) or one point
+    on every other route.  The cut follows from the spec alone, never from
+    the worker count, so each row comes out of the same computation, and
+    the CSV bytes are the same, with any number of workers.  A pool gets
+    whole chunks; a chunk whose worker is lost, or whose evaluation
+    raises, comes back as flagged rows, and every other chunk keeps its
+    values.
+    """
     spec.validate()
     values = [float(v) for v in spec.grid()]
+    size = families.stack_size(spec.model, _stack_truncation(spec), spec.method)
+    chunks = [values[start:start + size] for start in range(0, len(values), size)]
     if spec.workers == 1:
-        return [evaluate_point(spec, v) for v in values]
+        return [row for chunk in chunks for row in _chunk_rows(spec, chunk)]
     from concurrent.futures import ProcessPoolExecutor
+    rows = []
     with ProcessPoolExecutor(max_workers=spec.workers) as pool:
-        return list(pool.map(_evaluate_indexed, [(spec, v) for v in values]))
+        futures = []
+        for chunk in chunks:
+            try:
+                futures.append(pool.submit(_chunk_rows, spec, chunk))
+            except Exception as exc:  # a pool broken before this chunk was sent
+                futures.append(exc)
+        for chunk, future in zip(chunks, futures):
+            try:
+                if isinstance(future, Exception):
+                    raise future
+                rows += future.result()
+            except Exception as exc:
+                rows += [_row(spec, value, _given(exc)) for value in chunk]
+    return rows
 
 
 def continuity_report(spec: SweepSpec, eps: float = 1e-6) -> str:
@@ -340,8 +415,9 @@ def ratio_scan(j_list, gamma_list, eta_list, g: float, *, omega: float = 1.0,
     quantity and their rows stay flagged too.
 
     The full-model points of one j share each cutoff's truncation, so each
-    cutoff solves them as one stack (``families.qgt_stack``); the first
-    failure in row order is raised.  Rows whose effective forms differ only
+    cutoff solves them as stacks (``families.qgt_stack``, within
+    spectra.STACK_LIMIT).  A point that fails at either cutoff gets a NaN
+    ``qfi_lab`` and ratio and is flagged.  Rows whose effective forms differ only
     in their constant share one truncated effective value, computed once
     per call.
     """
@@ -351,16 +427,17 @@ def ratio_scan(j_list, gamma_list, eta_list, g: float, *, omega: float = 1.0,
     for j in j_list if grid else ():
         points = [ModelParams.from_ratios(g, gamma=gamma, eta=eta, omega=omega, theta=theta,
                                           j=j) for gamma, eta in grid]
-        # one stack per cutoff: every (gamma, eta) point of this j shares the truncation
+        # stacks per cutoff: every (gamma, eta) point of this j shares the truncation
         lab, lab_check = (
             families.qgt_stack("full", points, families.default_truncation(
                 "full", points[0], cutoff, sector=sector), labels=("omega",), method=method)
             for cutoff in (n_max, n_max + check_step))
         for p, (gamma, eta), small, large in zip(points, grid, lab, lab_check):
-            for result in (small, large):
-                if isinstance(result, Exception):
-                    raise result
-            qfi_small, qfi_large = small.qfi("omega").value, large.qfi("omega").value
+            # a point that failed at either cutoff has no value: flag its row, do not abort
+            if isinstance(small, Exception) or isinstance(large, Exception):
+                qfi_small = qfi_large = math.nan
+            else:
+                qfi_small, qfi_large = small.qfi("omega").value, large.qfi("omega").value
             converged = (abs(qfi_large - qfi_small)
                          <= CONVERGENCE_RTOL * max(abs(qfi_small), QFI_ZERO_FLOOR))
             eff = math.nan
@@ -421,9 +498,10 @@ def convergence_scan(spec: SweepSpec, n_max_list) -> list[ConvergencePoint]:
     """Relative change of I_omega_omega between successive cutoffs, per point.
 
     A point converges at the first cutoff whose change is below
-    CONVERGENCE_RTOL.  The rows of an effective model with no method set are
-    exact (``evaluate_point``), so they agree at every cutoff and converge
-    at the second one by construction.
+    CONVERGENCE_RTOL.  Each cutoff is one ``run_sweep``, so the full model's
+    points are solved in stacks.  The rows of an effective model with no
+    method set are exact (``evaluate_point``), so they agree at every cutoff
+    and converge at the second one by construction.
     """
     cutoffs = sorted(int(n) for n in n_max_list)
     if len(cutoffs) < 2:

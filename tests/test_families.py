@@ -454,6 +454,34 @@ def test_stacked_points_match_each_point_alone(monkeypatch):
         assert abs(comp.gap - alone.gap) < 1e-12
 
 
+def test_stacks_follow_the_one_size_rule(monkeypatch):
+    # member rows of spectra.STACK_LIMIT's measurements: 8 members up to the
+    # ratio scan's 851 rows, 6 at full_scan's 1061, pairs at 2071, and
+    # nothing stacks at 3301 or 4091
+    rows = (336, 446, 641, 851, 1061, 2071, 2730, 2731, 3301, 4091)
+    assert [spectra.stack_members(r) for r in rows] == [8, 8, 8, 8, 6, 2, 2, 1, 1, 1]
+    t = Truncation.for_spin(60, 5.0, "positive")  # 336 rows
+    assert families.stack_size("full", t) == families.stack_size("full", t, "solve") == 8
+    assert families.stack_size("full", t, "sum") == families.stack_size("full", t, "fd") == 1
+    assert families.stack_size("full", Truncation.for_spin(10, 5.0, "positive")) == 1  # dense
+    assert families.stack_size("cs_np", FockCutoff(30, 30), "solve") == 1
+    stacks = []
+    lowest = spectra.lowest_k
+    monkeypatch.setattr(spectra, "lowest_k",
+                        lambda op, *a, **k: stacks.append(op.members) or lowest(op, *a, **k))
+    points = [ModelParams.from_ratios(g, gamma=2.0, j=5.0) for g in np.linspace(0.5, 0.9, 11)]
+    got = families.qgt_stack("full", points, t, labels=("omega",))
+    assert stacks == [8, 3]  # consecutive stacks within the rule
+    for comp, p in zip(got[7:9], points[7:9]):  # the last of one stack, the first of the next
+        alone = qgt_components("full", p, t, labels=("omega",))
+        assert comp.qfi("omega").value == alone.qfi("omega").value
+    stacks.clear()
+    large = Truncation.for_spin(260, 10.0, "positive")  # 2741 rows: solved alone
+    got = families.qgt_stack("full", [ModelParams.from_ratios(g, gamma=2.0, j=10.0)
+                                      for g in (0.9, 0.95)], large, labels=("omega",))
+    assert stacks == [1, 1] and all(comp.method == "linear_solve" for comp in got)
+
+
 def test_a_failed_stacked_point_fails_alone():
     t = Truncation.for_spin(60, 5.0, "positive")
     good = [ModelParams.from_ratios(0.9, gamma=gamma, j=5.0) for gamma in (0.5, 2.0)]

@@ -3,6 +3,9 @@
 import dataclasses
 import json
 import math
+import multiprocessing
+import os
+import time
 
 import numpy as np
 import pytest
@@ -285,12 +288,71 @@ def test_parallel_serial_equivalence():
 @pytest.mark.parametrize("n_max,method", [(30, "sum"), (60, "solve")])
 def test_matrix_route_bytes_do_not_depend_on_workers(n_max, method):
     # j = 5 puts the sector dimension below DENSE_SOLVE_LIMIT at n_max 30 and
-    # above it at 60: the routes whose sums run through BLAS
-    spec = SweepSpec(model="full", param="g", start=0.5, stop=0.9, points=4, gamma=2.0,
-                     eta=1.0, j=5.0, n_max=n_max, workers=2)
-    parallel = run_sweep(spec)
-    assert all(row.converged and row.method == method for row in parallel)
-    assert rows_to_csv(parallel) == rows_to_csv(run_sweep(dataclasses.replace(spec, workers=1)))
+    # above it at 60: the routes whose sums run through BLAS.  At 60 (336
+    # rows) the 17 points are three chunks, stacks of 8, 8 and 1
+    spec = SweepSpec(model="full", param="g", start=0.5, stop=0.9, points=17, gamma=2.0,
+                     eta=1.0, j=5.0, n_max=n_max)
+    serial = run_sweep(spec)
+    assert all(row.converged and row.method == method for row in serial)
+    for workers in (2, 3):
+        parallel = run_sweep(dataclasses.replace(spec, workers=workers))
+        assert rows_to_csv(parallel) == rows_to_csv(serial)
+
+
+def _count_stacks(monkeypatch) -> list:
+    """Members of each stack that spectra.lowest_k solves from now on."""
+    calls = []
+    lowest = spectra.lowest_k
+    monkeypatch.setattr(spectra, "lowest_k",
+                        lambda op, *a, **k: calls.append(op.members) or lowest(op, *a, **k))
+    return calls
+
+
+@pytest.mark.parametrize("n_max,points,stacks", [(60, 9, [8, 1]), (260, 3, [1, 1, 1])])
+def test_stacked_sweep_rows_are_the_point_by_point_rows(n_max, points, stacks, monkeypatch):
+    # j = 10: 641 rows at n_max 60 stack 8 at a time, so the grid is two
+    # chunks; 2741 rows at n_max 260 are above the stacking limit and run
+    # singly.  Each member's numbers never reach another's, so the rows agree
+    # to the CSV byte
+    spec = SweepSpec(model="full", param="g", start=0.5, stop=0.99, points=points, gamma=2.0,
+                     eta=1.0, j=10.0, n_max=n_max)
+    alone = [evaluate_point(spec, float(value)) for value in spec.grid()]
+    stacks_seen = _count_stacks(monkeypatch)
+    rows = run_sweep(spec)
+    assert stacks_seen == stacks
+    assert all(row.converged and row.method == "solve" for row in rows)
+    assert rows_to_csv(rows) == rows_to_csv(alone)
+
+
+def test_a_lost_pool_worker_flags_only_its_rows(tmp_path, monkeypatch):
+    # a worker that dies (os._exit) at the last grid value breaks the pool;
+    # the sweep still returns every row, the lost one flagged, and the rows
+    # that had finished keep their values
+    if multiprocessing.get_start_method() != "fork":
+        pytest.skip("the patched evaluation reaches the workers only by fork")
+    spec = small_spec(points=6)
+    serial = run_sweep(spec)
+    lost = float(spec.grid()[-1])
+    components = families.qgt_components
+
+    def dying(name, p, *args, **kwargs):
+        if p.g != lost:
+            comp = components(name, p, *args, **kwargs)
+            (tmp_path / f"{p.g!r}").touch()
+            return comp
+        deadline = time.monotonic() + 60.0
+        while len(list(tmp_path.iterdir())) < 5 and time.monotonic() < deadline:
+            time.sleep(0.01)
+        time.sleep(0.5)  # let the pool read the finished rows
+        os._exit(1)
+
+    monkeypatch.setattr(families, "qgt_components", dying)
+    rows = run_sweep(dataclasses.replace(spec, workers=2))
+    assert len(rows) == 6
+    assert rows_to_csv(rows[:5]) == rows_to_csv(serial[:5])
+    last, want = rows[5], serial[5]
+    assert not last.converged and math.isnan(last.I_omega_omega) and math.isnan(last.energy)
+    assert (last.g, last.method, last.branch) == (want.g, "gaussian", "np")
 
 
 def test_rerun_is_byte_identical(tmp_path):
@@ -522,3 +584,24 @@ def test_ratio_scan_solves_each_cutoff_of_each_j_as_one_stack(monkeypatch):
         alone = qfi_omega("full", p, Truncation.for_spin(80, row.j), method="solve")
         assert row.qfi_lab == pytest.approx(alone, rel=1e-12)
         assert row.qfi_eff == pytest.approx(qfi_omega("co_np", p, FockCutoff(60)), rel=1e-11)
+
+
+def test_ratio_scan_flags_a_failed_point_instead_of_raising(monkeypatch):
+    # one (gamma, eta) point of the criterion 09 inputs has no shift
+    # estimate: its row alone reads nan and is flagged, the rest are unchanged
+    inputs = ((5, 10), (1, 2), (2, 5, 10, 20), 0.99)
+    want = ratio_scan(*inputs)
+    estimate = families._estimate
+
+    def failing(name, p):
+        if (p.j, round(p.gamma, 9), round(p.eta, 9)) == (10.0, 2.0, 5.0):
+            raise ArithmeticError("no estimate")
+        return estimate(name, p)
+
+    monkeypatch.setattr(families, "_estimate", failing)
+    rows = ratio_scan(*inputs)
+    failed = [k for k, row in enumerate(rows) if not row.converged]
+    assert len(rows) == 16 and failed == [13]
+    assert math.isnan(rows[13].qfi_lab) and math.isnan(rows[13].ratio)
+    assert rows[13].qfi_eff == want[13].qfi_eff
+    assert rows[:13] + rows[14:] == want[:13] + want[14:]
