@@ -1,8 +1,7 @@
 """Quantum geometry and Fisher information of the anisotropic Dicke model."""
 
 from .effective import (DisplacementSolution, FockCutoff, QuadraticBosonForm,
-                        displacement_solution, effective_form, form_matrix,
-                        quadratic_form)
+                        displacement_solution, effective_form, form_matrix)
 from .errors import ConvergenceError, DegeneracyError, StencilError, TruncationError
 from .families import MODEL_CHOICES, qfi_omega, qgt_components, qgt_stack, resolve_branch
 from .geometry import (QFIValue, QGTComponents, berry, metric, qfi,
@@ -22,7 +21,7 @@ __all__ = [
     "ModelParams", "Truncation",
     "full_hamiltonian", "project_parity", "param_derivative",
     "FockCutoff", "QuadraticBosonForm", "DisplacementSolution",
-    "displacement_solution", "effective_form", "form_matrix", "quadratic_form",
+    "displacement_solution", "effective_form", "form_matrix",
     "Eigensystem", "NormalModes", "dense_eigensystem", "lowest_k", "gauge_fix",
     "bogoliubov_modes",
     "QGTComponents", "QFIValue", "qgt_finite_difference", "metric", "berry", "qfi",

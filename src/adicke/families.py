@@ -14,10 +14,10 @@ import numpy as np
 
 from . import effective, model, spectra
 from ._blas import single_thread
-from .errors import DegeneracyError
+from .errors import ConvergenceError, DegeneracyError
 from .geometry import (GaugeGenerator, QGTComponents, qgt_finite_difference,
                        qgt_gaussian, qgt_matrix_solve, qgt_matrix_sum)
-from .model import BandStack, HermitianBand, Matrix, ModelParams, Truncation
+from .model import BandStack, Matrix, ModelParams, Truncation, as_band
 from .effective import FockCutoff
 
 CONCRETE_MODELS = ("full", "cs_np", "cs_sp", "co_np", "co_sp")
@@ -65,22 +65,33 @@ def derivative_matrix(name: str, p: ModelParams, trunc, which: str) -> Matrix:
 def ground_eigensystem(name: str, p: ModelParams, ham: Matrix) -> spectra.Eigensystem:
     """Ground state and the level above it, by the DENSE_SOLVE_LIMIT policy.
 
-    At or below the limit this is the full dense spectrum, so the sum over
-    states can use the same solve.  Above it the two lowest pairs come by
-    shift-invert about the Bogoliubov ground energy of the quadratic limit:
-    the variant's own form, or for the full model the classical-spin branch
-    at p.g.  A truncation compresses an effective form, so by Cauchy
-    interlacing its ground energy is not below that estimate.
+    At or below the limit this is the full dense spectrum.  Above it the two
+    lowest pairs come by shift-invert about the vacuum energy of the
+    quadratic limit (``_estimate``).
     """
     if ham.shape[0] <= spectra.DENSE_SOLVE_LIMIT:
         return spectra.dense_eigensystem(ham)
     return spectra.lowest_k(ham, 2, estimate=_estimate(name, p))
 
 
-def _estimate(name: str, p: ModelParams) -> spectra.NormalModes:
-    """The normal modes whose Bogoliubov ground energy places the shift."""
+def _estimate(name: str, p: ModelParams) -> spectra.NormalModes | None:
+    """The normal modes whose vacuum energy places the shift, from one Colpa
+    solve of the quadratic limit: the variant's own form, or for the full
+    model the classical-spin branch at p.g.  A truncation compresses an
+    effective form, so by Cauchy interlacing its ground energy is not below
+    that estimate.  None when the form has no Gaussian ground state."""
     branch = resolve_branch("auto_cs", p.g) if name == "full" else name
-    return spectra.bogoliubov_modes(effective.effective_form(branch, p))
+    form = effective.effective_form(branch, p)
+    try:
+        eps, _ = spectra.symplectic_transform(form)
+    except ConvergenceError:
+        return None
+    return spectra.NormalModes(energies=eps, ground_energy=_vacuum_energy(form, eps), stable=True)
+
+
+def _vacuum_energy(form: effective.QuadraticBosonForm, eps: np.ndarray) -> float:
+    """const + (sum eps - n_a - n_b) / 2: the energy of the normal modes' vacuum."""
+    return form.const + 0.5 * (float(np.sum(eps)) - form.n_a - form.n_b)
 
 
 def ground_pair(name: str, p: ModelParams, trunc) -> tuple[float, np.ndarray, float]:
@@ -110,7 +121,7 @@ def _gaussian_components(name: str, p: ModelParams, labels: tuple[str, ...]) -> 
     ``geometry.qgt_gaussian`` over the derivative forms.  Like "sum" and
     "solve" it works at theta = 0, where the theta derivative form is
     exact.  The energy and gap come from the certified mode energies: the
-    vacuum energy const + (sum eps - n_a - n_b) / 2 and the softest mode.
+    vacuum energy (``_vacuum_energy``) and the softest mode.
     ``spectra.bogoliubov_modes``, a separate solve, stays their oracle.
     """
     at = dataclasses.replace(p, theta=0.0)
@@ -119,9 +130,8 @@ def _gaussian_components(name: str, p: ModelParams, labels: tuple[str, ...]) -> 
     spectra.check_symplectic(form, eps, t)
     derivs = [spectra.single_particle_matrix(effective.form_param_derivative(name, at, label))
               for label in labels]
-    energy = form.const + 0.5 * (float(np.sum(eps)) - form.n_a - form.n_b)
     return dataclasses.replace(qgt_gaussian(eps, t, derivs, labels),
-                               energy=energy, gap=float(np.min(eps)))
+                               energy=_vacuum_energy(form, eps), gap=float(np.min(eps)))
 
 
 @single_thread
@@ -134,10 +144,10 @@ def qgt_components(name: str, p: ModelParams, trunc=None,
     truncation -- which the full model always needs -- ``method`` is one of
     "sum", "solve", "fd"; by default the full-spectrum sum is used when the
     solved matrix has at most spectra.DENSE_SOLVE_LIMIT rows and the linear
-    solve above it.  The Hamiltonian is built and
-    diagonalized once, and the solved pairs are checked against it; the
-    result carries its ground energy and gap.  A solve above the limit is
-    a stack of one (``qgt_stack``).
+    solve above it.  The Hamiltonian is built and solved once, and the
+    solved pairs are checked against it; the result carries its ground
+    energy and gap.  Every solve, at any size, is a stack of one
+    (``_solved``): no dense spectrum is taken for it.
 
     The phase theta is a gauge: H(theta) = U H(0) U^dagger with
     U = exp(i theta n_a), exactly on the truncated basis.  U does not depend
@@ -159,8 +169,8 @@ def qgt_components(name: str, p: ModelParams, trunc=None,
     ham = hamiltonian_matrix(name, at, trunc)
     if method is None:
         method = "sum" if ham.shape[0] <= spectra.DENSE_SOLVE_LIMIT else "solve"
-    if method == "solve" and isinstance(ham, HermitianBand):
-        [comp] = _solved(name, [at], BandStack(ham), trunc, labels)
+    if method == "solve":
+        [comp] = _solved(name, [at], BandStack(as_band(ham)), trunc, labels)
         if isinstance(comp, Exception):
             raise comp
         return comp
@@ -174,23 +184,13 @@ def qgt_components(name: str, p: ModelParams, trunc=None,
     else:
         derivs = [_generator(name, trunc) if label == "theta"
                   else derivative_matrix(name, at, trunc, label) for label in labels]
-        if method == "sum":
-            comp = qgt_matrix_sum(es, derivs, labels)
-        else:
-            _check_gap(es)
-            comp = qgt_matrix_solve(ham, energy, psi, derivs, labels, factor=es.factor,
-                                    gap=es.gap)
+        comp = qgt_matrix_sum(es, derivs, labels)
     return dataclasses.replace(comp, energy=energy, gap=es.gap)
 
 
 def _generator(name: str, trunc) -> GaugeGenerator:
     """dH/dtheta = i[n_a, H]: the theta tangent needs no matrix and no solve."""
     return GaugeGenerator(photon_number_diagonal(name, trunc))
-
-
-def _check_gap(es: spectra.Eigensystem) -> None:
-    if es.gap < spectra.DEGENERACY_RTOL * max(1.0, abs(float(es.energies[0]))):
-        raise DegeneracyError(f"ground gap {es.gap:.2e} is below the degeneracy tolerance")
 
 
 def _attempt(func, *args, **kwargs):
@@ -260,8 +260,8 @@ def _solved(name: str, points, ham: BandStack, trunc, labels) -> list:
     one ``QGTComponents`` or one exception per member.
 
     Each member's pairs come from ``spectra.lowest_k`` about its own
-    Bogoliubov estimate (as in ``ground_eigensystem``) and pass its own
-    ``Eigensystem.check`` and gap check before its tangents are solved.
+    estimate (``_estimate``) and pass its own ``Eigensystem.check`` and gap
+    check before its tangents are solved.
     """
     results = [_attempt(_estimate, name, p) for p in points]
     placed = [b for b, estimate in enumerate(results) if not isinstance(estimate, Exception)]
@@ -294,13 +294,14 @@ def _solved(name: str, points, ham: BandStack, trunc, labels) -> list:
 
 def _certified(es: spectra.Eigensystem, ham, product: np.ndarray) -> spectra.Eigensystem:
     es.check(ham, product)
-    _check_gap(es)
+    if es.gap < spectra.DEGENERACY_RTOL * max(1.0, abs(float(es.energies[0]))):
+        raise DegeneracyError(f"ground gap {es.gap:.2e} is below the degeneracy tolerance")
     return es
 
 
 def _derivative_stack(name: str, points, trunc, label: str) -> BandStack:
     if len(points) == 1:
-        return BandStack(derivative_matrix(name, points[0], trunc, label))
+        return BandStack(as_band(derivative_matrix(name, points[0], trunc, label)))
     return model.param_derivative_stack(points, trunc, label)
 
 

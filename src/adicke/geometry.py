@@ -16,13 +16,13 @@ real or complex inputs and keep their dtype.  A derivative given as a
 form; ``families.qgt_components`` feeds the sum and the solve the real
 theta = 0 problem with the theta derivative in that form.
 
-The linear solve also takes a stack of points on one truncation
-(``model.BandStack``, one block-diagonal band): one conjugate-gradient
-iteration serves every member, each step one band solve with the members'
-factors laid end to end (``spectra.FactorStack``) and one band product per
-derivative.  What stays per member is its factor, its tolerance and stop,
-its final residual check and its error, which is returned for it alone.
-One point is a stack of one and runs the same code.
+The linear solve takes a stack of points on one truncation
+(``model.BandStack``, one block-diagonal band), and one point is a stack of
+one: one conjugate-gradient iteration serves every member, each step one
+band solve with the members' factors laid end to end
+(``spectra.FactorStack``) and one band product per derivative.  What stays
+per member is its factor, its tolerance and stop, its final residual check
+and its error, which is returned for it alone.
 
 The ground state of a quadratic boson form is Gaussian, and its tensor is a
 finite sum over normal-mode pairs (``qgt_gaussian``), with no Fock cutoff;
@@ -43,7 +43,7 @@ from typing import Callable, Sequence, TypeAlias
 import numpy as np
 
 from .errors import ConvergenceError, DegeneracyError, StencilError
-from .model import BandStack, HermitianBand, Matrix, ModelParams
+from .model import BandStack, Matrix, ModelParams
 from .spectra import Eigensystem, FactorStack, ShiftInvert, gauge_fix, shift_invert
 
 #: Relative finite-difference step.
@@ -86,9 +86,6 @@ class QGTComponents:
 
     def index(self, label: str) -> int:
         return self.labels.index(label)
-
-    def entry(self, mu: str, nu: str) -> complex:
-        return complex(self.q[self.index(mu), self.index(nu)])
 
     def metric(self) -> np.ndarray:
         return metric(self)
@@ -259,91 +256,56 @@ def _pcg(apply: Callable, precondition: Callable, rhs: np.ndarray,
     return x
 
 
-def _apply(op, v: np.ndarray) -> np.ndarray:
-    """H v for vectors along the last axis of v (the last two for a stack)."""
-    if isinstance(op, BandStack):
-        return op.product(v)
-    if isinstance(op, HermitianBand):
-        return BandStack(op).product(v)
-    flat = v.reshape(-1, v.shape[-1])
-    return (op @ flat.T).T.reshape(v.shape)
+def resolvent_tangent(ham: BandStack, energy, psi: np.ndarray, derivs: Sequence[BandStack],
+                      factor=None, gap=math.nan) -> list:
+    """Solve P (H_b - E_b) P |x_mu> = P dH_mu |psi_b>, P = 1 - |psi_b><psi_b|,
+    for every member b of a stack (``model.BandStack``) at once.
 
-
-def _shifted(ham, energy: np.ndarray):
-    """H - E0 of every member, as one matrix: a stack with each member's
-    diagonal moved by its own E0, or one ndarray."""
-    if isinstance(ham, BandStack):
-        return ham.shifted(energy)
-    return ham - energy[0] * np.eye(ham.shape[0])
-
-
-def resolvent_tangent(ham, energy, psi: np.ndarray, derivs: Sequence,
-                      factor=None, gap=math.nan):
-    """Solve P (H - E0) P |x_mu> = P dH_mu |psi0>, P = 1 - |psi0><psi0|.
-
-    Conjugate gradients (``_pcg``) on the orthogonal complement of the
-    state, where H - E0 is positive definite, preconditioned with
-    P (H - sigma)^-1 P from a shift-invert factor: the ground-pair solve's,
-    when it lies within one ``gap`` of E0, or else one factored here at
-    E0 - gap/10 (see ``spectra.shift_invert``).  The preconditioned spectrum
-    lies in [gap / (gap + E0 - sigma), 1), so a few iterations suffice.
-    ``ham`` and the derivatives are Hermitian: ndarrays or
-    ``model.HermitianBand``.  The result holds one tangent per column, in the
-    dtype the inputs need, and every column's residual is checked against
-    H - E0.
-
-    A ``model.BandStack`` solves the members of a stack at once: ``energy``
-    and ``gap`` hold one value per member, ``psi`` one state per row, each
-    derivative is a stack of the same members and ``factor`` holds one
-    ``ShiftInvert`` (or None) per member.  The members' factors act as one
-    ``spectra.FactorStack``, so each step of the iteration makes one band
-    solve and one band product per derivative for all of them, while each
-    member keeps its own tolerance, stop and residual check.  The result is
-    one tangent matrix, or one ``ConvergenceError``, per member.  One matrix
-    is solved as a stack of one, and its error raised.
+    Conjugate gradients (``_pcg``) on the orthogonal complement of each
+    state, where H_b - E_b is positive definite, preconditioned with
+    P (H_b - sigma_b)^-1 P from a shift-invert factor: the ground-pair
+    solve's, when it lies within one ``gap`` of E_b, or else one factored
+    here at E_b - gap/10 (see ``spectra.shift_invert``).  The preconditioned
+    spectrum lies in [gap / (gap + E_b - sigma_b), 1), so a few iterations
+    suffice.  ``energy`` and ``gap`` hold one value per member, ``psi`` one
+    state per row, each derivative is a stack of the same members and
+    ``factor`` holds one ``ShiftInvert`` (or None) per member.  The members'
+    factors act as one ``spectra.FactorStack``, so each step of the
+    iteration makes one band solve and one band product per derivative for
+    all of them, while each member keeps its own tolerance, stop and
+    residual check.  The result is one tangent matrix (one column per
+    derivative, in the dtype the inputs need), or one ``ConvergenceError``,
+    per member.
     """
-    if isinstance(ham, BandStack):
-        factors = [None] * ham.members if factor is None else list(factor)
-        return _resolvent(ham, np.asarray(energy, dtype=float), np.asarray(psi), derivs,
-                          factors, np.broadcast_to(np.asarray(gap, dtype=float), (ham.members,)))
-    if isinstance(ham, HermitianBand):
-        ham = BandStack(ham)  # its band product is bound once for the whole iteration
-    [x] = _resolvent(ham, np.array([energy], dtype=float), np.asarray(psi)[None], derivs,
-                     [factor], np.array([gap], dtype=float))
-    if isinstance(x, Exception):
-        raise x
-    return x
-
-
-def _resolvent(ham, energy: np.ndarray, psi: np.ndarray, derivs, factors: list,
-               gap: np.ndarray) -> list:
-    """``resolvent_tangent`` on a stack: psi is (members, size)."""
+    energy = np.asarray(energy, dtype=float)
+    psi = np.asarray(psi)
     members, size = psi.shape
-    member = ham.member if isinstance(ham, BandStack) else (lambda b: ham)
+    gap = np.broadcast_to(np.asarray(gap, dtype=float), (members,))
+    factors = [None] * members if factor is None else list(factor)
     errors = [None] * members
-    for b, factor in enumerate(factors):
-        if factor is None or energy[b] - factor.sigma > gap[b]:
+    for b, made in enumerate(factors):
+        if made is None or energy[b] - made.sigma > gap[b]:
             try:
-                factors[b] = shift_invert(member(b), energy[b], gap[b])
+                factors[b] = shift_invert(ham.member(b), energy[b], gap[b])
             except ConvergenceError as exc:
                 errors[b] = exc
                 factors[b] = ShiftInvert(sigma=math.nan, factor=np.ones((1, size)))
     stack = FactorStack.join(factors)
-    shifted = _shifted(ham, energy)
+    shifted = ham.shifted(energy)
     project = lambda v: v - psi * np.vecdot(psi, v)[..., None]
     # twice, so that what is left along the state lies below the stop test's
     # bound, which the iteration cannot reduce
-    rhs = project(project(np.stack([_apply(d, psi) for d in derivs])))
+    rhs = project(project(np.stack([d.product(psi) for d in derivs])))
     rhs = rhs.astype(np.result_type(ham.dtype, rhs.dtype), copy=False)
     if any(error is not None for error in errors):
         rhs[:, [error is not None for error in errors]] = 0.0  # a member with no factor
     bounds = SOLVE_TOL * np.maximum(1.0, np.linalg.norm(rhs, axis=-1))
-    x = project(_pcg(lambda v: project(_apply(shifted, v)), lambda v: project(stack.solve(v)),
+    x = project(_pcg(lambda v: project(shifted.product(v)), lambda v: project(stack.solve(v)),
                      rhs, atol=1e-3 * bounds))
     broken = ~np.isfinite(np.vecdot(x, x))
     if broken.any():
         x[broken] = 0.0  # a breakdown's NaN must not reach the other members' product
-    residuals = np.linalg.norm(_apply(shifted, x) - rhs, axis=-1)
+    residuals = np.linalg.norm(shifted.product(x) - rhs, axis=-1)
     residuals[broken] = math.nan
     results = []
     for b in range(members):
@@ -360,20 +322,18 @@ def _resolvent(ham, energy: np.ndarray, psi: np.ndarray, derivs, factors: list,
     return results
 
 
-def qgt_matrix_solve(ham, energy, psi: np.ndarray, derivs: Sequence[Derivative],
-                     labels: Sequence[str], factor=None, gap=math.nan):
-    """The tensor from resolvent tangents, one factorization for all of them.
+def qgt_matrix_solve(ham: BandStack, energy, psi: np.ndarray, derivs: Sequence,
+                     labels: Sequence[str], factor=None, gap=math.nan) -> list:
+    """The tensors of a stack's members from resolvent tangents, one
+    factorization per member for all of them.
 
+    Every argument but ``labels`` holds one entry per member, as
+    ``resolvent_tangent`` takes them: a derivative is a ``model.BandStack``
+    of the same members or a ``GaugeGenerator``, which they share.
     ``factor`` and ``gap`` come from the ground-pair solve when it has them
-    (``Eigensystem.factor``, ``Eigensystem.gap``); see ``resolvent_tangent``.
-    For a ``model.BandStack`` every argument but ``labels`` holds one entry
-    per member (generators are shared), and the result is one
+    (``Eigensystem.factor``, ``Eigensystem.gap``).  The result is one
     ``QGTComponents`` or one exception per member.
     """
-    if not isinstance(ham, BandStack):
-        tangents = _tangents(derivs, psi, lambda matrices: resolvent_tangent(
-            ham, energy, psi, matrices, factor=factor, gap=gap))
-        return qgt_from_tangents(tangents, labels, "linear_solve")
     matrices = [d for d in derivs if not isinstance(d, GaugeGenerator)]
     solved = (resolvent_tangent(ham, energy, psi, matrices, factor=factor, gap=gap)
               if matrices else [None] * ham.members)

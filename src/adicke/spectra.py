@@ -31,9 +31,10 @@ batched.  One matrix is a stack of one and runs the same code.
 A quadratic boson form needs no matrix at all: its normal-mode energies come
 from its single-particle matrix, and ``symplectic_transform`` gives them and
 the transform to the normal modes in one solve (Colpa, Physica A 93, 327
-(1978)), certified by ``check_symplectic``.  ``bogoliubov_modes`` reaches
-the same energies by a different solve and is kept as their oracle and as
-the shift estimate of the shift-invert route.
+(1978)), certified by ``check_symplectic``; the vacuum energy of those
+modes is also what places the shift of the shift-invert route
+(``families._estimate``).  ``bogoliubov_modes`` reaches the same energies by
+a different solve and is kept as their oracle.
 
 Every route runs on numpy's LAPACK and numpy's bundled OpenBLAS, and loads
 no part of scipy: the builders hand a matrix at or below DENSE_SOLVE_LIMIT
@@ -179,14 +180,6 @@ class ShiftInvert:
 
     sigma: float
     factor: np.ndarray
-
-    @property
-    def dtype(self) -> np.dtype:
-        return self.factor.dtype
-
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """(H - sigma)^-1 rhs, for one column or several; a real factor takes complex rhs."""
-        return FactorStack.join([self]).solve(np.asarray(rhs).T).T
 
 
 @dataclass(frozen=True, eq=False)

@@ -8,14 +8,14 @@ import pytest
 
 from adicke import (FockCutoff, ModelParams, TruncationError, bogoliubov_modes,
                     dense_eigensystem, displacement_solution, effective, form_matrix,
-                    qgt_components, quadratic_form)
-from adicke.effective import (QuadraticBosonForm, boson_parity_labels,
-                              co_normal_form, co_superradiant_form,
+                    qgt_components)
+from adicke.effective import (QuadraticBosonForm, co_normal_form, co_superradiant_form,
                               cs_normal_form, cs_superradiant_form,
                               effective_form, effective_param_derivative,
                               form_param_derivative, theta_derivative_matrix)
 from adicke.families import ground_state
 from adicke.model import Piece, as_dense
+from forms import boson_parity_labels, quadratic_form
 
 
 def from_g(g, gamma=1.0, eta=1.0, theta=0.0, j=10.0, omega=1.0):

@@ -13,7 +13,7 @@ from adicke import (FockCutoff, ModelParams, Truncation, _blas, bogoliubov_modes
 from adicke.families import (default_truncation, derivative_matrix, ground_eigensystem,
                              ground_pair, hamiltonian_matrix, qgt_components, resolve_branch)
 from adicke.geometry import qgt_matrix_sum
-from adicke.model import HermitianBand
+from adicke.model import BandStack, HermitianBand
 from adicke.spectra import DENSE_SOLVE_LIMIT
 
 
@@ -195,8 +195,10 @@ def test_wide_band_point_matches_the_dense_route(name, trunc, theta):
     # also solves complex right-hand sides here
     derivs = [derivative_matrix(name, p, trunc, label) for label in FIVE_LABELS]
     summed = qgt_matrix_sum(dense, derivs, FIVE_LABELS).q
-    solved = geometry.qgt_matrix_solve(ham, float(es.energies[0]), es.states[:, 0], derivs,
-                                       FIVE_LABELS, factor=es.factor, gap=es.gap).q
+    [solved] = geometry.qgt_matrix_solve(BandStack(ham), [es.energies[0]], es.states[:, 0][None],
+                                         [BandStack(d) for d in derivs], FIVE_LABELS,
+                                         factor=[es.factor], gap=[es.gap])
+    solved = solved.q
     default = qgt_components(name, p, trunc, labels=FIVE_LABELS)
     assert default.method == "linear_solve"
     scale = max(1.0, float(np.abs(summed).max()))
@@ -221,6 +223,46 @@ def test_five_label_solve_point_factors_once(monkeypatch):
                           method="solve")
     assert comp.method == "linear_solve"
     assert counts == {"factor": 1, "resolvent_tangent": 1}
+
+
+@pytest.mark.parametrize("name,trunc", [
+    ("full", Truncation.for_spin(30, 5.0, "positive")),
+    ("cs_np", FockCutoff(12, 12)),
+])
+def test_explicit_solve_at_or_below_the_limit_takes_no_dense_spectrum(name, trunc, monkeypatch):
+    # the stack of one that every solve runs: one banded factor, no eigh
+    p = ModelParams.from_ratios(0.8, gamma=2.0, theta=0.4, j=5.0)
+    assert hamiltonian_matrix(name, p, trunc).shape[0] in (169, 171)
+    counts = {"dense_eigensystem": 0, "pbtrf": 0}
+
+    def counted(key, func):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return func(*args, **kwargs)
+        return wrapper
+
+    with monkeypatch.context() as patch:
+        patch.setattr(spectra, "dense_eigensystem",
+                      counted("dense_eigensystem", spectra.dense_eigensystem))
+        patch.setattr(_blas, "pbtrf", counted("pbtrf", _blas.pbtrf))
+        solved = qgt_components(name, p, trunc, labels=FIVE_LABELS, method="solve")
+    assert counts == {"dense_eigensystem": 0, "pbtrf": 1}
+    summed = qgt_components(name, p, trunc, labels=FIVE_LABELS, method="sum")
+    scale = max(1.0, float(np.abs(summed.q).max()))
+    assert float(np.abs(solved.q - summed.q).max()) < 1e-10 * scale
+
+
+def test_a_form_with_no_gaussian_ground_state_still_solves():
+    # co_np above g = 1 has no Colpa solve, so the shift starts at the
+    # Gershgorin floor; the truncated matrix still has its ground state
+    p = ModelParams.from_ratios(1.2, gamma=2.0, theta=0.4, j=5.0)
+    assert families._estimate("co_np", p) is None
+    solved = qgt_components("co_np", p, FockCutoff(40), labels=FIVE_LABELS, method="solve")
+    summed = qgt_components("co_np", p, FockCutoff(40), labels=FIVE_LABELS, method="sum")
+    assert solved.method == "linear_solve"
+    scale = max(1.0, float(np.abs(summed.q).max()))
+    assert float(np.abs(solved.q - summed.q).max()) < 1e-10 * scale
+    assert solved.energy == pytest.approx(summed.energy, abs=1e-10 * max(1.0, abs(summed.energy)))
 
 
 @pytest.mark.parametrize("omega,Omega", [(1.0, 1.0), (0.8, 1.5)])
@@ -302,6 +344,14 @@ def test_a_gaussian_row_takes_one_normal_mode_solve(monkeypatch):
         row = sweep.evaluate_point(spec, g)
         assert row.method == "gaussian" and row.converged and math.isfinite(row.gap)
     assert calls == {"bogoliubov_modes": 0, "solve": 0, "symplectic_transform": 2}
+    # a full-model solve point places its shift by one Colpa solve of its
+    # classical-spin limit, and by no Bogoliubov solve
+    calls.update(symplectic_transform=0)
+    full = sweep.SweepSpec(model="full", param="g", start=0.6, stop=1.4, points=2,
+                           gamma=2.0, eta=1.0, j=5.0, n_max=30, method="solve")
+    row = sweep.evaluate_point(full, 0.9)
+    assert row.method == "solve" and row.converged
+    assert calls == {"bogoliubov_modes": 0, "solve": 0, "symplectic_transform": 1}
 
 
 @pytest.mark.parametrize("name,g,trunc", [

@@ -13,11 +13,26 @@ from adicke.families import (derivative_matrix, ground_pair, ground_state,
                              hamiltonian_matrix, photon_number_diagonal)
 from adicke.geometry import (QFIValue, QGTComponents, qgt_matrix_solve,
                              qgt_matrix_sum)
+from adicke.model import BandStack, as_band
 from adicke.spectra import Eigensystem, gauge_fix
 
 
 def from_g(g, gamma=1.0, eta=1.0, theta=0.0, j=5.0):
     return ModelParams.from_ratios(g, gamma=gamma, eta=eta, theta=theta, j=j)
+
+
+def entry(comp, mu, nu):
+    """One entry of a tensor, by its labels."""
+    return complex(comp.q[comp.index(mu), comp.index(nu)])
+
+
+def solve_alone(ham, energy, psi, derivs, labels):
+    """``qgt_matrix_solve`` of one matrix, as a stack of one: its tensor, or its error raised."""
+    [comp] = qgt_matrix_solve(BandStack(as_band(ham)), [energy], psi[None],
+                              [BandStack(as_band(d)) for d in derivs], labels)
+    if isinstance(comp, Exception):
+        raise comp
+    return comp
 
 
 def variance_of_photon_number(model, psi, trunc):
@@ -73,9 +88,9 @@ def test_linear_solve_agrees_with_sum():
     d_t = derivative_matrix("full", p, t, "theta")
     d_w = derivative_matrix("full", p, t, "omega")
     labels = ("theta", "omega")
-    reference = qgt_matrix_sum(es, [d_t, d_w], labels).entry("theta", "omega")
-    solved = qgt_matrix_solve(ham, float(es.energies[0]), es.states[:, 0], [d_t, d_w],
-                              labels).entry("theta", "omega")
+    reference = entry(qgt_matrix_sum(es, [d_t, d_w], labels), "theta", "omega")
+    solved = entry(solve_alone(ham, float(es.energies[0]), es.states[:, 0], [d_t, d_w],
+                               labels), "theta", "omega")
     assert abs(solved - reference) < 1e-10 * max(1.0, abs(reference))
 
 
@@ -88,7 +103,7 @@ def test_linear_solve_reports_residual_on_singular_shift():
     es = dense_eigensystem(ham)
     d_w = derivative_matrix("full", p, t, "omega")
     with pytest.raises(ConvergenceError) as info:
-        qgt_matrix_solve(ham, float(es.energies[1]), es.states[:, 0], [d_w], ("omega",))
+        solve_alone(ham, float(es.energies[1]), es.states[:, 0], [d_w], ("omega",))
     assert info.value.residual is not None and info.value.residual > 1e-10
 
 
@@ -98,7 +113,7 @@ def test_linear_solve_decoupled_zero():
     ham = hamiltonian_matrix("full", p, t)
     e0, psi, _ = ground_pair("full", p, t)
     d_w = derivative_matrix("full", p, t, "omega")
-    assert abs(qgt_matrix_solve(ham, e0, psi, [d_w], ("omega",)).q[0, 0]) < 1e-14
+    assert abs(solve_alone(ham, e0, psi, [d_w], ("omega",)).q[0, 0]) < 1e-14
 
 
 def test_linear_solve_at_reference_cutoff_scale():
@@ -177,7 +192,7 @@ def test_fd_single_label_matches_sum():
     p = from_g(0.5, gamma=2.0, theta=0.3, j=2.0)
     t = Truncation.for_spin(16, p.j, "positive")
     builder = lambda q: ground_state("full", q, t)
-    val = qgt_finite_difference(builder, p, ("theta",)).entry("theta", "theta")
+    val = entry(qgt_finite_difference(builder, p, ("theta",)), "theta", "theta")
     ref = qgt_components("full", p, t, labels=("theta",), method="sum").q[0, 0]
     assert val.real == pytest.approx(ref.real, rel=1e-6)
 
@@ -299,8 +314,9 @@ def test_stacked_tangents_match_each_member_alone(theta):
         derivs, factor=[es.factor for es in systems], gap=[es.gap for es in systems])
     for p, es, x in zip(points, systems, stacked):
         ham = full_hamiltonian(p, t)
-        want = geometry.resolvent_tangent(
-            ham, float(es.energies[0]), es.states[:, 0],
-            [param_derivative(p, t, label) for label in labels], factor=es.factor, gap=es.gap)
+        [want] = geometry.resolvent_tangent(
+            BandStack(ham), [es.energies[0]], es.states[:, 0][None],
+            [BandStack(param_derivative(p, t, label)) for label in labels], factor=[es.factor],
+            gap=[es.gap])
         assert x.shape == want.shape == (ham.shape[0], 2)
         assert np.max(np.abs(x - want)) < 1e-12 * max(1.0, float(np.max(np.abs(want))))

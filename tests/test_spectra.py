@@ -13,7 +13,7 @@ from adicke import (ConvergenceError, DegeneracyError, FockCutoff, ModelParams,
 from adicke.effective import (QuadraticBosonForm, co_normal_form, cs_normal_form,
                               cs_superradiant_form, co_superradiant_form,
                               effective_form, form_matrix)
-from adicke.spectra import (DENSE_SOLVE_LIMIT, check_symplectic, gershgorin_floor,
+from adicke.spectra import (DENSE_SOLVE_LIMIT, FactorStack, check_symplectic, gershgorin_floor,
                             single_particle_matrix, symplectic_transform)
 
 
@@ -254,7 +254,8 @@ def test_lanczos_pairs_match_arpack(theta):
     p, ham = _above_limit_hamiltonian(theta)
     es = lowest_k(ham, 2, estimate=bogoliubov_modes(cs_normal_form(p)))
     dim = ham.shape[0]
-    opinv = spla.LinearOperator((dim, dim), matvec=es.factor.solve, dtype=ham.dtype)
+    opinv = spla.LinearOperator((dim, dim), matvec=FactorStack.join([es.factor]).solve,
+                                dtype=ham.dtype)
     energies, states = spla.eigsh(sp.csr_array(ham.toarray()), k=2, sigma=es.factor.sigma,
                                   which="LM", OPinv=opinv, v0=spectra._start_vector(dim))
     order = np.argsort(energies)
@@ -288,14 +289,15 @@ def test_banded_routines_fall_back_to_scipy_bit_for_bit(theta, monkeypatch):
     estimate = bogoliubov_modes(cs_normal_form(p))
     rhs = np.random.default_rng(3).normal(size=(ham.shape[0], 2)).astype(ham.dtype)
     factor = spectra.shift_invert(ham, estimate.ground_energy, estimate.gap)
-    bundled = (factor.factor, factor.solve(rhs), ham @ rhs)
+    bundled = (factor.factor, FactorStack.join([factor]).solve(rhs.T).T, ham @ rhs)
     monkeypatch.setattr(_blas, "_openblas", lambda: ())  # numpy bundles nothing
     _blas._banded.cache_clear()
     try:
         fallback = spectra.shift_invert(ham, estimate.ground_energy, estimate.gap)
         assert fallback.sigma == factor.sigma
         assert np.array_equal(fallback.factor, bundled[0])
-        np.testing.assert_allclose(fallback.solve(rhs), bundled[1], rtol=1e-13)
+        np.testing.assert_allclose(FactorStack.join([fallback]).solve(rhs.T).T, bundled[1],
+                                   rtol=1e-13)
         np.testing.assert_allclose(ham @ rhs, bundled[2], rtol=1e-13)
         kind = "z" if theta else "d"
         assert _blas._banded(kind).pbtrf.__qualname__.startswith("_scipy_banded")
