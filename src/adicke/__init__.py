@@ -10,8 +10,6 @@ from .model import (ModelParams, Truncation, full_hamiltonian, param_derivative,
                     project_parity)
 from .spectra import (Eigensystem, NormalModes, bogoliubov_modes,
                       dense_eigensystem, gauge_fix, lowest_k)
-from .squeezed import (SqueezeParams, berry_curvature_np, berry_curvature_sp,
-                       squeeze_params, squeezed_state_vector)
 from .sweep import (SweepRow, SweepSpec, convergence_scan, gamma_comparison,
                     peak_locate, ratio_scan, run_sweep, rows_to_csv, write_csv,
                     write_json)
@@ -25,8 +23,6 @@ __all__ = [
     "Eigensystem", "NormalModes", "dense_eigensystem", "lowest_k", "gauge_fix",
     "bogoliubov_modes",
     "QGTComponents", "QFIValue", "qgt_finite_difference", "metric", "berry", "qfi",
-    "SqueezeParams", "squeeze_params", "squeezed_state_vector",
-    "berry_curvature_np", "berry_curvature_sp",
     "MODEL_CHOICES", "resolve_branch", "qgt_components", "qgt_stack", "qfi_omega",
     "SweepSpec", "SweepRow", "run_sweep", "gamma_comparison", "ratio_scan",
     "peak_locate", "convergence_scan", "rows_to_csv", "write_csv", "write_json",

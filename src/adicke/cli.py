@@ -13,25 +13,9 @@ import sys
 import click
 
 from . import families
-from .sweep import (SweepSpec, continuity_report, convergence_scan,
+from .sweep import (SweepSpec, continuity_report, convergence_scan, csv_cell,
                     gamma_comparison, ratio_scan, rows_to_csv, run_sweep,
                     write_csv, write_json)
-
-_SPEC_KEYS = {
-    "model": str, "method": str, "param": str, "start": float, "stop": float,
-    "points": int, "spacing": str, "g": float, "gamma": float, "eta": float,
-    "omega": float, "theta": float, "j": float, "n_max": int, "n_max_b": int,
-    "sector": str, "out": str, "workers": int, "fd_exclusion": float,
-}
-
-_SECTION_OF = {
-    "model": "sweep", "method": "sweep", "param": "sweep", "start": "sweep",
-    "stop": "sweep", "points": "sweep", "spacing": "sweep", "tensor": "sweep",
-    "g": "parameters", "gamma": "parameters", "eta": "parameters",
-    "omega": "parameters", "theta": "parameters", "j": "parameters",
-    "n_max": "truncation", "n_max_b": "truncation", "sector": "truncation",
-    "out": "output", "workers": "output", "fd_exclusion": "output",
-}
 
 
 def _number(text: str) -> float:
@@ -49,20 +33,39 @@ def _number_list(text: str) -> list[float]:
     return [_number(item) for item in text.split(",") if item.strip()]
 
 
+def _labels(text: str) -> tuple[str, ...]:
+    return tuple(s.strip() for s in text.split(",") if s.strip())
+
+
+#: The config file's sections, their keys and each key's parser; the key
+#: tensor sets the spec's labels, every other key the field of its name.
+_CONFIG = {
+    "sweep": {"model": str, "method": str, "param": str, "start": float, "stop": float,
+              "points": int, "spacing": str, "tensor": _labels},
+    "parameters": {"g": float, "gamma": float, "eta": float, "omega": float,
+                   "theta": float, "j": float},
+    "truncation": {"n_max": int, "n_max_b": int, "sector": str},
+    "output": {"out": str, "workers": int},
+}
+
+
 def _read_config(path: str) -> dict:
+    """The spec values of a config file; a section or key outside ``_CONFIG``
+    raises ``ValueError`` with its name."""
     import configparser  # only a --config run needs it
 
-    parser = configparser.ConfigParser()
+    # no section is shared with the others, so a [DEFAULT] one is unknown too
+    parser = configparser.ConfigParser(default_section="")
     with open(path, encoding="utf-8") as handle:
         parser.read_file(handle)
     values: dict = {}
-    for key, section in _SECTION_OF.items():
-        if parser.has_option(section, key):
-            raw = parser.get(section, key)
-            if key == "tensor":
-                values["labels"] = tuple(s.strip() for s in raw.split(",") if s.strip())
-            else:
-                values[key] = _SPEC_KEYS[key](raw) if key in _SPEC_KEYS else raw
+    for section in parser.sections():
+        if section not in _CONFIG:
+            raise ValueError(f"unknown config section [{section}]")
+        for key, raw in parser.items(section):
+            if key not in _CONFIG[section]:
+                raise ValueError(f"unknown config key {key!r} in section [{section}]")
+            values["labels" if key == "tensor" else key] = _CONFIG[section][key](raw)
     return values
 
 
@@ -82,6 +85,20 @@ def _build_spec(config: str | None, overrides: dict) -> SweepSpec:
 def _fail(message: str):
     click.echo(f"error: {message}", err=True)
     sys.exit(1)
+
+
+def _line(*cells) -> str:
+    return ",".join(csv_cell(cell) for cell in cells)
+
+
+def _emit(lines: list[str], out: str | None) -> None:
+    """Write a table's lines to the file ``out``, or to stdout without one."""
+    text = "\n".join(lines) + "\n"
+    if out:
+        with open(out, "w", encoding="utf-8") as handle:
+            handle.write(text)
+    else:
+        click.echo(text, nl=False)
 
 
 @contextlib.contextmanager
@@ -152,7 +169,7 @@ def _with_shared(func):
 def sweep_cmd(config, json_out, tensor, gamma, **overrides):
     """Run a declarative parameter sweep and emit CSV (stdout or --out)."""
     if tensor is not None:
-        overrides["labels"] = tuple(s.strip() for s in tensor.split(",") if s.strip())
+        overrides["labels"] = _labels(tensor)
     if gamma is not None:
         overrides["gamma"] = _number(gamma)
     try:
@@ -201,18 +218,12 @@ def gamma_compare_cmd(config, gammas, **overrides):
                                   **kwargs)
     except (ValueError, TypeError, KeyError, OSError) as exc:
         _fail(str(exc))
-    lines = ["gamma,I_omega_omega"]
-    lines += [f"{format(gv, '.17e')},{format(iv, '.17e')}" for gv, iv in result.entries]
+    lines = ["gamma,I_omega_omega"] + [_line(*entry) for entry in result.entries]
     increasing = ("undefined" if result.strictly_increasing is None
                   else str(result.strictly_increasing).lower())
     lines.append(f"# strictly_increasing={increasing}"
                  f" reciprocal_asymmetry={format(result.reciprocal_asymmetry, '.3e')}")
-    text = "\n".join(lines) + "\n"
-    if values.get("out"):
-        with open(values["out"], "w", encoding="utf-8") as handle:
-            handle.write(text)
-    else:
-        click.echo(text, nl=False)
+    _emit(lines, values.get("out"))
     flagged = [gv for gv, iv in result.entries if math.isnan(iv)]
     if flagged:
         click.echo(f"note: {len(flagged)} of {len(result.entries)} entries flagged "
@@ -239,17 +250,9 @@ def ratio_scan_cmd(j_list, gamma_list, eta_list, g, omega, theta, n_max, out):
     except (ValueError, TypeError) as exc:
         _fail(str(exc))
     lines = ["j,gamma,eta,I_lab,I_eff,ratio,converged"]
-    for row in rows:
-        lines.append(",".join([
-            format(row.j, ".17e"), format(row.gamma, ".17e"), format(row.eta, ".17e"),
-            format(row.qfi_lab, ".17e"), format(row.qfi_eff, ".17e"),
-            format(row.ratio, ".17e"), "true" if row.converged else "false"]))
-    text = "\n".join(lines) + "\n"
-    if out:
-        with open(out, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    else:
-        click.echo(text, nl=False)
+    lines += [_line(row.j, row.gamma, row.eta, row.qfi_lab, row.qfi_eff, row.ratio,
+                    row.converged) for row in rows]
+    _emit(lines, out)
     sys.exit(2 if any(not row.converged for row in rows) else 0)
 
 
@@ -278,18 +281,8 @@ def converge_cmd(config, nmax_list, gamma, **overrides):
         _fail(str(exc))
     lines = ["value," + ",".join(f"I_nmax_{c}" for c in points[0].cutoffs)
              + ",converged,converged_at"]
-    for pt in points:
-        cells = [format(pt.value, ".17e")]
-        cells += [format(v, ".17e") for v in pt.qfi]
-        cells.append("true" if pt.converged else "false")
-        cells.append(str(pt.converged_at) if pt.converged_at is not None else "")
-        lines.append(",".join(cells))
-    text = "\n".join(lines) + "\n"
-    if out:
-        with open(out, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    else:
-        click.echo(text, nl=False)
+    lines += [_line(pt.value, *pt.qfi, pt.converged, pt.converged_at) for pt in points]
+    _emit(lines, out)
     sys.exit(2 if any(not pt.converged for pt in points) else 0)
 
 

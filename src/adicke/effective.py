@@ -33,9 +33,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (DEFAULT_MAX_DIM, PIECE_CACHE_SIZE, Matrix, ModelParams, Piece,
-                    PiecePattern, ladder_pieces, real_if_exact)
-from .errors import TruncationError
+from .model import (PIECE_CACHE_SIZE, Matrix, ModelParams, Piece, PiecePattern,
+                    check_dimension, ladder_pieces, real_if_exact)
 
 #: Parameters other than theta along which ``form_param_derivative`` differentiates.
 _SCALAR_LABELS = ("omega", "Omega", "lambda1", "lambda2")
@@ -245,14 +244,12 @@ def _coefficients(form: QuadraticBosonForm) -> tuple:
     return form.n_a, form.n_b, form.hop, form.pair, form.squeeze
 
 
-def _assemble(form: QuadraticBosonForm, cut: FockCutoff,
-              max_dim: int = DEFAULT_MAX_DIM) -> tuple[PiecePattern, np.ndarray]:
+def _assemble(form: QuadraticBosonForm, cut: FockCutoff) -> tuple[PiecePattern, np.ndarray]:
     """The form's coefficients times the cached pieces of the cutoff: the
     cutoff's pattern and the form's data on it."""
     if cut.modes != form.modes:
         raise ValueError(f"cutoff has {cut.modes} mode(s) but the form has {form.modes}")
-    if cut.dim > max_dim:
-        raise TruncationError(f"basis dimension {cut.dim} exceeds the guard {max_dim}")
+    check_dimension(cut.dim)
     pattern = _form_pattern(cut)
     vectors = iter(pattern.vectors)
     terms = []
@@ -265,8 +262,7 @@ def _assemble(form: QuadraticBosonForm, cut: FockCutoff,
     return pattern, pattern.combine(terms)
 
 
-def form_matrix(form: QuadraticBosonForm, cut: FockCutoff,
-                max_dim: int = DEFAULT_MAX_DIM) -> Matrix:
+def form_matrix(form: QuadraticBosonForm, cut: FockCutoff) -> Matrix:
     """Matrix of a quadratic form on the truncated Fock basis.
 
     Two-mode basis ordering is |n_a> x |n_b> with n_a outer.  The matrix is
@@ -274,7 +270,7 @@ def form_matrix(form: QuadraticBosonForm, cut: FockCutoff,
     an ndarray or its upper band by its size, as every builder's
     (``model.PiecePattern.matrix``).
     """
-    pattern, data = _assemble(form, cut, max_dim)
+    pattern, data = _assemble(form, cut)
     return pattern.matrix(data)
 
 

@@ -490,6 +490,12 @@ def spin_pieces(j: float) -> tuple[Piece, Piece]:
 # full Hamiltonian and its pieces
 
 
+def check_dimension(dim: int) -> None:
+    """Refuse a basis of more than DEFAULT_MAX_DIM states."""
+    if dim > DEFAULT_MAX_DIM:
+        raise TruncationError(f"basis dimension {dim} exceeds the guard {DEFAULT_MAX_DIM}")
+
+
 def check_truncation(p: ModelParams, t: Truncation) -> None:
     """Refuse a truncation whose spin dimension is not p's 2j + 1."""
     if t.spin_dim != p.spin_dim:
@@ -578,33 +584,30 @@ def _coupling(p: ModelParams, raising: np.ndarray, lowering: np.ndarray) -> np.n
     return norm * (phase * raising + np.conj(phase) * lowering)
 
 
-def full_hamiltonian(p: ModelParams, t: Truncation,
-                     max_dim: int = DEFAULT_MAX_DIM) -> Matrix:
+def full_hamiltonian(p: ModelParams, t: Truncation) -> Matrix:
     """Hamiltonian matrix on the photon-major product basis.
 
     With ``t.parity_sector`` set to 'positive' or 'negative' the sector
     block is returned instead of the full matrix.
     """
-    pattern = _checked_pattern([p], t, max_dim)
+    pattern = _checked_pattern([p], t)
     return pattern.matrix(pattern.combine(_terms(p, pattern)))
 
 
-def full_hamiltonian_stack(points, t: Truncation,
-                           max_dim: int = DEFAULT_MAX_DIM) -> BandStack:
+def full_hamiltonian_stack(points, t: Truncation) -> BandStack:
     """The Hamiltonians of several points on one truncation, as one ``BandStack``.
 
     Member b is ``full_hamiltonian(points[b], t)``, built into its block of
     the stack's band; the stack is a band at any dimension.
     """
-    pattern = _checked_pattern(points, t, max_dim)
+    pattern = _checked_pattern(points, t)
     return pattern.stack([pattern.combine(_terms(p, pattern)) for p in points])
 
 
-def _checked_pattern(points, t: Truncation, max_dim: int = DEFAULT_MAX_DIM) -> PiecePattern:
+def _checked_pattern(points, t: Truncation) -> PiecePattern:
     for p in points:
         check_truncation(p, t)
-    if t.dim > max_dim:
-        raise TruncationError(f"basis dimension {t.dim} exceeds the guard {max_dim}")
+    check_dimension(t.dim)
     return _sector_pattern(t)
 
 

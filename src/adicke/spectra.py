@@ -367,12 +367,12 @@ class Eigensystem:
             raise ConvergenceError(f"orthonormality defect {defect:.2e}", residual=defect)
 
 
-def dense_eigensystem(op, dense_limit: int = DENSE_EIG_LIMIT) -> Eigensystem:
+def dense_eigensystem(op) -> Eigensystem:
     """Full spectrum of a Hermitian matrix in any representation, ascending, gauge-fixed."""
     dim = op.shape[0]
-    if dim > dense_limit:
+    if dim > DENSE_EIG_LIMIT:
         raise TruncationError(
-            f"dimension {dim} exceeds the dense limit {dense_limit}; use lowest_k instead")
+            f"dimension {dim} exceeds the dense limit {DENSE_EIG_LIMIT}; use lowest_k instead")
     mat = as_dense(op)
     energies, states = np.linalg.eigh(mat)
     del mat  # the dense copy is not kept through gauge_fix's temporaries

@@ -38,6 +38,9 @@ QFI_ZERO_FLOOR = 1e-20
 #: convergence scan and the ratio scan count as converged.
 CONVERGENCE_RTOL = 1e-4
 
+#: Distance from g = 1 of the two points that ``continuity_report`` compares.
+STITCH_OFFSET = 1e-6
+
 #: Row label of each tensor method.
 _ROW_METHOD = {"sum_over_states": "sum", "linear_solve": "solve", "finite_difference": "fd",
                "gaussian": "gaussian"}
@@ -72,7 +75,6 @@ class SweepSpec:
     labels: tuple[str, ...] = ("theta", "omega")
     out: str | None = None
     workers: int = 1
-    fd_exclusion: float = FD_EXCLUSION
 
     def validate(self) -> None:
         if self.model not in families.MODEL_CHOICES:
@@ -89,6 +91,8 @@ class SweepSpec:
             raise ValueError(f"method must be one of {_METHODS}")
         if self.workers < 1:
             raise ValueError("workers must be at least 1")
+        if self.n_max < 1 or (self.n_max_b is not None and self.n_max_b < 1):
+            raise ValueError("the cutoffs n_max and n_max_b must be at least 1")
         if not set(self.labels) <= set(PARAMETER_LABELS):
             raise ValueError(f"tensor labels must be a subset of {PARAMETER_LABELS}")
         if not {"theta", "omega"} <= set(self.labels):
@@ -161,7 +165,7 @@ def _row(spec: SweepSpec, value: float, tensor) -> SweepRow:
         else:
             trunc = families.default_truncation(concrete, p, spec.n_max, spec.n_max_b,
                                                 sector=spec.sector)
-        if spec.method == "fd" and abs(p.g - 1.0) < spec.fd_exclusion:
+        if spec.method == "fd" and abs(p.g - 1.0) < FD_EXCLUSION:
             return SweepRow(g=p.g, gamma=p.gamma, eta=p.eta, j=p.j, n_max=spec.n_max,
                             model=spec.model, method="fd", converged=False,
                             branch=_branch_label(concrete))
@@ -280,18 +284,18 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
     return rows
 
 
-def continuity_report(spec: SweepSpec, eps: float = 1e-6) -> str:
+def continuity_report(spec: SweepSpec) -> str:
     """Ground energies of both phases just off g = 1, for stitch diagnostics."""
     if spec.model not in families.AUTO_MODELS:
         raise ValueError("continuity reporting applies to the auto variants")
     if spec.param != "g":
         raise ValueError("continuity reporting applies to sweeps over g")
-    below = spec.point_params(1.0 - eps)
-    above = spec.point_params(1.0 + eps)
+    below = spec.point_params(1.0 - STITCH_OFFSET)
+    above = spec.point_params(1.0 + STITCH_OFFSET)
     lo = bogoliubov_modes(effective_form(families.resolve_branch(spec.model, below.g), below))
     hi = bogoliubov_modes(effective_form(families.resolve_branch(spec.model, above.g), above))
-    return (f"branch stitch at g=1: E(1-{eps:g}) = {lo.ground_energy:.9g}, "
-            f"E(1+{eps:g}) = {hi.ground_energy:.9g}, "
+    return (f"branch stitch at g=1: E(1-{STITCH_OFFSET:g}) = {lo.ground_energy:.9g}, "
+            f"E(1+{STITCH_OFFSET:g}) = {hi.ground_energy:.9g}, "
             f"gaps {lo.gap:.3e} / {hi.gap:.3e}")
 
 
@@ -299,7 +303,12 @@ def continuity_report(spec: SweepSpec, eps: float = 1e-6) -> str:
 # serialization
 
 
-def _fmt(value) -> str:
+def csv_cell(value) -> str:
+    """One cell of every table the package writes: a float at full precision,
+    a flag as true or false, an integer or a string as it is, and nothing
+    for a missing value."""
+    if value is None:
+        return ""
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
@@ -312,7 +321,7 @@ def _fmt(value) -> str:
 def rows_to_csv(rows: list[SweepRow]) -> str:
     lines = [",".join(CSV_COLUMNS)]
     for row in rows:
-        lines.append(",".join(_fmt(getattr(row, col)) for col in CSV_COLUMNS))
+        lines.append(",".join(csv_cell(getattr(row, col)) for col in CSV_COLUMNS))
     return "\n".join(lines) + "\n"
 
 
@@ -394,7 +403,7 @@ class RatioRow:
 def ratio_scan(j_list, gamma_list, eta_list, g: float, *, omega: float = 1.0,
                theta: float = 0.0, n_max: int = 60, check_step: int = 20,
                eff_model: str = "co_np", eff_n_max: int = 60,
-               sector: str = "positive", method: str | None = "solve") -> list[RatioRow]:
+               method: str | None = "solve") -> list[RatioRow]:
     """Full-model QFI against the matching effective limit over (j, gamma, eta).
 
     Each full-model value is recomputed at an enlarged cutoff; the row is
@@ -414,12 +423,12 @@ def ratio_scan(j_list, gamma_list, eta_list, g: float, *, omega: float = 1.0,
     displacement that the full model keeps, so they measure a different
     quantity and their rows stay flagged too.
 
-    The full-model points of one j share each cutoff's truncation, so each
-    cutoff solves them as stacks (``families.qgt_stack``, within
-    spectra.STACK_LIMIT).  A point that fails at either cutoff gets a NaN
-    ``qfi_lab`` and ratio and is flagged.  Rows whose effective forms differ only
-    in their constant share one truncated effective value, computed once
-    per call.
+    The full-model points of one j share each cutoff's truncation of the
+    positive parity sector, the ground state's, so each cutoff solves them
+    as stacks (``families.qgt_stack``, within spectra.STACK_LIMIT).  A point
+    that fails at either cutoff gets a NaN ``qfi_lab`` and ratio and is
+    flagged.  Rows whose effective forms differ only in their constant share
+    one truncated effective value, computed once per call.
     """
     rows = []
     effective_values = {}  # local to the call: the value of each distinct form
@@ -430,7 +439,7 @@ def ratio_scan(j_list, gamma_list, eta_list, g: float, *, omega: float = 1.0,
         # stacks per cutoff: every (gamma, eta) point of this j shares the truncation
         lab, lab_check = (
             families.qgt_stack("full", points, families.default_truncation(
-                "full", points[0], cutoff, sector=sector), labels=("omega",), method=method)
+                "full", points[0], cutoff), labels=("omega",), method=method)
             for cutoff in (n_max, n_max + check_step))
         for p, (gamma, eta), small, large in zip(points, grid, lab, lab_check):
             # a point that failed at either cutoff has no value: flag its row, do not abort

@@ -1,4 +1,9 @@
-"""Squeezed-vacuum ground-state families and their closed-form curvatures.
+"""Squeezed-vacuum ground-state families and their closed-form curvatures: oracles of the tests.
+
+The package computes every Gaussian ground-state tensor exactly from the
+symplectic normal modes (``families.qgt_components`` with no cutoff) and
+never needs these; the tests check that route, and the truncated ones,
+against the closed forms here.
 
 In the classical-oscillator limit at symmetric couplings the ground state is
 a squeezed vacuum S[r]|0> with
@@ -7,8 +12,7 @@ a squeezed vacuum S[r]|0> with
     r = e^{2 i theta} (1/4) ln(1 - g^2)        (normal side, 0 <= g < 1),
     r = e^{2 i theta} (1/4) ln(1 - g^{-4})     (superradiant side, g > 1),
 
-optionally displaced by D[+-alpha] on the superradiant side.  These families
-serve as independent oracles for the numerical tensor machinery: their
+optionally displaced by D[+-alpha] on the superradiant side.  Their
 curvature component F_{theta omega} is available in closed form.  The
 displacement D[alpha] = exp(alpha a' - conj(alpha) a) acts on the cutoff's
 Fock space through numpy's ``eigh`` of the Hermitian -i (alpha a' - conj(alpha) a).
@@ -32,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import TruncationError
+from adicke.errors import TruncationError
 
 _BRANCHES = ("np", "sp")
 

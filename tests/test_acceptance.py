@@ -16,15 +16,14 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from adicke import (FockCutoff, ModelParams, SweepSpec, Truncation,
-                    bogoliubov_modes, berry_curvature_np, berry_curvature_sp,
+from adicke import (FockCutoff, ModelParams, SweepSpec, Truncation, bogoliubov_modes,
                     dense_eigensystem, full_hamiltonian, qgt_components,
                     qgt_finite_difference, qfi_omega, ratio_scan, rows_to_csv, run_sweep)
 from adicke.effective import cs_normal_form
 from adicke.families import ground_pair, photon_number_diagonal
 from adicke.model import as_dense
-from adicke.squeezed import squeezed_family_builder
 from operators import parity_operator
+from squeezed import berry_curvature_np, berry_curvature_sp, squeezed_family_builder
 
 
 def report(tag: str, ok: bool, detail: str) -> bool:

@@ -28,6 +28,12 @@ def test_sweep_to_stdout(runner):
 def test_sweep_invalid_spec_exits_one(runner):
     result = runner.invoke(main, ["sweep", "--model", "co_np", "--points", "1"])
     assert result.exit_code == 1
+    # a cutoff below 1 is a usage error, not a run of flagged rows (exit 2)
+    for args in (["--model", "full", "--nmax", "0", "--points", "2", "--j", "1"],
+                 ["--model", "cs_np", "--method", "sum", "--nmax-b", "0"]):
+        result = runner.invoke(main, ["sweep", *args])
+        assert result.exit_code == 1, result.output
+        assert "error: the cutoffs" in result.output
 
 
 def test_sweep_missing_model_exits_one(runner):
@@ -74,6 +80,37 @@ workers = 1
     assert base.exit_code == 0 and overridden.exit_code == 0
     assert len(out_a.read_text().strip().split("\n")) == 4
     assert len(out_b.read_text().strip().split("\n")) == 5
+
+
+CONFIG_COMMANDS = {
+    "sweep": ["sweep"],
+    "converge": ["converge", "--nmax-list", "20,30"],
+    "gamma-compare": ["gamma-compare", "--gammas", "1", "--g", "0.5"],
+}
+
+
+@pytest.mark.parametrize("command", CONFIG_COMMANDS)
+def test_a_config_with_a_misspelled_key_exits_one(runner, tmp_path, command):
+    config = tmp_path / "typo.ini"
+    config.write_text("[sweep]\nmodel = co_np\n[parameters]\neta = 2\ngama = 3\n")
+    result = runner.invoke(main, CONFIG_COMMANDS[command] + ["--config", str(config)])
+    assert result.exit_code == 1, result.output
+    assert "error: unknown config key 'gama' in section [parameters]" in result.output
+    # a removed key is unknown as well
+    config.write_text("[sweep]\nmodel = co_np\n[output]\nfd_exclusion = 0.1\n")
+    result = runner.invoke(main, CONFIG_COMMANDS[command] + ["--config", str(config)])
+    assert result.exit_code == 1, result.output
+    assert "'fd_exclusion'" in result.output
+
+
+@pytest.mark.parametrize("command", CONFIG_COMMANDS)
+def test_a_config_with_a_misspelled_section_exits_one(runner, tmp_path, command):
+    config = tmp_path / "typo.ini"
+    for section in ("truncaton", "DEFAULT"):
+        config.write_text(f"[sweep]\nmodel = co_np\n[{section}]\nn_max = 20\n")
+        result = runner.invoke(main, CONFIG_COMMANDS[command] + ["--config", str(config)])
+        assert result.exit_code == 1, result.output
+        assert f"error: unknown config section [{section}]" in result.output
 
 
 def test_sweep_worker_count_does_not_change_bytes(runner, tmp_path):

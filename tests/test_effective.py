@@ -379,11 +379,12 @@ def test_cutoffs_differing_in_one_field_get_their_own_pieces():
         assert theirs[0][0].shape == (other.dim, other.dim)
 
 
-def test_effective_guards_run_before_the_piece_cache():
+def test_effective_guards_run_before_the_piece_cache(monkeypatch):
+    monkeypatch.setattr("adicke.model.DEFAULT_MAX_DIM", 100)
     effective._form_pieces.cache_clear()
     form = effective_form("cs_np", from_g(0.5))
     with pytest.raises(TruncationError):
-        form_matrix(form, FockCutoff(20, 20), max_dim=100)
+        form_matrix(form, FockCutoff(20, 20))
     with pytest.raises(ValueError, match="mode"):
         form_matrix(form, FockCutoff(20))
     with pytest.raises(ValueError, match="mode"):

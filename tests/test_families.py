@@ -8,8 +8,9 @@ import threading
 import numpy as np
 import pytest
 
-from adicke import (FockCutoff, ModelParams, Truncation, _blas, bogoliubov_modes,
-                    dense_eigensystem, effective_form, families, geometry, spectra, sweep)
+from adicke import (DegeneracyError, FockCutoff, ModelParams, Truncation, _blas,
+                    bogoliubov_modes, dense_eigensystem, effective_form, families, geometry,
+                    spectra, sweep)
 from adicke.families import (default_truncation, derivative_matrix, ground_eigensystem,
                              ground_pair, hamiltonian_matrix, qgt_components, resolve_branch)
 from adicke.geometry import qgt_matrix_sum
@@ -532,9 +533,10 @@ def test_stacks_follow_the_one_size_rule(monkeypatch):
     assert stacks == [1, 1] and all(comp.method == "linear_solve" for comp in got)
 
 
-def test_a_failed_stacked_point_fails_alone():
+def test_a_failed_stacked_point_fails_alone(monkeypatch):
     t = Truncation.for_spin(60, 5.0, "positive")
     good = [ModelParams.from_ratios(0.9, gamma=gamma, j=5.0) for gamma in (0.5, 2.0)]
+    alone = [qgt_components("full", p, t, labels=("omega",)).qfi("omega").value for p in good]
     nan_coupling = ModelParams(lambda1=math.nan, lambda2=0.3, j=5.0)  # no estimate exists
     wrong_spin = ModelParams.from_ratios(0.9, j=4.0)
     got = families.qgt_stack("full", [good[0], nan_coupling, wrong_spin, good[1]], t,
@@ -544,9 +546,24 @@ def test_a_failed_stacked_point_fails_alone():
         with pytest.raises(type(result), match=re.escape(str(result))):
             qgt_components("full", p, t, labels=("omega",))
     assert isinstance(got[2], ValueError) and "spin_dim" in str(got[2])
-    for comp, p in zip((got[0], got[3]), good):
-        alone = qgt_components("full", p, t, labels=("omega",))
-        assert comp.qfi("omega").value == pytest.approx(alone.qfi("omega").value, rel=1e-12)
+    for comp, value in zip((got[0], got[3]), alone):
+        assert comp.qfi("omega").value == pytest.approx(value, rel=1e-12)
+    # a member that fails after its shift is placed and its pairs found: the
+    # others' factors are then not consecutive blocks, and they keep their values
+    certified = families._certified
+    middle = ModelParams.from_ratios(0.9, gamma=1.0, j=5.0)
+    middle_energy = ground_pair("full", middle, t)[0]
+
+    def refuse_the_middle(es, ham, product):
+        if es.energies[0] == pytest.approx(middle_energy, rel=1e-9):
+            raise DegeneracyError("the middle member is refused")
+        return certified(es, ham, product)
+
+    monkeypatch.setattr(families, "_certified", refuse_the_middle)
+    got = families.qgt_stack("full", [good[0], middle, good[1]], t, labels=("omega",))
+    assert isinstance(got[1], DegeneracyError) and "middle" in str(got[1])
+    for comp, value in zip((got[0], got[2]), alone):
+        assert comp.qfi("omega").value == pytest.approx(value, rel=1e-12)
     # every other route takes the points one by one, with the same isolation
     small = Truncation.for_spin(10, 5.0, "positive")
     got = families.qgt_stack("full", [good[0], wrong_spin], small, labels=("omega",))

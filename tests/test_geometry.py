@@ -320,3 +320,36 @@ def test_stacked_tangents_match_each_member_alone(theta):
             gap=[es.gap])
         assert x.shape == want.shape == (ham.shape[0], 2)
         assert np.max(np.abs(x - want)) < 1e-12 * max(1.0, float(np.max(np.abs(want))))
+
+
+def test_a_stacked_member_left_with_no_factor_fails_alone(monkeypatch):
+    # the middle member brings no factor and none can be made for it: it gets
+    # the shift-invert error, and the others, whose factors no longer lie
+    # side by side, keep the tangents they have with it factored
+    from adicke import ConvergenceError, geometry, lowest_k
+    from adicke.model import full_hamiltonian_stack, param_derivative_stack
+    from adicke.spectra import bogoliubov_modes
+    from adicke.effective import cs_normal_form
+    t = Truncation.for_spin(60, 5.0, "positive")
+    points = [from_g(0.9, gamma=gamma, eta=eta) for gamma, eta in ((2.0, 1.0), (1.0, 2.0),
+                                                                  (0.5, 3.0))]
+    stack = full_hamiltonian_stack(points, t)
+    systems = lowest_k(stack, 2, estimate=[bogoliubov_modes(cs_normal_form(p)) for p in points])
+    derivs = [param_derivative_stack(points, t, "omega")]
+    args = (stack, [es.energies[0] for es in systems],
+            np.stack([es.states[:, 0] for es in systems]), derivs)
+    gaps = [es.gap for es in systems]
+    want = geometry.resolvent_tangent(*args, factor=[es.factor for es in systems], gap=gaps)
+    shift_invert = geometry.shift_invert
+
+    def no_factor_for_the_middle(op, energy, gap, **kwargs):
+        if energy == systems[1].energies[0]:
+            raise ConvergenceError("no factor for the middle member")
+        return shift_invert(op, energy, gap, **kwargs)
+
+    monkeypatch.setattr(geometry, "shift_invert", no_factor_for_the_middle)
+    got = geometry.resolvent_tangent(
+        *args, factor=[systems[0].factor, None, systems[2].factor], gap=gaps)
+    assert isinstance(got[1], ConvergenceError) and "middle" in str(got[1])
+    for b in (0, 2):
+        assert np.max(np.abs(got[b] - want[b])) < 1e-12 * max(1.0, float(np.max(np.abs(want[b]))))

@@ -204,11 +204,12 @@ def test_hermiticity_random_points():
         assert abs(h - h.conj().T).max() < 1e-12
 
 
-def test_dimension_guard():
+def test_dimension_guard(monkeypatch):
+    monkeypatch.setattr(model, "DEFAULT_MAX_DIM", 100)
     p = ModelParams(j=1.0)
     t = Truncation.for_spin(50, p.j)
     with pytest.raises(TruncationError):
-        full_hamiltonian(p, t, max_dim=100)
+        full_hamiltonian(p, t)
 
 
 # ---------------------------------------------------------------------------
@@ -414,11 +415,12 @@ def test_truncations_differing_in_one_field_get_their_own_pieces():
                    for mine, their in zip(pieces, theirs))
 
 
-def test_guards_run_before_the_piece_cache():
+def test_guards_run_before_the_piece_cache(monkeypatch):
+    monkeypatch.setattr(model, "DEFAULT_MAX_DIM", 100)
     model._sector_pieces.cache_clear()
     p = ModelParams(lambda1=0.3, j=1.0)
     with pytest.raises(TruncationError):
-        full_hamiltonian(p, Truncation.for_spin(50, p.j), max_dim=100)
+        full_hamiltonian(p, Truncation.for_spin(50, p.j))
     mismatched = Truncation.for_spin(5, 1.5)
     with pytest.raises(ValueError, match="spin_dim"):
         full_hamiltonian(p, mismatched)

@@ -64,10 +64,11 @@ def test_check_refuses_nan_pairs(energies, states):
         es.check(np.diag([1.0, 2.0, 3.0]))
 
 
-def test_dense_limit_error():
+def test_dense_limit_error(monkeypatch):
+    monkeypatch.setattr(spectra, "DENSE_EIG_LIMIT", 5)
     big = np.eye(10)
     with pytest.raises(TruncationError, match="lowest_k"):
-        dense_eigensystem(big, dense_limit=5)
+        dense_eigensystem(big)
 
 
 def test_lowest_k_matches_dense_ground():
@@ -84,6 +85,16 @@ def test_lowest_k_diagonal():
     diag = np.array([5.0, 1.0, 4.0, 0.5, 2.0, 9.0, 7.0, 3.0])
     es = lowest_k(np.diag(diag), 3)
     assert np.allclose(es.energies, [0.5, 1.0, 2.0], atol=1e-12)
+
+
+def test_lowest_k_of_nearly_the_whole_space_takes_the_dense_route():
+    # k = dim - 1: a Krylov space of that size is the whole space
+    mat = np.array([[2.0, 1.0, 0.0], [1.0, 3.0, 0.5], [0.0, 0.5, -1.0]])
+    es = lowest_k(mat, 2)
+    energies, states = np.linalg.eigh(mat)
+    assert es.states.shape == (3, 2) and es.factor is None
+    assert np.max(np.abs(es.energies - energies[:2])) < 1e-12
+    assert np.max(np.abs(np.abs(es.states.T @ states[:, :2]) - np.eye(2))) < 1e-12
 
 
 def test_lowest_k_resolves_cross_sector_doublet():

@@ -7,11 +7,11 @@ import numpy as np
 import pytest
 import scipy.linalg as la
 
-from adicke import (FockCutoff, ModelParams, TruncationError, berry_curvature_np,
-                    berry_curvature_sp, displacement_solution, qgt_finite_difference,
-                    squeeze_params, squeezed_state_vector)
+from adicke import (FockCutoff, ModelParams, TruncationError, displacement_solution,
+                    qgt_finite_difference)
 from adicke.families import ground_state
-from adicke.squeezed import squeezed_family_builder
+from squeezed import (berry_curvature_np, berry_curvature_sp, squeeze_params,
+                      squeezed_family_builder, squeezed_state_vector)
 
 
 def expm_squeezed(r, n_max, alpha=0j):

@@ -3,11 +3,11 @@
 Every route needs numpy and click, and no part of scipy: the builders hand a
 small matrix over as an ndarray and a large one as its upper band, the dense
 route decomposes a real or a complex matrix with numpy, the shift-invert
-route factors, solves and multiplies through numpy's own OpenBLAS, and a
-displaced squeezed state is built from numpy's ``eigh`` of its generator.
-So a process maps one OpenBLAS, numpy's, which a tensor evaluation holds to
-one thread; finite differences at theta != 0 (the one complex dense
-spectrum) are checked for that.  The only scipy import left in the package
+route factors, solves and multiplies through numpy's own OpenBLAS, and the
+superradiant displacement is closed-form arithmetic.  So a process maps
+one OpenBLAS, numpy's, which a tensor evaluation holds to one thread;
+finite differences at theta != 0 (the one complex dense spectrum) are
+checked for that.  The only scipy import left in the package
 is the banded fallback for a numpy that exposes no OpenBLAS LAPACKE
 symbols.  No matrix route loads ``numpy.ma``, which ``np.unique`` would
 import, and the command-line front end and the Gaussian route load neither
@@ -111,12 +111,11 @@ assert comp.method == "linear_solve" and comp.qfi("omega").value > 0
 """) == set()
 
 
-def test_a_displaced_squeezed_state_loads_no_scipy_submodule():
+def test_the_displacement_solution_loads_no_scipy_submodule():
     assert _loaded_after("""
-from adicke import ModelParams, displacement_solution, squeeze_params, squeezed_state_vector
+from adicke import ModelParams, displacement_solution
 p = ModelParams.from_ratios(1.25, gamma=1.0, eta=1.0, theta=0.5, j=0.5)
-sq = squeeze_params(p.g, p.theta, "sp", alpha=displacement_solution(p).alpha)
-assert abs(squeezed_state_vector(sq, 80)[1]) > 0  # odd photon numbers: displaced
+assert abs(displacement_solution(p).alpha) > 0  # superradiant: displaced
 """) == set()
 
 

@@ -15,8 +15,8 @@ from adicke import (FockCutoff, ModelParams, SweepSpec, Truncation, _blas, conve
                     ratio_scan, rows_to_csv, run_sweep, spectra, write_csv, write_json)
 from adicke.effective import effective_form
 from adicke.spectra import bogoliubov_modes
-from adicke.squeezed import berry_curvature_np, berry_curvature_sp
 from adicke.sweep import CSV_COLUMNS, SweepRow, continuity_report, evaluate_point
+from squeezed import berry_curvature_np, berry_curvature_sp
 
 
 def small_spec(**kw):
@@ -41,6 +41,9 @@ def test_validation_rejects_bad_specs():
         small_spec(spacing="log", start=0.0).validate()
     with pytest.raises(ValueError, match="labels"):
         small_spec(labels=("omega",)).validate()
+    for cutoffs in ({"n_max": 0}, {"n_max_b": 0}, {"n_max": -3}):
+        with pytest.raises(ValueError, match="cutoffs"):
+            small_spec(**cutoffs).validate()
     with pytest.raises(ValueError, match="method"):
         small_spec(method="analytic").validate()
     with pytest.raises(ValueError, match="workers"):
@@ -248,7 +251,7 @@ def test_fd_exclusion_zone_flags_rows():
 ], ids=["normal", "superradiant"])
 def test_auto_co_gaussian_rows_match_the_closed_form_curvature(start, stop, curvature):
     # at gamma = 1 the one-mode limit is a pure squeezed state, whose Berry
-    # curvature the closed forms of adicke.squeezed give without a displacement
+    # curvature the closed forms of tests/squeezed.py give without a displacement
     spec = SweepSpec(model="auto_co", param="g", start=start, stop=stop, points=8,
                      gamma=1.0, theta=0.3, j=2.0)
     rows = run_sweep(spec)
